@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	ce "repro"
 	"repro/internal/prog"
 	"repro/internal/trace"
 )
@@ -47,13 +48,50 @@ func run(t *testing.T, tool string, args ...string) (string, error) {
 	return string(out), err
 }
 
+// mustRun runs tool and fails the test on a nonzero exit. Every cesweep
+// sweep also dumps its metrics (to a temporary file unless the caller
+// asked for -metrics-json) and has its trace counters checked.
 func mustRun(t *testing.T, tool string, args ...string) string {
 	t.Helper()
+	metrics := ""
+	if tool == "cesweep" {
+		for i, a := range args {
+			if a == "-metrics-json" && i+1 < len(args) {
+				metrics = args[i+1]
+			}
+		}
+		if metrics == "" {
+			metrics = filepath.Join(t.TempDir(), "sweep-metrics.json")
+			args = append(args, "-metrics-json", metrics)
+		}
+	}
 	out, err := run(t, tool, args...)
 	if err != nil {
 		t.Fatalf("%s %v: %v\n%s", tool, args, err, out)
 	}
+	if metrics != "" {
+		checkTraceStats(t, metrics)
+	}
 	return out
+}
+
+// checkTraceStats asserts ce.TraceStats.Check on a sweep's -metrics-json
+// dump: each trace-pool event counted once.
+func checkTraceStats(t *testing.T, metrics string) {
+	t.Helper()
+	data, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatalf("sweep metrics: %v", err)
+	}
+	var dump struct {
+		Trace ce.TraceStats `json:"trace"`
+	}
+	if err := json.Unmarshal(data, &dump); err != nil {
+		t.Fatalf("sweep metrics malformed: %v\n%s", err, data)
+	}
+	if err := dump.Trace.Check(); err != nil {
+		t.Errorf("%v (%+v)", err, dump.Trace)
+	}
 }
 
 func TestCedelayTables(t *testing.T) {
@@ -218,6 +256,7 @@ func TestCesweepFlushesMetricsOnError(t *testing.T) {
 	if len(dump.Runs) == 0 {
 		t.Fatal("metrics file has no runs despite a completed -speedup sweep")
 	}
+	checkTraceStats(t, metrics)
 	for _, r := range dump.Runs {
 		if r.Cycles <= 0 {
 			t.Errorf("degenerate run metric on error path: %+v", r)

@@ -91,6 +91,25 @@ type TraceStats struct {
 	RecordsDecoded uint64 `json:"records_decoded,omitempty"`
 }
 
+// Check reports the first violated counting invariant: each event is
+// counted once, so no counter can exceed the events it is a subset of.
+// A corrupt trace is dropped at most once per load or capture, and a
+// ganged run is a replay run.
+func (ts TraceStats) Check() error {
+	switch {
+	case ts.CorruptDropped > ts.Captures+ts.DiskHits:
+		return fmt.Errorf("trace stats: %d corrupt traces dropped, only %d captured + %d loaded",
+			ts.CorruptDropped, ts.Captures, ts.DiskHits)
+	case ts.GangRuns > ts.ReplayRuns:
+		return fmt.Errorf("trace stats: %d gang runs exceed %d replay runs", ts.GangRuns, ts.ReplayRuns)
+	case ts.SegmentRuns > ts.ReplayRuns:
+		return fmt.Errorf("trace stats: %d segment runs exceed %d replay runs", ts.SegmentRuns, ts.ReplayRuns)
+	case ts.LeaseWaits > ts.DiskHits:
+		return fmt.Errorf("trace stats: %d lease waits exceed %d disk loads", ts.LeaseWaits, ts.DiskHits)
+	}
+	return nil
+}
+
 // traceEntry is one workload's slot in the pool: the first goroutine to
 // need the trace captures it while later ones wait on done (the same
 // single-flight shape as internal/runcache).
@@ -570,7 +589,10 @@ func (e *Engine) noteCaptureFailure(workload string, err error) {
 
 // dropCorrupt evicts workload's pooled trace after a chunk checksum
 // failure, deleting its backing file so the next traceFor call
-// recaptures rather than reloading the same bad bytes.
+// recaptures rather than reloading the same bad bytes. Every run that
+// was replaying the bad trace calls it, but only the call that evicts
+// the pool entry counts the drop: configs sharing one trace observe one
+// corruption, not one each.
 func (e *Engine) dropCorrupt(workload string, tr *trace.Trace) {
 	e.traceMu.Lock()
 	if ent, ok := e.traces[workload]; ok {
@@ -578,12 +600,12 @@ func (e *Engine) dropCorrupt(workload string, tr *trace.Trace) {
 		case <-ent.done:
 			if ent.tr == tr {
 				delete(e.traces, workload)
+				e.tstats.CorruptDropped++
 			}
 		default:
 			// An in-flight recapture already owns the slot; leave it.
 		}
 	}
-	e.tstats.CorruptDropped++
 	sc := e.slabs
 	e.traceMu.Unlock()
 	if sc != nil {

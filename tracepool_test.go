@@ -3,6 +3,7 @@ package ce
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/prog"
@@ -297,6 +298,9 @@ func testCorruptTraceRecaptured(t *testing.T, segments int) {
 	if ts.CaptureFailures != 0 {
 		t.Errorf("corruption miscounted as capture failure: %+v", ts)
 	}
+	if err := ts.Check(); err != nil {
+		t.Error(err)
+	}
 	// The recaptured file is intact: a fresh engine loads it from disk.
 	eng2 := NewEngine()
 	if err := eng2.SetTraceDir(dir); err != nil {
@@ -370,6 +374,104 @@ func TestEngineGangCorruptTraceRecaptured(t *testing.T) {
 		}
 		if ts.GangRuns != 1 {
 			t.Errorf("segments=%d: GangRuns = %d, want 1", segments, ts.GangRuns)
+		}
+		if err := ts.Check(); err != nil {
+			t.Errorf("segments=%d: %v", segments, err)
+		}
+	}
+}
+
+// TestEngineCorruptTraceCountedOnce: two configs replaying one trace
+// both trip over its corrupt chunk, but the pool drops (and counts) the
+// trace once — the second run finds the entry already evicted or
+// recaptured. Run under -race it also checks the concurrent drop path.
+func TestEngineCorruptTraceCountedOnce(t *testing.T) {
+	const workload = "micro.branchy"
+	cfgs := []Config{BaselineConfig(), DependenceConfig()}
+	lock := NewEngine()
+	lock.SetTraceReplay(false)
+	want, err := lock.RunMatrix(cfgs, []string{workload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := prog.ByName(workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := w.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Gang replay decodes the bad chunk once for both configs; segmented
+	// streaming replay has both configs' workers reading it at once.
+	for _, mode := range []struct {
+		gang     bool
+		segments int
+	}{{true, 0}, {false, 8}} {
+		dir := t.TempDir()
+		seed := NewEngine()
+		if err := seed.SetTraceDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := seed.RunMatrix([]Config{FourWayConfig()}, []string{workload}); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.OpenFile(trace.DiskPath(dir, p), os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt([]byte{0xFF}, 40+64); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+
+		eng := NewEngine()
+		eng.SetGangReplay(mode.gang)
+		eng.SetSegments(mode.segments)
+		if err := eng.SetTraceDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		got, err := eng.RunMatrix(cfgs, []string{workload})
+		if err != nil {
+			t.Fatalf("%+v: %v", mode, err)
+		}
+		for i := range cfgs {
+			if got[i][0].Cycles != want[i][0].Cycles {
+				t.Errorf("%+v %s: %d cycles after recapture, want %d",
+					mode, cfgs[i].Name, got[i][0].Cycles, want[i][0].Cycles)
+			}
+		}
+		ts := eng.TraceStats()
+		if ts.CorruptDropped != 1 {
+			t.Errorf("%+v: CorruptDropped = %d, want 1 (%+v)", mode, ts.CorruptDropped, ts)
+		}
+		if err := ts.Check(); err != nil {
+			t.Errorf("%+v: %v", mode, err)
+		}
+	}
+}
+
+// TestTraceStatsCheck pins the invariant table itself: a clean snapshot
+// passes and each over-count is named.
+func TestTraceStatsCheck(t *testing.T) {
+	ok := TraceStats{Captures: 1, DiskHits: 6, CorruptDropped: 1, ReplayRuns: 14, GangRuns: 14, SegmentRuns: 2, LeaseWaits: 1}
+	if err := ok.Check(); err != nil {
+		t.Fatalf("consistent stats rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		bad  func(*TraceStats)
+		want string
+	}{
+		{"corrupt", func(ts *TraceStats) { ts.CorruptDropped = 8 }, "corrupt"},
+		{"gang", func(ts *TraceStats) { ts.GangRuns = 15 }, "gang"},
+		{"segment", func(ts *TraceStats) { ts.SegmentRuns = 15 }, "segment"},
+		{"lease", func(ts *TraceStats) { ts.LeaseWaits = 7 }, "lease"},
+	} {
+		ts := ok
+		tc.bad(&ts)
+		if err := ts.Check(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Check() = %v, want an error naming %q", tc.name, err, tc.want)
 		}
 	}
 }
