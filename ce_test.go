@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestWorkloadsRegistry(t *testing.T) {
@@ -43,7 +45,7 @@ func TestConfigsValidate(t *testing.T) {
 			t.Errorf("%s: no structural fingerprint", cfg.Name)
 		}
 		// Scheduler cluster count must match the config.
-		if got := cfg.Scheduler.Build().Clusters(); got != cfg.Clusters {
+		if got := cfg.Scheduler.Build(core.Bounds{InFlight: cfg.MaxInFlight, PhysRegs: cfg.PhysRegs}).Clusters(); got != cfg.Clusters {
 			t.Errorf("%s: scheduler clusters %d != config %d", cfg.Name, got, cfg.Clusters)
 		}
 	}

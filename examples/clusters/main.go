@@ -42,13 +42,13 @@ func main() {
 			cfg.Clusters = clusters
 			cfg.FUsPerCluster = 8 / clusters
 			cfg.InterClusterDelay = extra - 1
-			cfg.NewScheduler = func() core.Scheduler {
+			cfg.NewScheduler = func(b core.Bounds) core.Scheduler {
 				return core.NewFIFOBank(core.FIFOBankConfig{
 					Name:            cfg.Name,
 					Clusters:        clusters,
 					FIFOsPerCluster: 8 / clusters,
 					Depth:           8, // 8 FIFOs of 8 entries in total
-				})
+				}, b)
 			}
 			st, err := ce.Run(cfg, workload)
 			if err != nil {

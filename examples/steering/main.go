@@ -41,7 +41,7 @@ var segment = []struct {
 func main() {
 	bank := core.NewFIFOBank(core.FIFOBankConfig{
 		Name: "fig12", Clusters: 1, FIFOsPerCluster: 4, Depth: 8,
-	})
+	}, core.Bounds{InFlight: len(segment), PhysRegs: 64})
 	uops := make([]*core.Uop, len(segment))
 	for i, s := range segment {
 		uops[i] = &core.Uop{Seq: uint64(i), PhysSrcs: s.srcs, PhysDest: s.dest, Cluster: -1, FIFO: -1}
@@ -87,6 +87,7 @@ func main() {
 		})
 		for _, p := range done {
 			produced[p] = true
+			bank.Wakeup(p, int64(cycle+1))
 		}
 
 		fmt.Printf("cycle %d: steered %v, issued %v\n", cycle, fmtSeqs(steered), fmtSeqs(issuedNow))

@@ -62,15 +62,6 @@ type Uop struct {
 	// UsedInterClusterBypass marks that at least one operand arrived over
 	// an inter-cluster bypass path (Figure 17, bottom).
 	UsedInterClusterBypass bool
-
-	// Event-driven wakeup bookkeeping (see wakeboard.go), written by the
-	// pipeline at dispatch and maintained by the scheduler: WakePending
-	// counts sources whose producer has not issued yet, WakeMask marks
-	// their indices in PhysSrcs, and WakeCycle is a lower bound on the
-	// first cycle every operand could be consumable in some cluster.
-	WakePending int8
-	WakeMask    uint8
-	WakeCycle   int64
 }
 
 // Scheduler buffers renamed instructions until they issue.
@@ -84,9 +75,10 @@ type Uop struct {
 // for uops the scheduler is prepared to issue, and a true return means
 // the uop has issued.
 //
-// Wakeup and NextWake support the event-driven issue loop: the pipeline
-// reports each issued producer via Wakeup, and NextWake lets it skip
-// cycles on which Select provably cannot offer a candidate.
+// Wakeup and NextWake support the event-driven issue loop: a dispatched
+// uop's destination register is pending until the pipeline reports its
+// producer's issue via Wakeup, and NextWake lets the pipeline skip cycles
+// on which Select provably cannot offer a candidate.
 type Scheduler interface {
 	Name() string
 	// Clusters reports how many execution clusters the scheduler feeds.
@@ -122,35 +114,29 @@ type CentralWindow struct {
 	randomSelect  bool
 	rng           int32
 	occupancy     int
-
-	// board drives event-driven wakeup for the age-ordered selection
-	// policies. Random selection must visit every entry each cycle anyway
-	// (its rng stream advances per buffered entry), so it keeps the
-	// entries scan.
-	board   wakeBoard
-	entries []*Uop
+	t             slots
 }
 
 // NewCentralWindow builds a single-cluster window of the given size; every
 // instruction is assigned to cluster 0 at dispatch.
-func NewCentralWindow(size int) *CentralWindow {
-	return &CentralWindow{size: size, clusters: 1}
+func NewCentralWindow(size int, b Bounds) *CentralWindow {
+	return &CentralWindow{size: size, clusters: 1, t: newSlots(b)}
 }
 
 // NewExecSteeredWindow builds the Section 5.6.1 organization: one central
 // window of the given size feeding `clusters` clusters, with cluster
 // assignment made by the pipeline at issue time (execution-driven
 // steering).
-func NewExecSteeredWindow(size, clusters int) *CentralWindow {
-	return &CentralWindow{size: size, clusters: clusters, assignAtIssue: true}
+func NewExecSteeredWindow(size, clusters int, b Bounds) *CentralWindow {
+	return &CentralWindow{size: size, clusters: clusters, assignAtIssue: true, t: newSlots(b)}
 }
 
 // NewRandomSelectWindow builds a single-cluster window whose selection
 // policy is *random* rather than position-based. Butler & Patt (cited in
 // Section 4.3) found overall performance largely independent of the
 // selection policy; this scheduler exists to ablate that claim.
-func NewRandomSelectWindow(size int) *CentralWindow {
-	return &CentralWindow{size: size, clusters: 1, randomSelect: true, rng: 424243}
+func NewRandomSelectWindow(size int, b Bounds) *CentralWindow {
+	return &CentralWindow{size: size, clusters: 1, randomSelect: true, rng: 424243, t: newSlots(b)}
 }
 
 // Name implements Scheduler.
@@ -186,78 +172,42 @@ func (w *CentralWindow) Dispatch(u *Uop) bool {
 	} else {
 		u.Cluster = 0
 	}
-	if w.randomSelect {
-		w.entries = append(w.entries, u)
-	} else {
-		w.board.add(u)
-	}
+	w.t.insert(u)
 	w.occupancy++
 	return true
 }
 
 // Select implements Scheduler. Awake candidates are offered in dispatch
 // (age) order, which is the paper's position-based selection policy; with
-// random selection every entry is a candidate and the order is shuffled
-// deterministically each cycle.
+// random selection every entry is a candidate and the age-ordered list
+// is shuffled deterministically each cycle.
 //
 //ce:hot
 func (w *CentralWindow) Select(now int64, tryIssue func(u *Uop) bool) {
 	if !w.randomSelect {
-		w.board.promote(now)
-		ready := w.board.ready
-		kept := ready[:0]
-		for _, u := range ready {
-			if tryIssue(u) {
-				w.occupancy--
-			} else {
-				kept = append(kept, u)
-			}
-		}
-		for i := len(kept); i < len(ready); i++ {
-			ready[i] = nil
-		}
-		w.board.ready = kept
+		w.t.promote(now)
+		w.occupancy -= len(w.t.offer(w.t.awake, tryIssue))
 		return
 	}
-	order := make([]*Uop, len(w.entries)) //ce:alloc-ok random-select ablation only; keeps the published rng stream
-	copy(order, w.entries)
+	order := w.t.ageOrder(w.t.occupied)
 	for i := len(order) - 1; i > 0; i-- {
 		w.rng = w.rng*1103515245 + 12345
 		j := int(uint32(w.rng)>>16) % (i + 1)
 		order[i], order[j] = order[j], order[i]
 	}
-	var issued map[*Uop]bool
-	for _, u := range order {
-		if tryIssue(u) {
-			if issued == nil {
-				issued = make(map[*Uop]bool) //ce:alloc-ok random-select ablation only, nil until first issue
-			}
-			issued[u] = true
+	for _, s := range order {
+		if tryIssue(w.t.uop[s]) {
+			w.t.remove(int(s))
+			w.occupancy--
 		}
 	}
-	if len(issued) == 0 {
-		return
-	}
-	kept := w.entries[:0]
-	for _, u := range w.entries {
-		if !issued[u] {
-			kept = append(kept, u)
-		}
-	}
-	for i := len(kept); i < len(w.entries); i++ {
-		w.entries[i] = nil
-	}
-	w.entries = kept
-	w.occupancy = len(kept)
 }
 
 // Wakeup implements Scheduler.
 //
 //ce:hot
 func (w *CentralWindow) Wakeup(p int16, readyCycle int64) {
-	if !w.randomSelect {
-		w.board.wakeup(p, readyCycle)
-	}
+	w.t.wakeup(p, readyCycle)
 }
 
 // NextWake implements Scheduler. Random selection reshuffles — and
@@ -266,32 +216,24 @@ func (w *CentralWindow) Wakeup(p int16, readyCycle int64) {
 //
 //ce:hot
 func (w *CentralWindow) NextWake() int64 {
-	if w.randomSelect {
-		if w.occupancy > 0 {
-			return WakeNow
-		}
+	if w.occupancy == 0 {
 		return NeverWake
 	}
-	return w.board.nextWake()
+	if w.randomSelect {
+		return WakeNow
+	}
+	return w.t.nextWake()
 }
 
-// Squash implements Scheduler.
+// Squash implements Scheduler. A squashed producer's destination stays
+// pending: its register is free, and only a new producer names it again.
 func (w *CentralWindow) Squash(afterSeq uint64) {
-	if !w.randomSelect {
-		w.occupancy -= w.board.squash(afterSeq)
-		return
-	}
-	kept := w.entries[:0]
-	for _, u := range w.entries {
-		if u.Seq <= afterSeq {
-			kept = append(kept, u)
+	for _, s := range w.t.ageOrder(w.t.occupied) {
+		if w.t.uop[s].Seq > afterSeq {
+			w.t.remove(int(s))
+			w.occupancy--
 		}
 	}
-	for i := len(kept); i < len(w.entries); i++ {
-		w.entries[i] = nil
-	}
-	w.entries = kept
-	w.occupancy = len(kept)
 }
 
 // SteerPolicy selects how a FIFOBank routes instructions.
@@ -307,10 +249,13 @@ const (
 	SteerRandom
 )
 
-// fifo is one in-order queue.
+// fifo is one in-order queue. Queue order is age order, so its slots
+// are a mask: the head is the oldest slot in it, the tail the youngest.
 type fifo struct {
 	cluster int
-	q       []*Uop
+	n       int
+	tail    int32
+	slots   []uint64
 }
 
 // FIFOBank is the dependence-based scheduler of Section 5 and its
@@ -333,22 +278,18 @@ type FIFOBank struct {
 	freeFIFOs [][]int
 	cur       int
 
-	// producer maps a physical register to the uop that writes it while
-	// that uop still occupies a FIFO (the SRC_FIFO table of Section 5,
-	// kept in terms of physical registers since steering runs after
-	// rename). Indexed directly by register number and grown on demand,
-	// like wakeBoard.waiters: steering consults it for every source of
-	// every dispatched instruction, so it must be a plain load, not a map
-	// probe.
-	producer []*Uop
+	// producer maps a physical register to the slot of the uop that
+	// writes it while that uop still occupies a FIFO, or -1 (the SRC_FIFO
+	// table of Section 5, kept in terms of physical registers since
+	// steering runs after rename).
+	producer []int32
 
 	occupancy int
 	rng       int32
-
-	// board drives event-driven wakeup; headSnap is the per-FIFO head
-	// snapshot Select gates candidates on (reused across cycles).
-	board    wakeBoard
-	headSnap []*Uop
+	t         slots
+	// heads masks the slot at the head of each nonempty FIFO (kept only
+	// without AnySlot); cand is Select's scratch mask of awake heads.
+	heads, cand []uint64
 
 	// StallNoFIFO counts dispatch stalls due to steering (full target
 	// FIFO and no free FIFO).
@@ -373,23 +314,33 @@ type FIFOBankConfig struct {
 //     deep, AnySlot (each 32-entry window treated as 8 conceptual FIFOs).
 //   - Figure 17 "two windows, random steering": 2 clusters × 1 FIFO × 32
 //     deep, AnySlot, SteerRandom.
-func NewFIFOBank(cfg FIFOBankConfig) *FIFOBank {
-	b := &FIFOBank{
+func NewFIFOBank(cfg FIFOBankConfig, b Bounds) *FIFOBank {
+	bank := &FIFOBank{
 		name:     cfg.Name,
 		depth:    cfg.Depth,
 		clusters: cfg.Clusters,
 		anySlot:  cfg.AnySlot,
 		policy:   cfg.Policy,
 		rng:      10007,
+		producer: make([]int32, b.PhysRegs),
+		t:        newSlots(b),
 	}
-	b.freeFIFOs = make([][]int, cfg.Clusters)
+	for p := range bank.producer {
+		bank.producer[p] = -1
+	}
+	bank.heads = make([]uint64, bank.t.words)
+	bank.cand = make([]uint64, bank.t.words)
+	bank.freeFIFOs = make([][]int, cfg.Clusters)
+	words := bank.t.words
+	masks := make([]uint64, cfg.Clusters*cfg.FIFOsPerCluster*words)
 	for c := 0; c < cfg.Clusters; c++ {
 		for i := 0; i < cfg.FIFOsPerCluster; i++ {
-			b.fifos = append(b.fifos, fifo{cluster: c})
-			b.freeFIFOs[c] = append(b.freeFIFOs[c], len(b.fifos)-1)
+			k := len(bank.fifos)
+			bank.fifos = append(bank.fifos, fifo{cluster: c, slots: masks[k*words : (k+1)*words]})
+			bank.freeFIFOs[c] = append(bank.freeFIFOs[c], k)
 		}
 	}
-	return b
+	return bank
 }
 
 // Name implements Scheduler.
@@ -422,15 +373,17 @@ func (b *FIFOBank) Dispatch(u *Uop) bool {
 	f := &b.fifos[fi]
 	u.FIFO = fi
 	u.Cluster = f.cluster
-	f.q = append(f.q, u)
+	s := int32(b.t.insert(u))
+	f.slots[s>>6] |= 1 << (s & 63)
+	if f.n == 0 && !b.anySlot {
+		b.heads[s>>6] |= 1 << (s & 63)
+	}
+	f.n++
+	f.tail = s
 	b.occupancy++
 	if u.PhysDest >= 0 {
-		for int(u.PhysDest) >= len(b.producer) {
-			b.producer = append(b.producer, nil)
-		}
-		b.producer[u.PhysDest] = u
+		b.producer[u.PhysDest] = s
 	}
-	b.board.add(u)
 	return true
 }
 
@@ -442,16 +395,16 @@ func (b *FIFOBank) steerDependence(u *Uop) int {
 	// Try each outstanding source operand in order: if its producer is
 	// the tail of its FIFO and the FIFO has room, follow it.
 	for _, ps := range u.PhysSrcs {
-		if ps < 0 || int(ps) >= len(b.producer) {
+		if ps < 0 {
 			continue
 		}
-		p := b.producer[ps]
-		if p == nil {
+		s := b.producer[ps]
+		if s < 0 {
 			continue // operand already computed or producer issued
 		}
-		f := &b.fifos[p.FIFO]
-		if len(f.q) > 0 && f.q[len(f.q)-1] == p && len(f.q) < b.depth {
-			return p.FIFO
+		fi := b.t.uop[s].FIFO
+		if f := &b.fifos[fi]; f.tail == s && f.n < b.depth {
+			return fi
 		}
 	}
 	// Fall back to a new (empty) FIFO from the free pools.
@@ -485,7 +438,7 @@ func (b *FIFOBank) steerRandom() int {
 	for try := 0; try < b.clusters; try++ {
 		c := (start + try) % b.clusters
 		for i := range b.fifos {
-			if b.fifos[i].cluster == c && len(b.fifos[i].q) < b.depth {
+			if b.fifos[i].cluster == c && b.fifos[i].n < b.depth {
 				return i
 			}
 		}
@@ -493,59 +446,32 @@ func (b *FIFOBank) steerRandom() int {
 	return -1
 }
 
-// Select implements Scheduler: candidates are FIFO heads (or, with
-// AnySlot, all entries), offered oldest first. The awake candidates come
-// from the wake board in Seq order; without AnySlot they are additionally
-// gated on a start-of-cycle head snapshot, so an entry exposed by its
-// head issuing this same cycle must wait for the next — exactly the
-// head-only semantics of the full-scan implementation.
+// Select implements Scheduler: candidates are the awake FIFO heads (or,
+// with AnySlot, all awake entries), offered oldest first. Heads are
+// taken once, before any candidate issues, so an entry exposed by its
+// head issuing this cycle waits for the next — the head-only semantics
+// of the paper's FIFO machine.
 //
 //ce:hot
 func (b *FIFOBank) Select(now int64, tryIssue func(u *Uop) bool) {
-	b.board.promote(now)
-	if len(b.board.ready) == 0 {
-		return
-	}
+	b.t.promote(now)
+	cand := b.t.awake
 	if !b.anySlot {
-		for len(b.headSnap) < len(b.fifos) {
-			b.headSnap = append(b.headSnap, nil)
+		for w, h := range b.heads {
+			b.cand[w] = h & cand[w]
 		}
-		// Snapshot heads before any candidate issues, but only for the
-		// FIFOs that actually hold a ready candidate — the gate below never
-		// consults any other entry, and ready is usually much smaller than
-		// the bank. Duplicate refreshes are harmless (all pre-issue).
-		for _, u := range b.board.ready {
-			if q := b.fifos[u.FIFO].q; len(q) > 0 {
-				b.headSnap[u.FIFO] = q[0]
-			} else {
-				b.headSnap[u.FIFO] = nil
-			}
-		}
+		cand = b.cand
 	}
-	ready := b.board.ready
-	kept := ready[:0]
-	for _, u := range ready {
-		if !b.anySlot && b.headSnap[u.FIFO] != u {
-			kept = append(kept, u)
-			continue
-		}
-		if tryIssue(u) {
-			b.remove(u)
-		} else {
-			kept = append(kept, u)
-		}
+	for _, s := range b.t.offer(cand, tryIssue) {
+		b.dequeue(s)
 	}
-	for i := len(kept); i < len(ready); i++ {
-		ready[i] = nil
-	}
-	b.board.ready = kept
 }
 
 // Wakeup implements Scheduler.
 //
 //ce:hot
 func (b *FIFOBank) Wakeup(p int16, readyCycle int64) {
-	b.board.wakeup(p, readyCycle)
+	b.t.wakeup(p, readyCycle)
 }
 
 // NextWake implements Scheduler. The bound ignores head-only gating (a
@@ -556,28 +482,44 @@ func (b *FIFOBank) Wakeup(p int16, readyCycle int64) {
 //
 //ce:hot
 func (b *FIFOBank) NextWake() int64 {
-	return b.board.nextWake()
+	if b.occupancy == 0 {
+		return NeverWake
+	}
+	return b.t.nextWake()
 }
 
-// remove deletes an issued uop from its FIFO and recycles empty FIFOs.
+// dequeue takes an issued uop's slot out of its FIFO, exposing the next
+// head, and recycles the FIFO once empty.
 //
 //ce:hot
-func (b *FIFOBank) remove(u *Uop) {
-	f := &b.fifos[u.FIFO]
-	for i, x := range f.q {
-		if x == u {
-			copy(f.q[i:], f.q[i+1:])
-			f.q[len(f.q)-1] = nil
-			f.q = f.q[:len(f.q)-1]
-			break
-		}
+func (b *FIFOBank) dequeue(s int32) {
+	u := b.t.uop[s]
+	fi := u.FIFO
+	f := &b.fifos[fi]
+	b.unlink(f, s, u)
+	if f.n > 0 && !b.anySlot {
+		// Only heads issue, so s was the head.
+		h := b.t.oldest(f.slots)
+		b.heads[h>>6] |= 1 << (h & 63)
+	}
+	if f.n == 0 && b.policy != SteerRandom {
+		b.freeFIFOs[f.cluster] = append(b.freeFIFOs[f.cluster], fi)
+	}
+}
+
+// unlink removes slot s, holding u, from FIFO f and the producer table.
+//
+//ce:hot
+func (b *FIFOBank) unlink(f *fifo, s int32, u *Uop) {
+	f.slots[s>>6] &^= 1 << (s & 63)
+	b.heads[s>>6] &^= 1 << (s & 63)
+	f.n--
+	if f.n > 0 && f.tail == s {
+		f.tail = b.t.youngest(f.slots)
 	}
 	b.occupancy--
-	if u.PhysDest >= 0 && b.producer[u.PhysDest] == u {
-		b.producer[u.PhysDest] = nil
-	}
-	if len(f.q) == 0 && b.policy != SteerRandom {
-		b.freeFIFOs[f.cluster] = append(b.freeFIFOs[f.cluster], u.FIFO)
+	if u.PhysDest >= 0 && b.producer[u.PhysDest] == s {
+		b.producer[u.PhysDest] = -1
 	}
 }
 
@@ -587,25 +529,18 @@ func (b *FIFOBank) remove(u *Uop) {
 func (b *FIFOBank) Squash(afterSeq uint64) {
 	for i := range b.fifos {
 		f := &b.fifos[i]
-		had := len(f.q)
-		for len(f.q) > 0 {
-			tail := f.q[len(f.q)-1]
-			if tail.Seq <= afterSeq {
-				break
-			}
-			f.q[len(f.q)-1] = nil
-			f.q = f.q[:len(f.q)-1]
-			b.occupancy--
-			if tail.PhysDest >= 0 && b.producer[tail.PhysDest] == tail {
-				b.producer[tail.PhysDest] = nil
-			}
+		had := f.n
+		for f.n > 0 && b.t.uop[f.tail].Seq > afterSeq {
+			s := f.tail
+			tail := b.t.uop[s]
+			b.t.remove(int(s))
+			b.unlink(f, s, tail)
 			tail.FIFO = -1
 		}
-		if had > 0 && len(f.q) == 0 && b.policy != SteerRandom {
+		if had > 0 && f.n == 0 && b.policy != SteerRandom {
 			b.freeFIFOs[f.cluster] = append(b.freeFIFOs[f.cluster], i)
 		}
 	}
-	b.board.squash(afterSeq)
 }
 
 // FIFOOccupancy returns the per-FIFO queue lengths (diagnostics and the
@@ -613,7 +548,7 @@ func (b *FIFOBank) Squash(afterSeq uint64) {
 func (b *FIFOBank) FIFOOccupancy() []int {
 	out := make([]int, len(b.fifos))
 	for i := range b.fifos {
-		out[i] = len(b.fifos[i].q)
+		out[i] = b.fifos[i].n
 	}
 	return out
 }
@@ -623,8 +558,8 @@ func (b *FIFOBank) FIFOOccupancy() []int {
 func (b *FIFOBank) FIFOContents() [][]uint64 {
 	out := make([][]uint64, len(b.fifos))
 	for i := range b.fifos {
-		for _, u := range b.fifos[i].q {
-			out[i] = append(out[i], u.Seq)
+		for _, s := range b.t.ageOrder(b.fifos[i].slots) {
+			out[i] = append(out[i], b.t.uop[s].Seq)
 		}
 	}
 	return out

@@ -6,6 +6,9 @@ import (
 	"testing/quick"
 )
 
+// testBounds sizes schedulers driven directly by the tests.
+var testBounds = Bounds{InFlight: 128, PhysRegs: 128}
+
 // mkUop builds a uop with the given sequence, physical sources and dest.
 func mkUop(seq uint64, dest int16, srcs ...int16) *Uop {
 	return &Uop{Seq: seq, PhysSrcs: srcs, PhysDest: dest, Cluster: -1, FIFO: -1}
@@ -21,7 +24,7 @@ func issueAll(s Scheduler) []*Uop {
 }
 
 func TestCentralWindowCapacity(t *testing.T) {
-	w := NewCentralWindow(2)
+	w := NewCentralWindow(2, testBounds)
 	if w.Capacity() != 2 || w.Clusters() != 1 {
 		t.Fatalf("capacity=%d clusters=%d", w.Capacity(), w.Clusters())
 	}
@@ -37,7 +40,7 @@ func TestCentralWindowCapacity(t *testing.T) {
 }
 
 func TestCentralWindowSelectsInAgeOrder(t *testing.T) {
-	w := NewCentralWindow(8)
+	w := NewCentralWindow(8, testBounds)
 	for i := 0; i < 5; i++ {
 		w.Dispatch(mkUop(uint64(i), int16(i+40)))
 	}
@@ -62,13 +65,13 @@ func TestCentralWindowSelectsInAgeOrder(t *testing.T) {
 }
 
 func TestCentralWindowClusterAssignment(t *testing.T) {
-	w := NewCentralWindow(4)
+	w := NewCentralWindow(4, testBounds)
 	u := mkUop(0, 1)
 	w.Dispatch(u)
 	if u.Cluster != 0 {
 		t.Errorf("plain window assigned cluster %d, want 0", u.Cluster)
 	}
-	e := NewExecSteeredWindow(4, 2)
+	e := NewExecSteeredWindow(4, 2, testBounds)
 	if e.Clusters() != 2 {
 		t.Errorf("exec-steered clusters = %d", e.Clusters())
 	}
@@ -82,7 +85,7 @@ func TestCentralWindowClusterAssignment(t *testing.T) {
 func depBank(fifos, depth int) *FIFOBank {
 	return NewFIFOBank(FIFOBankConfig{
 		Name: "test", Clusters: 1, FIFOsPerCluster: fifos, Depth: depth,
-	})
+	}, testBounds)
 }
 
 func TestSteeringChainsShareFIFO(t *testing.T) {
@@ -162,11 +165,13 @@ func TestHeadsOnlySelection(t *testing.T) {
 }
 
 func TestAnySlotSelection(t *testing.T) {
+	// Two independent uops queued in one FIFO: only any-slot selection
+	// offers the one behind the head.
 	b := NewFIFOBank(FIFOBankConfig{
-		Name: "win", Clusters: 1, FIFOsPerCluster: 2, Depth: 8, AnySlot: true,
-	})
+		Name: "win", Clusters: 1, FIFOsPerCluster: 1, Depth: 8, AnySlot: true, Policy: SteerRandom,
+	}, testBounds)
 	b.Dispatch(mkUop(0, 40))
-	b.Dispatch(mkUop(1, 41, 40))
+	b.Dispatch(mkUop(1, 41))
 	var offered []uint64
 	b.Select(0, func(u *Uop) bool {
 		offered = append(offered, u.Seq)
@@ -206,12 +211,12 @@ func TestProducerTableClearedOnIssue(t *testing.T) {
 		t.Fatal("dispatch failed")
 	}
 	live := 0
-	for _, p := range b.producer {
-		if p != nil {
+	for _, s := range b.producer {
+		if s >= 0 {
 			live++
 		}
 	}
-	if live != 1 || b.producer[41] != u1 { // only u1's own dest
+	if live != 1 || b.producer[41] < 0 || b.t.uop[b.producer[41]] != u1 { // only u1's own dest
 		t.Errorf("producer table has %d live entries, want only u1's dest", live)
 	}
 }
@@ -221,7 +226,7 @@ func TestClusterFreeListPolicy(t *testing.T) {
 	// empty, then switch — consecutive chains land in the same cluster.
 	b := NewFIFOBank(FIFOBankConfig{
 		Name: "clustered", Clusters: 2, FIFOsPerCluster: 2, Depth: 4,
-	})
+	}, testBounds)
 	var clusters []int
 	for i := 0; i < 4; i++ {
 		u := mkUop(uint64(i), int16(40+i)) // all independent
@@ -242,7 +247,7 @@ func TestRandomSteeringFallsBackWhenFull(t *testing.T) {
 	b := NewFIFOBank(FIFOBankConfig{
 		Name: "rand", Clusters: 2, FIFOsPerCluster: 1, Depth: 2,
 		AnySlot: true, Policy: SteerRandom,
-	})
+	}, testBounds)
 	for i := 0; i < 4; i++ {
 		if !b.Dispatch(mkUop(uint64(i), int16(40+i))) {
 			t.Fatalf("dispatch %d failed with space available", i)
@@ -335,6 +340,7 @@ func TestFigure12Steering(t *testing.T) {
 		})
 		for _, p := range doneRegs {
 			issued[p] = true
+			b.Wakeup(p, 0)
 		}
 	}
 	if len(issueOrder) != len(insts) {
@@ -408,8 +414,8 @@ func TestPropertyFIFOOrderRespectsProgramOrder(t *testing.T) {
 func TestPropertyOccupancyConsistent(t *testing.T) {
 	f := func(ops []uint8) bool {
 		b := depBank(4, 4)
-		for _, op := range ops {
-			u := mkUop(uint64(op), int16(40+int(op)%40), int16(40+int(op/2)%40))
+		for i, op := range ops {
+			u := mkUop(uint64(i), int16(40+int(op)%40), int16(40+int(op/2)%40))
 			b.Dispatch(u)
 			if op%4 == 0 {
 				issueAll(b)
@@ -427,7 +433,7 @@ func TestPropertyOccupancyConsistent(t *testing.T) {
 }
 
 func TestRandomSelectWindow(t *testing.T) {
-	w := NewRandomSelectWindow(16)
+	w := NewRandomSelectWindow(16, testBounds)
 	if w.Name() != "central-window-random-select" {
 		t.Errorf("name = %q", w.Name())
 	}
@@ -461,14 +467,15 @@ func TestRandomSelectWindow(t *testing.T) {
 	if w.Len() != 8 {
 		t.Errorf("len = %d after issuing 8, want 8", w.Len())
 	}
-	// Remaining entries keep age order for the next cycle's bookkeeping.
+	// Remaining entries keep age order for the next cycle's shuffle.
 	var prev uint64
 	first := true
 	w.Select(0, func(u *Uop) bool { return false })
-	for _, u := range w.entries {
-		if !first && u.Seq < prev {
+	for _, s := range w.t.ageOrder(w.t.occupied) {
+		if u := w.t.uop[s]; !first && u.Seq < prev {
 			t.Error("survivors lost age order")
+		} else {
+			prev, first = u.Seq, false
 		}
-		prev, first = u.Seq, false
 	}
 }

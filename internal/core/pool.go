@@ -27,7 +27,7 @@ func (p *UopPool) Get() *Uop {
 }
 
 // Put recycles a Uop the pipeline no longer references. The caller must
-// guarantee no queue, scheduler or waiter list still points at u.
+// guarantee no queue and no occupied scheduler slot still points at u.
 //
 //ce:hot
 func (p *UopPool) Put(u *Uop) {

@@ -61,19 +61,20 @@ func FIFOBankSpec(cfg FIFOBankConfig) SchedulerSpec {
 	return SchedulerSpec{Kind: SchedFIFOBank, FIFO: cfg}
 }
 
-// Build constructs the described scheduler. Every call returns a fresh
-// instance with identical (deterministic) behavior, which is what makes
-// spec-built configurations memoizable.
-func (s SchedulerSpec) Build() Scheduler {
+// Build constructs the described scheduler, sized for a machine with
+// the given bounds. Every call returns a fresh instance with identical
+// (deterministic) behavior, which is what makes spec-built
+// configurations memoizable.
+func (s SchedulerSpec) Build(b Bounds) Scheduler {
 	switch s.Kind {
 	case SchedCentralWindow:
-		return NewCentralWindow(s.Size)
+		return NewCentralWindow(s.Size, b)
 	case SchedExecSteered:
-		return NewExecSteeredWindow(s.Size, s.Clusters)
+		return NewExecSteeredWindow(s.Size, s.Clusters, b)
 	case SchedRandomSelect:
-		return NewRandomSelectWindow(s.Size)
+		return NewRandomSelectWindow(s.Size, b)
 	case SchedFIFOBank:
-		return NewFIFOBank(s.FIFO)
+		return NewFIFOBank(s.FIFO, b)
 	default:
 		panic(fmt.Sprintf("core: unknown scheduler kind %d", s.Kind))
 	}

@@ -11,7 +11,8 @@ import (
 	"repro/internal/prog"
 )
 
-// fastPathConfigs pairs schedulers that exercise both wake-board users.
+// fastPathConfigs pairs the two scheduler families (central window and
+// FIFO bank).
 func fastPathConfigs() []Config {
 	window := cfg("window", 1, 0, window64)
 	fifos := cfg("fifos", 1, 0, fifos8x8)
@@ -163,6 +164,69 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 	}
 }
 
+// figureSchedulers are the scheduler organizations of Figures 13, 15
+// and 17 plus the random-select ablation, with their cluster counts.
+func figureSchedulers() []struct {
+	name     string
+	clusters int
+	spec     core.SchedulerSpec
+} {
+	bank := func(c, f, d int, any bool, p core.SteerPolicy) core.SchedulerSpec {
+		return core.FIFOBankSpec(core.FIFOBankConfig{Clusters: c, FIFOsPerCluster: f, Depth: d, AnySlot: any, Policy: p})
+	}
+	return []struct {
+		name     string
+		clusters int
+		spec     core.SchedulerSpec
+	}{
+		{"window", 1, core.WindowSpec(64)},
+		{"fifos", 1, bank(1, 8, 8, false, core.SteerDependence)},
+		{"clustered-fifos", 2, bank(2, 4, 8, false, core.SteerDependence)},
+		{"windows-dispatch", 2, bank(2, 8, 4, true, core.SteerDependence)},
+		{"exec-steer", 2, core.ExecSteeredSpec(64, 2)},
+		{"windows-random", 2, bank(2, 1, 32, true, core.SteerRandom)},
+		{"random-select", 1, core.RandomSelectSpec(64)},
+	}
+}
+
+// TestCycleLoopAllocationFree is the exact form of the allocation guard:
+// once a simulation is warm, stepping it allocates nothing at all, for
+// every figure scheduler and the random-select ablation.
+func TestCycleLoopAllocationFree(t *testing.T) {
+	w, err := prog.ByName("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := w.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fs := range figureSchedulers() {
+		c := cfg(fs.name, fs.clusters, fs.clusters-1, nil)
+		spec := fs.spec
+		c.Scheduler = &spec
+		c.PerfectBPred = false
+		sim, err := New(c, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		step := func() {
+			for i := 0; i < 2000; i++ {
+				if err := sim.step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		step() // warm up pools, queues and scratch lists
+		if allocs := testing.AllocsPerRun(5, step); allocs != 0 {
+			t.Errorf("%s: %.1f allocations per 2000 cycles in steady state, want 0", fs.name, allocs)
+		}
+		if sim.done() {
+			t.Fatalf("%s: program finished during the guard; it no longer measures steady state", fs.name)
+		}
+	}
+}
+
 // TestUopPoolRecycles pins the free-list behavior: Get returns reset
 // uops, retains PhysSrcs capacity, and Put/Get round-trips.
 func TestUopPoolRecycles(t *testing.T) {
@@ -170,15 +234,14 @@ func TestUopPoolRecycles(t *testing.T) {
 	u := pool.Get()
 	u.Seq = 42
 	u.PhysSrcs = append(u.PhysSrcs, 1, 2)
-	u.WakePending = 2
-	u.WakeCycle = 99
+	u.FIFO = 3
 	u.Issued = true
 	pool.Put(u)
 	v := pool.Get()
 	if v != u {
 		t.Fatalf("pool did not recycle the uop")
 	}
-	if v.Seq != 0 || v.Issued || v.WakePending != 0 || v.WakeCycle != 0 || len(v.PhysSrcs) != 0 {
+	if v.Seq != 0 || v.Issued || v.FIFO != 0 || len(v.PhysSrcs) != 0 {
 		t.Fatalf("recycled uop not reset: %+v", v)
 	}
 	if cap(v.PhysSrcs) < 2 {

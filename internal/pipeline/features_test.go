@@ -48,11 +48,11 @@ func TestRingTopologyCostsMoreThanFlat(t *testing.T) {
 	// Four clusters, random steering: a scattered chain pays per-hop
 	// latency on a unidirectional ring (mean ≈2 hops) versus a flat
 	// crossbar (1 hop).
-	sched := func() core.Scheduler {
+	sched := func(b core.Bounds) core.Scheduler {
 		return core.NewFIFOBank(core.FIFOBankConfig{
 			Name: "rand4", Clusters: 4, FIFOsPerCluster: 1, Depth: 16,
 			AnySlot: true, Policy: core.SteerRandom,
-		})
+		}, b)
 	}
 	flat := cfg("flat", 4, 1, sched)
 	flat.FUsPerCluster = 2

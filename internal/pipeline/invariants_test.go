@@ -10,7 +10,7 @@ import (
 )
 
 // invCfg returns a gshare configuration with invariant checking on.
-func invCfg(name string, clusters, interDelay int, sched func() core.Scheduler) Config {
+func invCfg(name string, clusters, interDelay int, sched func(b core.Bounds) core.Scheduler) Config {
 	c := cfg(name, clusters, interDelay, sched)
 	c.PerfectBPred = false
 	c.CheckInvariants = true
@@ -22,10 +22,10 @@ func invCfg(name string, clusters, interDelay int, sched func() core.Scheduler) 
 // clean pass means the machine upheld ordering, width, readiness and
 // balance invariants on every cycle.
 func TestInvariantsHoldAcrossOrganizations(t *testing.T) {
-	clustered := func() core.Scheduler {
+	clustered := func(b core.Bounds) core.Scheduler {
 		return core.NewFIFOBank(core.FIFOBankConfig{
 			Name: "fifos-2x4", Clusters: 2, FIFOsPerCluster: 4, Depth: 8,
-		})
+		}, b)
 	}
 	cases := []struct {
 		name string
@@ -109,7 +109,7 @@ func TestCheckerDetectsSchedulerBugs(t *testing.T) {
 	}
 
 	c := invCfg("squashless", 1, 0, nil)
-	c.NewScheduler = func() core.Scheduler { return squashlessBank{core.NewCentralWindow(64)} }
+	c.NewScheduler = func(b core.Bounds) core.Scheduler { return squashlessBank{core.NewCentralWindow(64, b)} }
 	c.WrongPathExecution = true
 	err := run(c)
 	if err == nil || !strings.Contains(err.Error(), "invariant violated") {
@@ -117,7 +117,7 @@ func TestCheckerDetectsSchedulerBugs(t *testing.T) {
 	}
 
 	c = invCfg("lying", 1, 0, nil)
-	c.NewScheduler = func() core.Scheduler { return lyingWindow{core.NewCentralWindow(64)} }
+	c.NewScheduler = func(b core.Bounds) core.Scheduler { return lyingWindow{core.NewCentralWindow(64, b)} }
 	err = run(c)
 	if err == nil || !strings.Contains(err.Error(), "disagrees") {
 		t.Errorf("occupancy-lying scheduler passed the checker: %v", err)

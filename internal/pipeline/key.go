@@ -12,10 +12,11 @@ import (
 // buildScheduler constructs the configured scheduler. Validate has
 // already rejected configurations with neither field set.
 func (c *Config) buildScheduler() core.Scheduler {
+	b := core.Bounds{InFlight: c.MaxInFlight, PhysRegs: c.PhysRegs}
 	if c.NewScheduler != nil {
-		return c.NewScheduler()
+		return c.NewScheduler(b)
 	}
-	return c.Scheduler.Build()
+	return c.Scheduler.Build(b)
 }
 
 // buildPredictor constructs the configured direction predictor (nil under

@@ -133,11 +133,11 @@ type Config struct {
 	// Spec-built configurations can be fingerprinted (Key) and therefore
 	// memoized across runs.
 	Scheduler *core.SchedulerSpec
-	// NewScheduler builds the dispatch/issue structure for a run. It is
-	// the escape hatch for custom schedulers; when set it takes
-	// precedence over Scheduler and makes the configuration opaque to
-	// the run cache.
-	NewScheduler func() core.Scheduler
+	// NewScheduler builds the dispatch/issue structure for a run, sized
+	// by the machine's MaxInFlight and PhysRegs. It is the escape hatch
+	// for custom schedulers; when set it takes precedence over Scheduler
+	// and makes the configuration opaque to the run cache.
+	NewScheduler func(core.Bounds) core.Scheduler
 	// Predictor selects the direction predictor by name: "gshare" (the
 	// paper's 4K-counter, 12-bit-history default, also chosen by ""),
 	// "bimodal" or "taken". Ignored under PerfectBPred.
@@ -1007,22 +1007,6 @@ func (s *Simulator) dispatch() error {
 		u.PhysSrcs = physSrcs
 		u.PhysDest = physDest
 		u.OldDest = oldDest
-		// Wakeup bookkeeping for the event-driven scheduler: a source is
-		// pending while its producer has not issued (readiness is
-		// neverReady everywhere); otherwise its min-over-clusters
-		// readiness lower-bounds this uop's first issuable cycle.
-		u.WakePending, u.WakeMask, u.WakeCycle = 0, 0, 0
-		for i, p := range physSrcs {
-			if p < 0 {
-				continue
-			}
-			if s.regReady[p] == neverReady {
-				u.WakePending++
-				u.WakeMask |= 1 << uint(i)
-			} else if m := s.minRegReady(p); m > u.WakeCycle {
-				u.WakeCycle = m
-			}
-		}
 		if physDest >= 0 {
 			// The destination is not ready anywhere until it executes.
 			for k := 0; k < s.nClus; k++ {
@@ -1047,19 +1031,6 @@ func (s *Simulator) dispatch() error {
 		s.fetchQ.PopFront()
 	}
 	return nil
-}
-
-// minRegReady returns the earliest cycle any cluster can consume p.
-//
-//ce:hot
-func (s *Simulator) minRegReady(p int16) int64 {
-	m := s.regReady[p]
-	for k := 1; k < s.nClus; k++ {
-		if v := s.regReady[k*s.nPhys+int(p)]; v < m {
-			m = v
-		}
-	}
-	return m
 }
 
 // fetch pulls instructions from the functional emulator. Fetch stalls on a

@@ -12,7 +12,7 @@ import (
 )
 
 // cfg returns a Table 3 baseline configuration with the given scheduler.
-func cfg(name string, clusters, interDelay int, sched func() core.Scheduler) Config {
+func cfg(name string, clusters, interDelay int, sched func(b core.Bounds) core.Scheduler) Config {
 	return Config{
 		Name:              name,
 		FetchWidth:        8,
@@ -32,12 +32,12 @@ func cfg(name string, clusters, interDelay int, sched func() core.Scheduler) Con
 	}
 }
 
-func window64() core.Scheduler { return core.NewCentralWindow(64) }
+func window64(b core.Bounds) core.Scheduler { return core.NewCentralWindow(64, b) }
 
-func fifos8x8() core.Scheduler {
+func fifos8x8(b core.Bounds) core.Scheduler {
 	return core.NewFIFOBank(core.FIFOBankConfig{
 		Name: "fifos", Clusters: 1, FIFOsPerCluster: 8, Depth: 8,
-	})
+	}, b)
 }
 
 func mustProgram(t *testing.T, src string) *isa.Program {
@@ -277,16 +277,16 @@ func TestClusteredInterClusterBypassAccounting(t *testing.T) {
 	// Random steering scatters a dependence chain across clusters; the
 	// inter-cluster bypass frequency must be substantial and the run
 	// slower than with dependence steering.
-	randomSched := func() core.Scheduler {
+	randomSched := func(b core.Bounds) core.Scheduler {
 		return core.NewFIFOBank(core.FIFOBankConfig{
 			Name: "random", Clusters: 2, FIFOsPerCluster: 1, Depth: 32,
 			AnySlot: true, Policy: core.SteerRandom,
-		})
+		}, b)
 	}
-	depSched := func() core.Scheduler {
+	depSched := func(b core.Bounds) core.Scheduler {
 		return core.NewFIFOBank(core.FIFOBankConfig{
 			Name: "dep", Clusters: 2, FIFOsPerCluster: 4, Depth: 8,
-		})
+		}, b)
 	}
 	p := mustProgram(t, chainSrc(200))
 	stRand := runProgram(t, cfg("rand", 2, 1, randomSched), p)
@@ -304,11 +304,11 @@ func TestClusteredInterClusterBypassAccounting(t *testing.T) {
 }
 
 func TestInterClusterDelaySlowsScatteredChains(t *testing.T) {
-	randomSched := func() core.Scheduler {
+	randomSched := func(b core.Bounds) core.Scheduler {
 		return core.NewFIFOBank(core.FIFOBankConfig{
 			Name: "random", Clusters: 2, FIFOsPerCluster: 1, Depth: 32,
 			AnySlot: true, Policy: core.SteerRandom,
-		})
+		}, b)
 	}
 	fast := runProgram(t, cfg("d0", 2, 0, randomSched), mustProgram(t, chainSrc(200)))
 	slow := runProgram(t, cfg("d1", 2, 1, randomSched), mustProgram(t, chainSrc(200)))
@@ -445,8 +445,8 @@ func TestCustomCacheConfig(t *testing.T) {
 	}
 }
 
-func clustered2x4() core.Scheduler {
+func clustered2x4(b core.Bounds) core.Scheduler {
 	return core.NewFIFOBank(core.FIFOBankConfig{
 		Name: "fifos-2x4", Clusters: 2, FIFOsPerCluster: 4, Depth: 8,
-	})
+	}, b)
 }

@@ -58,13 +58,13 @@ func propConfigs() []Config {
 	return []Config{
 		cfg("window", 1, 0, window64),
 		cfg("fifo", 1, 0, fifos8x8),
-		cfg("clustered", 2, 1, func() core.Scheduler {
+		cfg("clustered", 2, 1, func(b core.Bounds) core.Scheduler {
 			return core.NewFIFOBank(core.FIFOBankConfig{
 				Name: "c", Clusters: 2, FIFOsPerCluster: 4, Depth: 8,
-			})
+			}, b)
 		}),
-		cfg("exec", 2, 1, func() core.Scheduler {
-			return core.NewExecSteeredWindow(64, 2)
+		cfg("exec", 2, 1, func(b core.Bounds) core.Scheduler {
+			return core.NewExecSteeredWindow(64, 2, b)
 		}),
 	}
 }

@@ -169,10 +169,10 @@ func TestKitchenSinkConfiguration(t *testing.T) {
 	// pipelined wakeup+select and late local bypass. The run must stay
 	// architecturally exact and deterministic.
 	mk := func() Config {
-		c := cfg("kitchen-sink", 4, 1, func() core.Scheduler {
+		c := cfg("kitchen-sink", 4, 1, func(b core.Bounds) core.Scheduler {
 			return core.NewFIFOBank(core.FIFOBankConfig{
 				Name: "sink", Clusters: 4, FIFOsPerCluster: 2, Depth: 8,
-			})
+			}, b)
 		})
 		c.FUsPerCluster = 2
 		c.PerfectBPred = false
