@@ -251,32 +251,60 @@ type Inst struct {
 	Imm int32
 }
 
+// operands is an operation's register-operand shape: which of Rs and Rt
+// it reads, and whether it writes Rd or the return-address register.
+type operands uint8
+
+const (
+	readsRs operands = 1 << iota
+	readsRt
+	writesRd
+	writesRA
+)
+
+// operandsOf is the single definition of every operation's register
+// operands; the decode paths read it through the opOperands table.
+func operandsOf(o Op) operands {
+	switch o {
+	case Add, Sub, And, Or, Xor, Nor, Sllv, Srlv, Srav, Slt, Sltu, Mul, Div, Rem:
+		return readsRs | readsRt | writesRd
+	case Addi, Andi, Ori, Xori, Slli, Srli, Srai, Slti, Sltiu, Lw, Lb, Lbu:
+		return readsRs | writesRd
+	case Lui:
+		return writesRd
+	case Sw, Sb, Beq, Bne, Blt, Bge:
+		return readsRs | readsRt
+	case Bltz, Bgez, Blez, Bgtz, Jr, Out:
+		return readsRs
+	case Jalr:
+		return readsRs | writesRA
+	case Jal:
+		return writesRA
+	default: // Invalid, J, Halt and undefined operations
+		return 0
+	}
+}
+
+// opOperands tabulates operandsOf for every Op value, so the simulator's
+// per-instruction decode is a load rather than a switch.
+var opOperands = func() (t [256]operands) {
+	for o := range t {
+		t[o] = operandsOf(Op(o))
+	}
+	return t
+}()
+
 // SourceRegs returns the architectural registers the instruction reads
 // (register 0 and unused fields excluded) without allocating: the first n
 // entries of srcs are valid. An instruction reads at most two registers.
 func (in Inst) SourceRegs() (srcs [2]Reg, n int) {
-	add := func(r Reg) {
-		if r != Zero {
-			srcs[n] = r
-			n++
-		}
+	ops := opOperands[in.Op]
+	if ops&readsRs != 0 && in.Rs != Zero {
+		srcs[0], n = in.Rs, 1
 	}
-	switch in.Op {
-	case Add, Sub, And, Or, Xor, Nor, Sllv, Srlv, Srav, Slt, Sltu, Mul, Div, Rem:
-		add(in.Rs)
-		add(in.Rt)
-	case Addi, Andi, Ori, Xori, Slli, Srli, Srai, Slti, Sltiu, Lw, Lb, Lbu:
-		add(in.Rs)
-	case Sw, Sb:
-		add(in.Rs)
-		add(in.Rt)
-	case Beq, Bne, Blt, Bge:
-		add(in.Rs)
-		add(in.Rt)
-	case Bltz, Bgez, Blez, Bgtz, Jr, Jalr, Out:
-		add(in.Rs)
-	case Lui, J, Jal, Halt:
-		// No register sources.
+	if ops&readsRt != 0 && in.Rt != Zero {
+		srcs[n] = in.Rt
+		n++
 	}
 	return srcs, n
 }
@@ -296,20 +324,14 @@ func (in Inst) Sources() []Reg {
 // Dest returns the architectural register the instruction writes and
 // whether it writes one at all (writes to register 0 are discarded).
 func (in Inst) Dest() (Reg, bool) {
-	var d Reg
-	switch in.Op {
-	case Add, Sub, And, Or, Xor, Nor, Sllv, Srlv, Srav, Slt, Sltu, Mul, Div, Rem,
-		Addi, Andi, Ori, Xori, Slli, Srli, Srai, Slti, Sltiu, Lui, Lw, Lb, Lbu:
+	d := Zero
+	switch ops := opOperands[in.Op]; {
+	case ops&writesRd != 0:
 		d = in.Rd
-	case Jal, Jalr:
+	case ops&writesRA != 0:
 		d = RA
-	default:
-		return 0, false
 	}
-	if d == Zero {
-		return 0, false
-	}
-	return d, true
+	return d, d != Zero
 }
 
 // IsControl reports whether the instruction can redirect fetch.

@@ -172,3 +172,58 @@ func TestInstString(t *testing.T) {
 		}
 	}
 }
+
+// TestOperandTableEveryOp checks the table-driven SourceRegs and Dest
+// against the per-operation register semantics, spelled out here
+// independently, for every Op value (undefined ones read and write
+// nothing) and with register 0 in each field.
+func TestOperandTableEveryOp(t *testing.T) {
+	type want struct{ rs, rt, rd, ra bool }
+	expect := map[Op]want{}
+	for _, o := range []Op{Add, Sub, And, Or, Xor, Nor, Sllv, Srlv, Srav, Slt, Sltu, Mul, Div, Rem} {
+		expect[o] = want{rs: true, rt: true, rd: true}
+	}
+	for _, o := range []Op{Addi, Andi, Ori, Xori, Slli, Srli, Srai, Slti, Sltiu, Lw, Lb, Lbu} {
+		expect[o] = want{rs: true, rd: true}
+	}
+	for _, o := range []Op{Sw, Sb, Beq, Bne, Blt, Bge} {
+		expect[o] = want{rs: true, rt: true}
+	}
+	for _, o := range []Op{Bltz, Bgez, Blez, Bgtz, Jr, Out} {
+		expect[o] = want{rs: true}
+	}
+	expect[Lui] = want{rd: true}
+	expect[Jalr] = want{rs: true, ra: true}
+	expect[Jal] = want{ra: true}
+	expect[Invalid], expect[J], expect[Halt] = want{}, want{}, want{}
+	if len(expect) != int(numOps) {
+		t.Fatalf("expectations cover %d operations, the ISA has %d", len(expect), numOps)
+	}
+	for op := 0; op < 256; op++ {
+		w := expect[Op(op)]
+		for _, regs := range [][3]Reg{{T0, T1, T2}, {Zero, T1, T2}, {T0, Zero, T2}, {T0, T1, Zero}} {
+			in := Inst{Op: Op(op), Rs: regs[0], Rt: regs[1], Rd: regs[2]}
+			var srcs []Reg
+			if w.rs && in.Rs != Zero {
+				srcs = append(srcs, in.Rs)
+			}
+			if w.rt && in.Rt != Zero {
+				srcs = append(srcs, in.Rt)
+			}
+			got, n := in.SourceRegs()
+			if n != len(srcs) || (n > 0 && got[0] != srcs[0]) || (n > 1 && got[1] != srcs[1]) {
+				t.Errorf("%v: SourceRegs = %v[:%d], want %v", in, got, n, srcs)
+			}
+			dest, hasDest := Zero, false
+			switch {
+			case w.rd && in.Rd != Zero:
+				dest, hasDest = in.Rd, true
+			case w.ra:
+				dest, hasDest = RA, true
+			}
+			if d, ok := in.Dest(); d != dest || ok != hasDest {
+				t.Errorf("%v: Dest = %v, %v, want %v, %v", in, d, ok, dest, hasDest)
+			}
+		}
+	}
+}
