@@ -294,31 +294,35 @@ var opOperands = func() (t [256]operands) {
 	return t
 }()
 
-// SourceRegs returns the architectural registers the instruction reads
-// (register 0 and unused fields excluded) without allocating: the first n
-// entries of srcs are valid. An instruction reads at most two registers.
-func (in Inst) SourceRegs() (srcs [2]Reg, n int) {
+// SourceRegs returns the architectural registers the instruction reads,
+// register 0 and unused fields excluded, without allocating: the first n
+// of r0, r1 are valid. An instruction reads at most two registers. (Two
+// results rather than an array: the simulator's dispatch reads them once
+// per instruction, and a returned array costs a store-forwarding stall.)
+func (in Inst) SourceRegs() (r0, r1 Reg, n int) {
 	ops := opOperands[in.Op]
 	if ops&readsRs != 0 && in.Rs != Zero {
-		srcs[0], n = in.Rs, 1
+		r0, n = in.Rs, 1
 	}
 	if ops&readsRt != 0 && in.Rt != Zero {
-		srcs[n] = in.Rt
+		if n == 0 {
+			r0 = in.Rt
+		} else {
+			r1 = in.Rt
+		}
 		n++
 	}
-	return srcs, n
+	return r0, r1, n
 }
 
 // Sources returns the architectural registers the instruction reads, as a
 // freshly allocated slice; hot paths use SourceRegs.
 func (in Inst) Sources() []Reg {
-	srcs, n := in.SourceRegs()
+	r0, r1, n := in.SourceRegs()
 	if n == 0 {
 		return nil
 	}
-	out := make([]Reg, n)
-	copy(out, srcs[:n])
-	return out
+	return []Reg{r0, r1}[:n]
 }
 
 // Dest returns the architectural register the instruction writes and

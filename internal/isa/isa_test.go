@@ -210,9 +210,9 @@ func TestOperandTableEveryOp(t *testing.T) {
 			if w.rt && in.Rt != Zero {
 				srcs = append(srcs, in.Rt)
 			}
-			got, n := in.SourceRegs()
-			if n != len(srcs) || (n > 0 && got[0] != srcs[0]) || (n > 1 && got[1] != srcs[1]) {
-				t.Errorf("%v: SourceRegs = %v[:%d], want %v", in, got, n, srcs)
+			r0, r1, n := in.SourceRegs()
+			if n != len(srcs) || (n > 0 && r0 != srcs[0]) || (n > 1 && r1 != srcs[1]) {
+				t.Errorf("%v: SourceRegs = %v, %v, %d, want %v", in, r0, r1, n, srcs)
 			}
 			dest, hasDest := Zero, false
 			switch {

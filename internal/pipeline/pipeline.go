@@ -997,7 +997,8 @@ func (s *Simulator) dispatch() error {
 			s.stats.ROBStalls++
 			break
 		}
-		srcRegs, nSrcs := u.Rec.Inst.SourceRegs()
+		r0, r1, nSrcs := u.Rec.Inst.SourceRegs()
+		srcRegs := [2]isa.Reg{r0, r1}
 		dest, hasDest := u.Rec.Inst.Dest()
 		physSrcs, physDest, oldDest, ok := s.rt.Rename(u.PhysSrcs[:0], srcRegs[:nSrcs], dest, hasDest)
 		if !ok {
@@ -1075,12 +1076,19 @@ func (s *Simulator) fetch() error {
 		}
 		// See sourcePC: monomorphic source dispatch, inlined so the Record
 		// is written once into rec rather than copied through a helper.
+		// The slab source hands out its resident record instead: a Record
+		// returned by value is stored field by field, and copying it into
+		// the uop right away reloads those fields as wider words, a
+		// store-forwarding stall per instruction.
 		var rec emu.Record
 		var err error
-		if s.machine != nil {
+		if s.slab != nil {
+			var r *emu.Record
+			if r, err = s.slab.next(); err == nil {
+				rec = *r
+			}
+		} else if s.machine != nil {
 			rec, err = s.machine.Step()
-		} else if s.slab != nil {
-			rec, err = s.slab.Step()
 		} else if s.reader != nil {
 			rec, err = s.reader.Step()
 		} else {

@@ -124,8 +124,21 @@ func (s *slabSource) fill() {
 
 //ce:hot
 func (s *slabSource) Step() (emu.Record, error) {
+	r, err := s.next()
+	if err != nil {
+		return emu.Record{}, err
+	}
+	return *r, nil
+}
+
+// next is Step without the copy: the record stays valid until the
+// window it lives in is released, which fill does only after the
+// window's last record has been handed out.
+//
+//ce:hot
+func (s *slabSource) next() (*emu.Record, error) {
 	if s.pos < len(s.recs) {
-		rec := s.recs[s.pos]
+		rec := &s.recs[s.pos]
 		s.pos++
 		if s.pos == len(s.recs) {
 			s.fill()
@@ -133,9 +146,9 @@ func (s *slabSource) Step() (emu.Record, error) {
 		return rec, nil
 	}
 	if s.halted {
-		return emu.Record{}, emu.ErrHalted
+		return nil, emu.ErrHalted
 	}
-	return emu.Record{}, s.err
+	return nil, s.err
 }
 
 //ce:hot
