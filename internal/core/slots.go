@@ -69,9 +69,10 @@ type slots struct {
 	// value becomes consumable in the nearest cluster.
 	regWake []int64
 
-	// newest is the Seq of the most recently inserted uop; age order
-	// starts at the slot after its.
-	newest uint64
+	// Age order starts at the slot after the most recently inserted
+	// uop's: in word w0, above the bits in low.
+	w0  int
+	low uint64
 	// order is Select's scratch list of candidate slots.
 	order []int32
 }
@@ -133,7 +134,8 @@ func (t *slots) insert(u *Uop) int {
 	if u.PhysDest >= 0 {
 		t.regWake[u.PhysDest] = regPending
 	}
-	t.newest = u.Seq
+	next := int((u.Seq + 1) & t.mod)
+	t.w0, t.low = next>>6, uint64(1)<<(next&63)-1
 	return s
 }
 
@@ -204,16 +206,14 @@ func (t *slots) nextWake() int64 {
 //
 //ce:hot
 func (t *slots) segment(k int) (w int, keep uint64) {
-	start := int((t.newest + 1) & t.mod)
-	if w = start>>6 + k; w >= t.words {
+	if w = t.w0 + k; w >= t.words {
 		w -= t.words
 	}
-	low := uint64(1)<<(start&63) - 1
 	switch k {
 	case 0:
-		return w, ^low
+		return w, ^t.low
 	case t.words:
-		return w, low
+		return w, t.low
 	}
 	return w, ^uint64(0)
 }
