@@ -217,8 +217,21 @@ func (c Class) String() string {
 	return fmt.Sprintf("class(%d)", uint8(c))
 }
 
-// ClassOf returns the operation's class.
-func ClassOf(o Op) Class {
+// ClassOf returns the operation's class. It is a table load: the
+// simulator classifies every fetched and decoded instruction, and a
+// switch over the irregular operation stream mispredicts.
+func ClassOf(o Op) Class { return opClasses[o] }
+
+// opClasses tabulates classOf for every Op value.
+var opClasses = func() (t [256]Class) {
+	for o := range t {
+		t[o] = classOf(Op(o))
+	}
+	return t
+}()
+
+// classOf is the single definition of every operation's class.
+func classOf(o Op) Class {
 	switch o {
 	case Mul:
 		return ClassMul

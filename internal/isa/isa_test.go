@@ -173,10 +173,10 @@ func TestInstString(t *testing.T) {
 	}
 }
 
-// TestOperandTableEveryOp checks the table-driven SourceRegs and Dest
-// against the per-operation register semantics, spelled out here
-// independently, for every Op value (undefined ones read and write
-// nothing) and with register 0 in each field.
+// TestOperandTableEveryOp checks the table-driven ClassOf, SourceRegs
+// and Dest against the per-operation semantics, spelled out here
+// independently, for every Op value (undefined ones are ALU operations
+// that read and write nothing) and with register 0 in each field.
 func TestOperandTableEveryOp(t *testing.T) {
 	type want struct{ rs, rt, rd, ra bool }
 	expect := map[Op]want{}
@@ -199,7 +199,23 @@ func TestOperandTableEveryOp(t *testing.T) {
 	if len(expect) != int(numOps) {
 		t.Fatalf("expectations cover %d operations, the ISA has %d", len(expect), numOps)
 	}
+	class := map[Op]Class{Mul: ClassMul, Div: ClassDiv, Rem: ClassDiv, Out: ClassSystem, Halt: ClassSystem}
+	for _, o := range []Op{Lw, Lb, Lbu} {
+		class[o] = ClassLoad
+	}
+	for _, o := range []Op{Sw, Sb} {
+		class[o] = ClassStore
+	}
+	for _, o := range []Op{Beq, Bne, Blt, Bge, Bltz, Bgez, Blez, Bgtz} {
+		class[o] = ClassBranch
+	}
+	for _, o := range []Op{J, Jal, Jr, Jalr} {
+		class[o] = ClassJump
+	}
 	for op := 0; op < 256; op++ {
+		if got, want := ClassOf(Op(op)), class[Op(op)]; got != want { // ClassALU is the zero Class
+			t.Errorf("ClassOf(%v) = %v, want %v", Op(op), got, want)
+		}
 		w := expect[Op(op)]
 		for _, regs := range [][3]Reg{{T0, T1, T2}, {Zero, T1, T2}, {T0, Zero, T2}, {T0, T1, Zero}} {
 			in := Inst{Op: Op(op), Rs: regs[0], Rt: regs[1], Rd: regs[2]}
