@@ -303,10 +303,18 @@ func (e *Engine) traceFor(workload string) (*trace.Trace, error) {
 // member.
 func (e *Engine) traceForOwned(workload string) (tr *trace.Trace, owned bool, err error) {
 	e.traceMu.Lock()
-	if ent, ok := e.traces[workload]; ok {
+	for {
+		ent, ok := e.traces[workload]
+		if !ok {
+			break
+		}
 		e.traceMu.Unlock()
 		<-ent.done
-		return ent.tr, false, ent.err
+		if ent.tr != nil || ent.err != nil {
+			return ent.tr, false, ent.err
+		}
+		// A dropCorrupt placeholder: the corrupt trace is gone; look again.
+		e.traceMu.Lock()
 	}
 	ent := &traceEntry{done: make(chan struct{})}
 	if e.traces == nil {
@@ -591,15 +599,20 @@ func (e *Engine) noteCaptureFailure(workload string, err error) {
 // failure, deleting its backing file so the next traceFor call
 // recaptures rather than reloading the same bad bytes. Every run that
 // was replaying the bad trace calls it, but only the call that evicts
-// the pool entry counts the drop: configs sharing one trace observe one
-// corruption, not one each.
+// the pool entry counts the drop and deletes the file: configs sharing
+// one trace observe one corruption, not one each. While it deletes, the
+// slot holds an in-flight placeholder, so no traceFor can reload the
+// bad file in between (its callers wait, then look again); and a late
+// caller never deletes the recaptured file that now sits at the path.
 func (e *Engine) dropCorrupt(workload string, tr *trace.Trace) {
+	var hold *traceEntry
 	e.traceMu.Lock()
 	if ent, ok := e.traces[workload]; ok {
 		select {
 		case <-ent.done:
 			if ent.tr == tr {
-				delete(e.traces, workload)
+				hold = &traceEntry{done: make(chan struct{})}
+				e.traces[workload] = hold
 				e.tstats.CorruptDropped++
 			}
 		default:
@@ -608,11 +621,19 @@ func (e *Engine) dropCorrupt(workload string, tr *trace.Trace) {
 	}
 	sc := e.slabs
 	e.traceMu.Unlock()
+	if hold != nil {
+		tr.Invalidate()
+		e.traceMu.Lock()
+		if e.traces[workload] == hold {
+			delete(e.traces, workload)
+		}
+		e.traceMu.Unlock()
+		close(hold.done)
+	}
 	if sc != nil {
 		// Slabs decoded from the bad trace are dead weight; free their
 		// budget now rather than waiting for LRU pressure.
 		sc.DropTrace(tr)
 	}
 	e.warnOnce("corrupt:"+workload, "trace %s: chunk checksum failed mid-replay; dropping the trace and recapturing", workload)
-	tr.Invalidate()
 }
