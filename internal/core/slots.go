@@ -45,7 +45,7 @@ type Bounds struct {
 //   - awake: uops whose wake cycle has arrived, the select candidates;
 //   - cons[p]: uops still waiting for the producer of physical register p.
 //
-// A uop with pending sources is in none of asleep and awake. Wakeup(p)
+// A uop with pending sources is in neither asleep nor awake. Wakeup(p)
 // walks cons[p], so wakeup work is proportional to result events, not to
 // window size. The pipeline's tryIssue callback remains the authority on
 // per-cluster readiness, functional units and ports, so offering a
@@ -73,7 +73,7 @@ type slots struct {
 	// uop's: in word w0, above the bits in low.
 	w0  int
 	low uint64
-	// order is Select's scratch list of candidate slots.
+	// order is the scratch slot list ageOrder fills and offer returns.
 	order []int32
 }
 
