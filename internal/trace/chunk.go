@@ -10,6 +10,7 @@ package trace
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -109,6 +110,12 @@ func (s *fileStore) load(i int, m chunkMeta, dst []byte) ([]byte, error) {
 	if _, err := s.f.ReadAt(dst, fileHeaderLen+int64(m.startPos)); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return nil, fmt.Errorf("trace: %s: chunk %d truncated: %w", s.path, i, ErrCorruptChunk)
+		}
+		if errors.Is(err, os.ErrClosed) {
+			// Invalidate closed the file under this reader: another reader
+			// of the same trace found a corrupt chunk. Report that
+			// corruption, so this run recovers the same way.
+			return nil, fmt.Errorf("trace: %s: chunk %d: trace invalidated: %w", s.path, i, ErrCorruptChunk)
 		}
 		return nil, classify(fmt.Errorf("trace: %s: reading chunk %d: %w", s.path, i, err))
 	}

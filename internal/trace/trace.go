@@ -111,7 +111,8 @@ func (t *Trace) Close() error { return t.store.close() }
 // Invalidate closes the trace and removes its canonical file, if any —
 // the engine's response to a chunk failing its checksum at replay time:
 // the file can no longer be trusted, so the slot is cleared for
-// recapture.
+// recapture. Readers still open on t fail their next chunk load with
+// ErrCorruptChunk.
 func (t *Trace) Invalidate() error {
 	cerr := t.Close()
 	if t.path != "" {

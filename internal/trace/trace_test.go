@@ -396,6 +396,11 @@ func TestDiskRoundTrip(t *testing.T) {
 	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
 		t.Fatal("Invalidate did not remove the rotten trace file")
 	}
+	// A reader still using the invalidated trace reports the corruption
+	// that invalidated it, not a closed-file error.
+	if _, err := NewReader(rotten).Step(); !errors.Is(err, ErrCorruptChunk) {
+		t.Fatalf("read after Invalidate surfaced as %v, want ErrCorruptChunk", err)
+	}
 
 	// A different program's trace in this program's slot: rejected.
 	other, err := Capture(mustProgram(t, "micro.chain"), maxInsts)
