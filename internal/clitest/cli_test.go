@@ -70,14 +70,15 @@ func mustRun(t *testing.T, tool string, args ...string) string {
 		t.Fatalf("%s %v: %v\n%s", tool, args, err, out)
 	}
 	if metrics != "" {
-		checkTraceStats(t, metrics)
+		checkSweepStats(t, metrics)
 	}
 	return out
 }
 
-// checkTraceStats asserts ce.TraceStats.Check on a sweep's -metrics-json
-// dump: each trace-pool event counted once.
-func checkTraceStats(t *testing.T, metrics string) {
+// checkSweepStats asserts ce.TraceStats.Check and ce.CacheStats.Check on
+// a sweep's -metrics-json dump: each trace-pool and run-cache event
+// counted once.
+func checkSweepStats(t *testing.T, metrics string) {
 	t.Helper()
 	data, err := os.ReadFile(metrics)
 	if err != nil {
@@ -85,12 +86,16 @@ func checkTraceStats(t *testing.T, metrics string) {
 	}
 	var dump struct {
 		Trace ce.TraceStats `json:"trace"`
+		Cache ce.CacheStats `json:"cache"`
 	}
 	if err := json.Unmarshal(data, &dump); err != nil {
 		t.Fatalf("sweep metrics malformed: %v\n%s", err, data)
 	}
 	if err := dump.Trace.Check(); err != nil {
 		t.Errorf("%v (%+v)", err, dump.Trace)
+	}
+	if err := dump.Cache.Check(); err != nil {
+		t.Errorf("%v (%+v)", err, dump.Cache)
 	}
 }
 
@@ -256,7 +261,7 @@ func TestCesweepFlushesMetricsOnError(t *testing.T) {
 	if len(dump.Runs) == 0 {
 		t.Fatal("metrics file has no runs despite a completed -speedup sweep")
 	}
-	checkTraceStats(t, metrics)
+	checkSweepStats(t, metrics)
 	for _, r := range dump.Runs {
 		if r.Cycles <= 0 {
 			t.Errorf("degenerate run metric on error path: %+v", r)

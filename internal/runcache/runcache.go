@@ -70,6 +70,21 @@ func (s Stats) Saved() uint64 {
 	return s.Hits + s.Coalesced + s.DiskHits
 }
 
+// Check reports the first violated counting invariant: each event is
+// counted once, so no counter can exceed the events it is a subset of.
+// A lease wait ends in a disk hit, and an entry reaches the warm LRU
+// only by completing after a disk hit or a miss, so it is evicted at
+// most once per such lookup.
+func (s Stats) Check() error {
+	switch {
+	case s.LeaseWaits > s.DiskHits:
+		return fmt.Errorf("cache stats: %d lease waits exceed %d disk hits", s.LeaseWaits, s.DiskHits)
+	case s.Evictions > s.Misses+s.DiskHits:
+		return fmt.Errorf("cache stats: %d evictions exceed %d misses + %d disk hits", s.Evictions, s.Misses, s.DiskHits)
+	}
+	return nil
+}
+
 type entry struct {
 	key  string
 	done chan struct{}

@@ -18,6 +18,41 @@ import (
 	"repro/internal/stats"
 )
 
+// checkStats asserts Stats.Check on each cache's counters.
+func checkStats(t *testing.T, caches ...*Cache) {
+	t.Helper()
+	for _, c := range caches {
+		cs := c.Stats()
+		if err := cs.Check(); err != nil {
+			t.Errorf("%v (%+v)", err, cs)
+		}
+	}
+}
+
+// TestStatsCheck pins the invariant table itself: a clean snapshot
+// passes and each over-count is named.
+func TestStatsCheck(t *testing.T) {
+	ok := Stats{Hits: 5, Coalesced: 2, DiskHits: 3, Misses: 4, LeaseWaits: 2, Evictions: 7}
+	if err := ok.Check(); err != nil {
+		t.Fatalf("consistent stats rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		bad  func(*Stats)
+		want string
+	}{
+		{"lease", func(s *Stats) { s.LeaseWaits = 4 }, "lease"},
+		{"evictions", func(s *Stats) { s.Evictions = 8 }, "evictions"},
+		{"evictions without disk", func(s *Stats) { s.DiskHits, s.LeaseWaits, s.Evictions = 0, 0, 5 }, "evictions"},
+	} {
+		s := ok
+		tc.bad(&s)
+		if err := s.Check(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Check() = %v, want an error naming %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 func fakeStats(cycles int64) pipeline.Stats {
 	h := stats.NewHistogram(8)
 	h.Add(3)
@@ -87,6 +122,7 @@ func TestDoSingleFlight(t *testing.T) {
 	if cs.Misses != 1 || cs.Hits+cs.Coalesced != n-1 {
 		t.Errorf("stats = %+v", cs)
 	}
+	checkStats(t, c)
 }
 
 func TestDoMemoizesErrors(t *testing.T) {
@@ -181,6 +217,7 @@ func TestDiskConcurrentWriters(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	checkStats(t, caches[:]...)
 
 	// No temp files left behind, and every entry round-trips.
 	names, err := os.ReadDir(dir)
@@ -206,6 +243,7 @@ func TestDiskConcurrentWriters(t *testing.T) {
 			t.Errorf("reload %s: hit=%v cycles=%d err=%v", key, hit, st.Cycles, err)
 		}
 	}
+	checkStats(t, fresh)
 }
 
 // TestDiskDropsUnusableFiles: a file whose stored key mismatches (hash
@@ -424,6 +462,7 @@ func TestLimitLRUOverDisk(t *testing.T) {
 	if st, hit, _ := c.Do("a", mk(0)); !hit || st.Cycles != 1 {
 		t.Errorf("warm entry lost: st=%+v hit=%v", st, hit)
 	}
+	checkStats(t, c)
 }
 
 // TestLimitWithoutDirRecomputes: bounding memory without a disk tier
@@ -497,6 +536,7 @@ func TestSharedLeaseDedup(t *testing.T) {
 	if cs.DiskHits != 1 || cs.LeaseWaits != 1 || cs.Misses != 0 {
 		t.Errorf("waiter stats = %+v, want 1 disk hit, 1 lease wait, 0 misses", cs)
 	}
+	checkStats(t, a, b)
 	// No lock files survive.
 	locks, _ := filepath.Glob(filepath.Join(dir, "*.lock"))
 	if len(locks) != 0 {
@@ -529,6 +569,7 @@ func TestSharedStaleLockRecovery(t *testing.T) {
 	if _, err := os.Stat(lock); !os.IsNotExist(err) {
 		t.Errorf("lock not cleaned up after takeover: %v", err)
 	}
+	checkStats(t, c)
 }
 
 // TestSharedTransientFailureHandsOff: when the lease holder fails
@@ -566,6 +607,7 @@ func TestSharedTransientFailureHandsOff(t *testing.T) {
 	if err != nil || hit || st.Cycles != 13 {
 		t.Fatalf("waiter after holder's transient failure: st=%+v hit=%v err=%v", st, hit, err)
 	}
+	checkStats(t, a, b)
 }
 
 func TestReset(t *testing.T) {
