@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"time"
 
 	"repro/internal/canonjson"
 	"repro/internal/verify"
@@ -52,9 +51,6 @@ type SweepBenchResult struct {
 	// peak RSS and IPC error per sampling mode against the
 	// streamed-exact truth.
 	Stream *StreamBenchResult `json:"stream,omitempty"`
-	// Gang, when present, benchmarks gang replay (shared decoded slabs)
-	// against per-configuration streaming replay of the same panel.
-	Gang *GangBenchResult `json:"gang,omitempty"`
 }
 
 // SweepBench summarizes a finished sweep on eng, timed by the caller.
@@ -87,97 +83,6 @@ func WriteSweepBenchJSON(path string, res SweepBenchResult) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// GangBenchResult quantifies what gang replay buys on one workload: the
-// replay-capable benchmark panel is run once with private streaming
-// readers (every configuration re-decodes the whole packed trace) and
-// once over shared decoded slabs (every chunk decoded exactly once,
-// all configurations reading the same immutable records), on two fresh
-// engines so neither leg recalls the other's results. Capture happens
-// before either timer starts; the statistics are byte-identical between
-// legs, so only the host cost differs.
-type GangBenchResult struct {
-	Workload string `json:"workload"`
-	Configs  int    `json:"configs"`
-	Steps    uint64 `json:"steps"`
-
-	// PerConfigWallSeconds and GangWallSeconds time the whole matrix
-	// (all configurations in parallel across CPUs) under each drive
-	// mode; Speedup is their ratio.
-	PerConfigWallSeconds float64 `json:"per_config_wall_seconds"`
-	GangWallSeconds      float64 `json:"gang_wall_seconds"`
-	Speedup              float64 `json:"speedup"`
-
-	// PerConfigRecordsDecoded is ~Configs × Steps (each streaming run
-	// decodes the full trace privately); GangRecordsDecoded is ~Steps
-	// (once per chunk). DecodeReduction is their ratio — the headline
-	// decoded-records-per-sweep saving.
-	PerConfigRecordsDecoded uint64  `json:"per_config_records_decoded"`
-	GangRecordsDecoded      uint64  `json:"gang_records_decoded"`
-	DecodeReduction         float64 `json:"decode_reduction"`
-
-	// Slab-cache behaviour during the ganged leg.
-	SlabDecodes   int   `json:"slab_decodes"`
-	SlabHits      int   `json:"slab_hits"`
-	SlabPeakBytes int64 `json:"slab_peak_bytes"`
-}
-
-// GangBench benchmarks gang replay against per-configuration streaming
-// replay on one workload across the replay-capable benchmark panel.
-func GangBench(workload string) (*GangBenchResult, error) {
-	cfgs := make([]Config, 0, 8)
-	for _, cfg := range PipelineBenchConfigs() {
-		if cfg.WrongPathExecution {
-			// Wrong-path configurations cannot replay, so they never gang;
-			// including them would dilute both legs with identical lockstep
-			// runs.
-			continue
-		}
-		cfgs = append(cfgs, cfg)
-	}
-	leg := func(gang bool) (float64, TraceStats, uint64, error) {
-		eng := NewEngine()
-		eng.SetGangReplay(gang)
-		// Capture outside the timed region: the one-time functional
-		// execution is a shared cost both drive modes pay identically.
-		tr, err := eng.traceFor(workload)
-		if err != nil {
-			return 0, TraceStats{}, 0, fmt.Errorf("gangbench %s: %w", workload, err)
-		}
-		start := time.Now()
-		if _, err := eng.RunMatrix(cfgs, []string{workload}); err != nil {
-			return 0, TraceStats{}, 0, fmt.Errorf("gangbench %s: %w", workload, err)
-		}
-		return time.Since(start).Seconds(), eng.TraceStats(), tr.Steps(), nil
-	}
-	streamWall, streamStats, steps, err := leg(false)
-	if err != nil {
-		return nil, err
-	}
-	gangWall, gangStats, _, err := leg(true)
-	if err != nil {
-		return nil, err
-	}
-	res := &GangBenchResult{
-		Workload:                workload,
-		Configs:                 len(cfgs),
-		Steps:                   steps,
-		PerConfigWallSeconds:    streamWall,
-		GangWallSeconds:         gangWall,
-		PerConfigRecordsDecoded: streamStats.RecordsDecoded,
-		GangRecordsDecoded:      gangStats.RecordsDecoded,
-		SlabDecodes:             gangStats.SlabDecodes,
-		SlabHits:                gangStats.SlabHits,
-		SlabPeakBytes:           gangStats.SlabPeakBytes,
-	}
-	if gangWall > 0 {
-		res.Speedup = streamWall / gangWall
-	}
-	if gangStats.RecordsDecoded > 0 {
-		res.DecodeReduction = float64(streamStats.RecordsDecoded) / float64(gangStats.RecordsDecoded)
-	}
-	return res, nil
-}
-
 // ReadSweepBenchJSON loads a BENCH_sweep.json previously written by
 // WriteSweepBenchJSON — the baseline side of `cesweep -bench-compare`.
 func ReadSweepBenchJSON(path string) (SweepBenchResult, error) {
@@ -201,8 +106,8 @@ type BenchDelta struct {
 	New  float64
 	// Gated marks the dimensionless ratios the comparison may fail on.
 	// Absolute host timings (wall seconds, sims/sec) shift with machine
-	// load and hardware, so they are report-only; speedups and decode
-	// reductions divide out the machine and gate regressions.
+	// load and hardware, so they are report-only; speedups divide out
+	// the machine and gate regressions.
 	Gated bool
 	// Regressed is set on a gated entry whose new value fell more than
 	// the tolerance below the baseline (higher is better for every
@@ -234,12 +139,6 @@ func CompareSweepBench(old, cur SweepBenchResult, tolerancePct float64) []BenchD
 	add("sims_per_sec", old.SimsPerSec, cur.SimsPerSec, false)
 	if old.Segment != nil && cur.Segment != nil {
 		add("segment.speedup", old.Segment.Speedup, cur.Segment.Speedup, true)
-	}
-	if old.Gang != nil && cur.Gang != nil {
-		add("gang.speedup", old.Gang.Speedup, cur.Gang.Speedup, true)
-		add("gang.decode_reduction", old.Gang.DecodeReduction, cur.Gang.DecodeReduction, true)
-		add("gang.per_config_wall_seconds", old.Gang.PerConfigWallSeconds, cur.Gang.PerConfigWallSeconds, false)
-		add("gang.gang_wall_seconds", old.Gang.GangWallSeconds, cur.Gang.GangWallSeconds, false)
 	}
 	if old.Stream != nil && cur.Stream != nil {
 		add("stream.exact_wall_seconds", old.Stream.ExactWallSeconds, cur.Stream.ExactWallSeconds, false)

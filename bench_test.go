@@ -7,6 +7,8 @@ package ce
 // rows directly).
 
 import (
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/delaymodel"
@@ -313,4 +315,97 @@ func BenchmarkWrongPathSimulation(b *testing.B) {
 		committed += st.Committed + st.SquashedUops
 	}
 	b.ReportMetric(float64(committed)/b.Elapsed().Seconds(), "simulated-insts/s")
+}
+
+func TestSweepBenchJSONRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_sweep.json")
+	want := SweepBenchResult{
+		WallSeconds: 1.5,
+		Sims:        42,
+		SimsPerSec:  28,
+		Replay:      true,
+		Segment: &SegmentBenchResult{
+			Config: "baseline-8way-64win", Workload: "compress.big",
+			Segments: 16, Sample: 4, Speedup: 3.5,
+		},
+	}
+	if err := WriteSweepBenchJSON(path, want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadSweepBenchJSON(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Sims != want.Sims || got.Segment == nil || *got.Segment != *want.Segment {
+		t.Errorf("round trip mismatch: got %+v, want %+v", got, want)
+	}
+}
+
+// TestCompareSweepBench pins the regression gate: only dimensionless
+// ratios gate, and only when they fall more than the tolerance below
+// the baseline.
+func TestCompareSweepBench(t *testing.T) {
+	old := SweepBenchResult{
+		WallSeconds: 10, SimsPerSec: 20,
+		Segment: &SegmentBenchResult{Speedup: 4.0},
+	}
+	for _, tc := range []struct {
+		name      string
+		speedup   float64
+		regressed bool
+	}{
+		{"within a 25% tolerance", 3.2, false},
+		{"collapsed", 1.0, true},
+	} {
+		cur := SweepBenchResult{
+			// Wall time doubled: reported, never gated.
+			WallSeconds: 20, SimsPerSec: 10,
+			Segment: &SegmentBenchResult{Speedup: tc.speedup},
+		}
+		byName := make(map[string]BenchDelta)
+		for _, d := range CompareSweepBench(old, cur, 25) {
+			byName[d.Name] = d
+		}
+		for name, want := range map[string]struct{ gated, regressed bool }{
+			"wall_seconds":    {false, false},
+			"sims_per_sec":    {false, false},
+			"segment.speedup": {true, tc.regressed},
+		} {
+			d, ok := byName[name]
+			if !ok {
+				t.Errorf("%s: missing delta %q", tc.name, name)
+				continue
+			}
+			if d.Gated != want.gated || d.Regressed != want.regressed {
+				t.Errorf("%s: %s: gated=%v regressed=%v, want gated=%v regressed=%v",
+					tc.name, name, d.Gated, d.Regressed, want.gated, want.regressed)
+			}
+		}
+		// Entries absent on one side are skipped, not invented.
+		for _, d := range CompareSweepBench(SweepBenchResult{}, cur, 25) {
+			if d.Name == "segment.speedup" {
+				t.Errorf("delta %q emitted though baseline lacks the entry", d.Name)
+			}
+		}
+	}
+}
+
+// TestCompareSweepBenchLegacyBaseline loads a BENCH_sweep.json written
+// by an older build, which carries an entry this build no longer emits.
+// The unknown entry must load without error and be ignored by the gate.
+func TestCompareSweepBenchLegacyBaseline(t *testing.T) {
+	old, err := ReadSweepBenchJSON(filepath.Join("testdata", "bench_sweep_legacy.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := old
+	cur.WallSeconds *= 2
+	for _, d := range CompareSweepBench(old, cur, 60) {
+		if d.Regressed {
+			t.Errorf("%s regressed against its own ratios", d.Name)
+		}
+		if d.Name != "wall_seconds" && d.Name != "sims_per_sec" && !strings.HasPrefix(d.Name, "segment.") {
+			t.Errorf("delta %q compares an entry this build does not emit", d.Name)
+		}
+	}
 }

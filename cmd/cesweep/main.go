@@ -32,14 +32,6 @@
 //	-trace-dir DIR      persist captured traces on disk across invocations
 //	-no-trace-replay    drive every simulation by lockstep execution
 //
-// Concurrent replay runs of one workload gang together, sharing each
-// trace chunk decoded once into an immutable slab (byte-identical
-// results, less decode work):
-//
-//	-no-gang            give every replay run a private streaming reader
-//	-slab-budget-mb N   bound the decoded-slab cache (default 256 MiB);
-//	                    traces too big to fit stream instead
-//
 // Segment-parallel simulation shards each trace into K segments timed
 // independently across CPUs and stitches the results:
 //
@@ -71,9 +63,9 @@
 //	-stream-segments K  segment count for -stream-bench (default 64)
 //	-bench-compare F    compare this run's BENCH_sweep.json entries against
 //	                    the baseline at F and print per-entry deltas
-//	-bench-tolerance P  percent a gated ratio (segment/gang speedup, decode
-//	                    reduction) may fall below the baseline before the
-//	                    comparison exits nonzero; negative = warn only
+//	-bench-tolerance P  percent a gated ratio (segment speedup) may fall
+//	                    below the baseline before the comparison exits
+//	                    nonzero; negative = warn only
 //	-cpuprofile FILE    write a CPU profile of the sweep
 //	-memprofile FILE    write a heap profile taken after the sweep
 package main
@@ -115,8 +107,6 @@ var (
 	segWarmup  = flag.String("warmup", "-1", "per-segment warmup: instruction count (-1 = full prefix, exact stitching) or 'adaptive' (per-segment IPC-convergence detection)")
 	segSample  = flag.String("sample", "1", "segment sampling: simulate every Nth segment and extrapolate (N), or 'phase' (time one representative per behavior cluster, weighted by cluster mass)")
 	segPhases  = flag.Int("phases", 8, "maximum behavior clusters for -sample=phase")
-	noGang     = flag.Bool("no-gang", false, "disable gang replay: give every replay run a private streaming reader instead of shared decoded slabs")
-	slabMB     = flag.Int64("slab-budget-mb", 0, "bound the decoded-slab cache to this many MiB (0 = default 256); traces too big to fit stream instead")
 	benchJSON  = flag.String("bench-json", "", "benchmark the simulator per panel config and write results to this file")
 	benchWork  = flag.String("bench-workload", "compress", "workload for -bench-json")
 	benchCmp   = flag.String("bench-compare", "", "compare this invocation's BENCH_sweep.json against the baseline at this path and print per-entry deltas")
@@ -195,10 +185,6 @@ func setupObservability() (func() error, error) {
 		}
 	}
 	eng.SetTraceReplay(!*noReplay)
-	eng.SetGangReplay(!*noGang)
-	if *slabMB > 0 {
-		eng.SetSlabBudget(*slabMB << 20)
-	}
 	eng.SetSegments(*segments)
 	if *segWarmup == "adaptive" {
 		eng.SetSegmentAdaptive(true)
@@ -251,13 +237,8 @@ func setupObservability() (func() error, error) {
 				"cesweep: traces: %d captured, %d loaded from disk; %d replay runs, %d lockstep runs; %d steps executed, %d replayed\n",
 				ts.Captures, ts.DiskHits, ts.ReplayRuns, ts.LockstepRuns, ts.StepsExecuted, ts.StepsReplayed)
 			fmt.Fprintf(os.Stderr,
-				"cesweep: trace bytes: %d on disk, %d resident; %d capture failures, %d corrupt traces dropped\n",
-				ts.TraceDiskBytes, ts.TraceResidentBytes, ts.CaptureFailures, ts.CorruptDropped)
-			if ts.GangRuns > 0 || ts.SlabDecodes > 0 {
-				fmt.Fprintf(os.Stderr,
-					"cesweep: gang: %d ganged runs; %d slab decodes, %d hits, %d evictions, peak %d bytes; %d records decoded\n",
-					ts.GangRuns, ts.SlabDecodes, ts.SlabHits, ts.SlabEvictions, ts.SlabPeakBytes, ts.RecordsDecoded)
-			}
+				"cesweep: trace bytes: %d on disk, %d resident; %d records decoded; %d capture failures, %d corrupt traces dropped\n",
+				ts.TraceDiskBytes, ts.TraceResidentBytes, ts.RecordsDecoded, ts.CaptureFailures, ts.CorruptDropped)
 		}
 		if *metrics != "" {
 			dump := struct {
@@ -500,8 +481,7 @@ func run() (err error) {
 		// Record whole-sweep performance next to the per-configuration
 		// benchmark: the sweep's own throughput (when one ran), the
 		// segment-parallel sampled benchmark on a workload long enough
-		// (millions of instructions) for segmentation to pay, the gang
-		// replay benchmark (shared slabs versus private readers), and the
+		// (millions of instructions) for segmentation to pay, and the
 		// streaming benchmark on a huge workload when requested.
 		ran = true
 		sb := ce.SweepBench(ce.DefaultEngine, sweepWall)
@@ -511,11 +491,6 @@ func run() (err error) {
 				return err
 			}
 			sb.Segment = seg
-			gang, err := ce.GangBench("compress.big")
-			if err != nil {
-				return err
-			}
-			sb.Gang = gang
 		}
 		if *streamWork != "" {
 			st, err := ce.StreamBench(*streamWork, *traceDir, *streamSegs, *segPhases)
@@ -551,11 +526,6 @@ func run() (err error) {
 			fmt.Printf("Segment benchmark on %s (%d steps): monolithic %.2f s, sampled %d/%d segments %.2f s — %.1fx; IPC %.3f vs %.3f (%+.1f%%)\n",
 				seg.Workload, seg.Steps, seg.MonoWallSeconds, simulated, seg.Segments,
 				seg.SampledWallSeconds, seg.Speedup, seg.SampledIPC, seg.MonoIPC, seg.IPCErrorPct)
-		}
-		if g := sb.Gang; g != nil {
-			fmt.Printf("Gang benchmark on %s (%d configs, %d steps): per-config %.2f s, ganged %.2f s — %.2fx; records decoded %d → %d (%.1fx fewer, peak %.1f MB of slabs)\n",
-				g.Workload, g.Configs, g.Steps, g.PerConfigWallSeconds, g.GangWallSeconds, g.Speedup,
-				g.PerConfigRecordsDecoded, g.GangRecordsDecoded, g.DecodeReduction, float64(g.SlabPeakBytes)/1e6)
 		}
 		if st := sb.Stream; st != nil {
 			fmt.Printf("Stream benchmark on %s (written to %s): %d steps, %.1f MB trace on disk (%.1f MB resident), capture %.1f s (peak RSS %.0f MB)\n",

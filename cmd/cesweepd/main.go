@@ -51,8 +51,6 @@ var (
 	traceDir        = flag.String("trace-dir", "", "persist execution traces under this directory (shared across daemons)")
 	cacheMax        = flag.Int("cache-max", 4096, "max run results held in memory, LRU over the disk tier (0 = unbounded)")
 	noReplay        = flag.Bool("no-trace-replay", false, "drive every simulation by lockstep execution instead of trace replay")
-	noGang          = flag.Bool("no-gang", false, "disable gang replay: give every replay run a private streaming reader instead of shared decoded slabs")
-	slabMB          = flag.Int64("slab-budget-mb", 0, "bound the decoded-slab cache to this many MiB (0 = default 256)")
 	pprofAddr       = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); empty = disabled. Never exposed on the serving port")
 	segments        = flag.Int("segments", 0, "cut each trace into this many segments timed in parallel (0 = monolithic)")
 	segWarmup       = flag.String("warmup", "-1", "per-segment warmup: instruction count (-1 = full prefix, exact stitching) or 'adaptive'")
@@ -90,10 +88,6 @@ func run() error {
 	}
 	eng.SetCacheLimit(*cacheMax)
 	eng.SetTraceReplay(!*noReplay)
-	eng.SetGangReplay(!*noGang)
-	if *slabMB > 0 {
-		eng.SetSlabBudget(*slabMB << 20)
-	}
 	eng.SetSegments(*segments)
 	if *segWarmup == "adaptive" {
 		eng.SetSegmentAdaptive(true)

@@ -266,7 +266,6 @@ type Simulator struct {
 	src     ExecSource
 	machine *emu.Machine
 	reader  *trace.Reader
-	slab    *slabSource
 	sched   core.Scheduler
 	pred    bpred.Predictor
 	dcache  *cache.Cache
@@ -375,9 +374,6 @@ func (s *Simulator) sourcePC() uint32 {
 	if s.machine != nil {
 		return s.machine.PC()
 	}
-	if s.slab != nil {
-		return s.slab.PC()
-	}
 	if s.reader != nil {
 		return s.reader.PC()
 	}
@@ -390,9 +386,6 @@ func (s *Simulator) sourcePC() uint32 {
 func (s *Simulator) sourceHalted() bool {
 	if s.machine != nil {
 		return s.machine.Halted()
-	}
-	if s.slab != nil {
-		return s.slab.halted
 	}
 	if s.reader != nil {
 		return s.reader.Halted()
@@ -455,9 +448,6 @@ func newSimulator(cfg Config, src ExecSource, machine *emu.Machine) (*Simulator,
 	}
 	if r, ok := src.(*trace.Reader); ok {
 		s.reader = r
-	}
-	if ss, ok := src.(*slabSource); ok {
-		s.slab = ss
 	}
 	s.nPhys = cfg.PhysRegs
 	s.nClus = cfg.Clusters
@@ -1075,26 +1065,19 @@ func (s *Simulator) fetch() error {
 			}
 		}
 		// See sourcePC: monomorphic source dispatch, inlined so the Record
-		// is written once into rec rather than copied through a helper.
-		// The slab source hands out its resident record instead: a Record
-		// returned by value is stored field by field, and copying it into
-		// the uop right away reloads those fields as wider words, a
-		// store-forwarding stall per instruction.
-		var rec emu.Record
+		// is written straight into the uop rather than copied through a
+		// helper (Reader.Next says what that copy costs).
+		u := s.pool.Get()
 		var err error
-		if s.slab != nil {
-			var r *emu.Record
-			if r, err = s.slab.next(); err == nil {
-				rec = *r
-			}
-		} else if s.machine != nil {
-			rec, err = s.machine.Step()
+		if s.machine != nil {
+			u.Rec, err = s.machine.Step()
 		} else if s.reader != nil {
-			rec, err = s.reader.Step()
+			err = s.reader.Next(&u.Rec)
 		} else {
-			rec, err = s.src.Step()
+			u.Rec, err = s.src.Step()
 		}
 		if err != nil {
+			s.pool.Put(u)
 			if s.resolving != nil {
 				// The wrong path ran off the rails (out-of-range PC);
 				// fetch idles until the branch resolves.
@@ -1104,9 +1087,8 @@ func (s *Simulator) fetch() error {
 			return fmt.Errorf("pipeline: %s/%s: functional emulation: %w", s.cfg.Name, s.stats.Workload, err) //ce:alloc-ok fatal path, run is over
 		}
 		s.stats.EmuSteps++
-		u := s.pool.Get()
+		rec := &u.Rec
 		u.Seq = s.seq
-		u.Rec = rec
 		u.Class = isa.ClassOf(rec.Inst.Op)
 		u.FetchCycle = s.cycle
 		u.Cluster = -1

@@ -81,13 +81,6 @@ type SegmentOpts struct {
 	// (default 65536 — two warm-start intervals — and never more than
 	// half the segment, so every segment yields a measurement).
 	AdaptiveCap uint64
-	// Slabs, when non-nil, drives the segment from shared decoded slabs
-	// (gang replay) instead of a private streaming Reader: the segment
-	// worker opens a SlabCursor at the warm-start boundary, so concurrent
-	// segments — across configs and across segment indices — share one
-	// decoded copy of each chunk. The stitched statistics are identical
-	// either way; internal/verify pins it.
-	Slabs *trace.SlabCache
 }
 
 // Adaptive warmup defaults; see SegmentOpts.
@@ -106,6 +99,9 @@ type SegmentReport struct {
 	// Converged reports whether adaptive warmup's windowed IPC settled
 	// before the cap. Always true for fixed warmup.
 	Converged bool
+	// RecordsDecoded is how many records the segment's trace reader
+	// decoded, warmup prefix included.
+	RecordsDecoded uint64
 }
 
 // RunSegment simulates one trace segment under cfg with a fixed warmup:
@@ -130,25 +126,12 @@ func RunSegmentOpts(cfg Config, tr *trace.Trace, seg trace.Segment, opts Segment
 		warmup = 0
 	}
 	start := tr.WarmStart(seg, warmup)
-	var (
-		sim *Simulator
-		err error
-	)
-	if opts.Slabs != nil {
-		cur, cerr := trace.NewSlabCursorAt(opts.Slabs, tr, start)
-		if cerr != nil {
-			return Stats{}, SegmentReport{}, cerr
-		}
-		defer cur.Release()
-		sim, err = NewSlabReplay(cfg, cur)
-	} else {
-		rd, rerr := trace.NewReaderAt(tr, start)
-		if rerr != nil {
-			return Stats{}, SegmentReport{}, rerr
-		}
-		defer rd.Release()
-		sim, err = NewReplay(cfg, rd)
+	rd, err := trace.NewReaderAt(tr, start)
+	if err != nil {
+		return Stats{}, SegmentReport{}, err
 	}
+	defer rd.Release()
+	sim, err := NewReplay(cfg, rd)
 	if err != nil {
 		return Stats{}, SegmentReport{}, err
 	}
@@ -181,6 +164,7 @@ func RunSegmentOpts(cfg Config, tr *trace.Trace, seg trace.Segment, opts Segment
 	delta.HostWallSeconds = time.Since(startWall).Seconds() //ce:nondet-ok host-performance telemetry, not simulated time
 	runtime.ReadMemStats(&ms)
 	delta.HostAllocs = ms.Mallocs - startAllocs
+	report.RecordsDecoded = rd.Decoded()
 	return delta, report, nil
 }
 

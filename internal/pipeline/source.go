@@ -60,123 +60,3 @@ func NewReplay(cfg Config, src ExecSource) (*Simulator, error) {
 	}
 	return newSimulator(cfg, src, nil)
 }
-
-// SlabStream feeds a simulator pre-decoded record windows — in practice
-// trace.SlabCursor walking a shared SlabCache, so a gang of simulators
-// reads one decoded copy of the workload instead of each re-decoding the
-// packed stream. Windows are immutable and remain valid until the next
-// NextWindow (or Release) call; NextWindow reports with its second
-// result whether the returned window is the stream's last.
-type SlabStream interface {
-	NextWindow() ([]emu.Record, bool, error)
-	Program() *isa.Program
-	Output() []int32
-	StateHash() [32]byte
-	Release()
-}
-
-// slabSource adapts a SlabStream to ExecSource. Its Step is an index
-// and a bounds check on the current window — no per-record interface
-// dispatch, no decode — with the window-refill (once per quarter-million
-// records) kept out of line.
-//
-// Invariant: pos < len(recs) unless the stream has halted or errored;
-// fill runs eagerly when a window drains, so Halted flips true on the
-// very Step that returns the final record, exactly like trace.Reader
-// decoding the Halt, and a refill failure surfaces on the Step for
-// precisely the record the streaming Reader would have errored on.
-type slabSource struct {
-	stream SlabStream
-	recs   []emu.Record
-	pos    int
-	last   bool   // recs is the stream's final window
-	lastPC uint32 // PC after the stream drains (the halt record's NextPC)
-	halted bool
-	err    error
-}
-
-// fill advances to the next window (or to the halted/errored terminal
-// state). Cold path: called once per window, never per record.
-func (s *slabSource) fill() {
-	if n := len(s.recs); n > 0 {
-		s.lastPC = s.recs[n-1].NextPC
-	}
-	s.recs, s.pos = nil, 0
-	for {
-		if s.last {
-			s.halted = true
-			s.stream.Release()
-			return
-		}
-		recs, last, err := s.stream.NextWindow()
-		if err != nil {
-			s.err = err
-			s.stream.Release()
-			return
-		}
-		s.last = last
-		if len(recs) > 0 {
-			s.recs = recs
-			return
-		}
-	}
-}
-
-//ce:hot
-func (s *slabSource) Step() (emu.Record, error) {
-	r, err := s.next()
-	if err != nil {
-		return emu.Record{}, err
-	}
-	return *r, nil
-}
-
-// next is Step without the copy: the record stays valid until the
-// window it lives in is released, which fill does only after the
-// window's last record has been handed out.
-//
-//ce:hot
-func (s *slabSource) next() (*emu.Record, error) {
-	if s.pos < len(s.recs) {
-		rec := &s.recs[s.pos]
-		s.pos++
-		if s.pos == len(s.recs) {
-			s.fill()
-		}
-		return rec, nil
-	}
-	if s.halted {
-		return nil, emu.ErrHalted
-	}
-	return nil, s.err
-}
-
-//ce:hot
-func (s *slabSource) PC() uint32 {
-	if s.pos < len(s.recs) {
-		return s.recs[s.pos].PC
-	}
-	return s.lastPC
-}
-
-func (s *slabSource) Halted() bool          { return s.halted }
-func (s *slabSource) Program() *isa.Program { return s.stream.Program() }
-func (s *slabSource) Output() []int32       { return s.stream.Output() }
-func (s *slabSource) StateHash() [32]byte   { return s.stream.StateHash() }
-
-// NewSlabReplay builds a simulator driven by a shared-slab stream. Same
-// contract as NewReplay — byte-identical records, refuses wrong-path
-// execution — but every gang member reads the one decoded copy. The
-// first window is primed here so a corrupt first chunk fails
-// construction (mirroring trace.NewReader surfacing load errors early).
-func NewSlabReplay(cfg Config, stream SlabStream) (*Simulator, error) {
-	if cfg.WrongPathExecution {
-		return nil, fmt.Errorf("pipeline: %s: wrong-path execution cannot run from a replay source (it executes mispredicted paths; use New)", cfg.Name)
-	}
-	src := &slabSource{stream: stream, recs: nil}
-	src.fill()
-	if src.err != nil {
-		return nil, src.err
-	}
-	return newSimulator(cfg, src, nil)
-}

@@ -46,6 +46,7 @@ type Reader struct {
 
 	pc     uint32
 	step   uint64
+	first  uint64 // step at which the reader was opened
 	halted bool
 	err    error
 
@@ -71,6 +72,10 @@ func (r *Reader) PC() uint32 { return r.pc }
 
 // Halted reports whether the trace has been fully replayed.
 func (r *Reader) Halted() bool { return r.halted }
+
+// Decoded returns how many records the reader has decoded since it was
+// opened.
+func (r *Reader) Decoded() uint64 { return r.step - r.first }
 
 // Output returns the Out values of the captured execution. Unlike
 // emu.Machine's incrementally grown Output, the full slice is available
@@ -162,86 +167,76 @@ func (r *Reader) finishHalt() {
 //
 //ce:hot
 func (r *Reader) Step() (emu.Record, error) {
+	var rec emu.Record
+	if err := r.Next(&rec); err != nil {
+		return emu.Record{}, err
+	}
+	return rec, nil
+}
+
+// Next is Step writing the record into *rec. The pipeline's fetch
+// decodes straight into the uop this way: copying a Record returned by
+// value right after its fields were stored one by one reloads them as
+// wider words, a store-forwarding stall per instruction. Next sets
+// every field of *rec on success; on error *rec is unspecified.
+//
+//ce:hot
+func (r *Reader) Next(rec *emu.Record) error {
 	if r.halted {
-		return emu.Record{}, emu.ErrHalted
+		return emu.ErrHalted
 	}
 	if r.err != nil {
-		return emu.Record{}, r.err
+		return r.err
 	}
 	if r.step >= r.t.n || r.pc >= uint32(len(r.text)) {
 		// A sealed trace ends in Halt, so running out of records (or
 		// walking outside the text) means the stream is corrupt.
-		return emu.Record{}, errCorrupt
+		return errCorrupt
 	}
 	if r.step == r.limit {
 		if err := r.advance(); err != nil {
-			return emu.Record{}, err
+			return err
 		}
 	}
 	in := r.text[r.pc]
-	rec := emu.Record{PC: r.pc, Inst: in, NextPC: r.pc + 1}
+	next, taken, addr := r.pc+1, false, uint32(0)
 	switch isa.ClassOf(in.Op) {
 	case isa.ClassLoad, isa.ClassStore:
 		if r.pos+4 > len(r.chunk) {
-			return emu.Record{}, errCorrupt
+			return errCorrupt
 		}
 		p := r.chunk[r.pos:]
-		rec.Addr = uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16 | uint32(p[3])<<24
+		addr = uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16 | uint32(p[3])<<24
 		r.pos += 4
 	case isa.ClassBranch:
 		if r.pos >= len(r.chunk) {
-			return emu.Record{}, errCorrupt
+			return errCorrupt
 		}
 		if r.chunk[r.pos] != 0 {
-			rec.Taken = true
-			rec.NextPC = uint32(in.Imm)
+			taken = true
+			next = uint32(in.Imm)
 		}
 		r.pos++
 	case isa.ClassJump:
-		rec.Taken = true
+		taken = true
 		if in.Op == isa.Jr || in.Op == isa.Jalr {
 			if r.pos+4 > len(r.chunk) {
-				return emu.Record{}, errCorrupt
+				return errCorrupt
 			}
 			p := r.chunk[r.pos:]
-			rec.NextPC = uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16 | uint32(p[3])<<24
+			next = uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16 | uint32(p[3])<<24
 			r.pos += 4
 		} else {
-			rec.NextPC = uint32(in.Imm)
+			next = uint32(in.Imm)
 		}
 	case isa.ClassSystem:
 		if in.Op == isa.Halt {
-			rec.NextPC = r.pc
+			next = r.pc
 			r.finishHalt()
 		}
 	}
-	r.pc = rec.NextPC
+	rec.PC, rec.Inst, rec.NextPC, rec.Taken, rec.Addr = r.pc, in, next, taken, addr
+	r.pc = next
 	r.step++
-	return rec, nil
-}
-
-// StepBatch decodes up to len(dst) records into dst, returning how many
-// it produced. It stops early at the trace's end (n < len(dst), nil
-// error; the next call returns (0, emu.ErrHalted)) or on a decode error
-// (records before the failure are valid and counted). Batch decoding is
-// the slab layer's fill path: one call per chunk instead of one virtual
-// Step per record.
-func (r *Reader) StepBatch(dst []emu.Record) (int, error) {
-	if r.halted {
-		return 0, emu.ErrHalted
-	}
-	for i := range dst {
-		rec, err := r.Step()
-		if err != nil {
-			if err == emu.ErrHalted {
-				return i, nil
-			}
-			return i, err
-		}
-		dst[i] = rec
-		if r.halted {
-			return i + 1, nil
-		}
-	}
-	return len(dst), nil
+	return nil
 }

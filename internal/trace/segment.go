@@ -139,6 +139,7 @@ func NewReaderAt(t *Trace, b Boundary) (*Reader, error) {
 		text:   t.prog.Text,
 		pc:     b.PC,
 		step:   b.Step,
+		first:  b.Step,
 		halted: b.Step == t.n,
 	}
 	if r.halted {

@@ -156,25 +156,6 @@ func checkSegmentedOne(cfg pipeline.Config, tr *trace.Trace, k int) error {
 		return fail("full-warmup stitch: %v", err)
 	}
 
-	// Exact regime again, gang-driven: the segment runs read shared
-	// decoded slabs instead of private streaming readers (for file-backed
-	// traces this swaps per-run chunk reads and checksum verification for
-	// one decode per chunk), and the stitch must still be bit-identical.
-	slabs := trace.NewSlabCache(tr.DecodedBytes())
-	for i, seg := range segs {
-		parts[i], _, err = pipeline.RunSegmentOpts(cfg, tr, seg, pipeline.SegmentOpts{Warmup: -1, Slabs: slabs}, maxCycles)
-		if err != nil {
-			return fail("gang segment %d: %v", i, err)
-		}
-	}
-	stitched, err = pipeline.StitchStats(parts)
-	if err != nil {
-		return fail("%v", err)
-	}
-	if err := diffStats(stitched, mono); err != nil {
-		return fail("gang full-warmup stitch: %v", err)
-	}
-
 	// Sampled regime: finite warmup, every second segment. The estimate
 	// must stay inside its stated error bars against the monolithic IPC.
 	var ipcs []float64

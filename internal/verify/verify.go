@@ -256,50 +256,9 @@ func checkReplay(p *isa.Program, bare pipeline.Config, exec pipeline.Stats, ref 
 		if _, err := pipeline.NewReplay(bare, trace.NewReader(tr)); err == nil {
 			return fail("NewReplay accepted a wrong-path configuration")
 		}
-		cache := trace.NewSlabCache(tr.DecodedBytes())
-		cur, err := trace.NewSlabCursor(cache, tr)
-		if err != nil {
-			return fail("%v", err)
-		}
-		defer cur.Release()
-		if _, err := pipeline.NewSlabReplay(bare, cur); err == nil {
-			return fail("NewSlabReplay accepted a wrong-path configuration")
-		}
 		return nil
 	}
 	sim, err := pipeline.NewReplay(bare, trace.NewReader(tr))
-	if err != nil {
-		return fail("%v", err)
-	}
-	st, err := sim.Run(maxCycles)
-	if err != nil {
-		return fail("%v", err)
-	}
-	if err := compareDriven(fail, st, exec); err != nil {
-		return err
-	}
-	if err := checkFinalState(fail, sim, ref); err != nil {
-		return err
-	}
-	return checkGangReplay(p, bare, exec, ref, tr)
-}
-
-// checkGangReplay reruns the bare configuration driven by shared decoded
-// slabs (the gang-replay source) and holds it to the same everything-
-// identical standard as streaming replay: the sweep engine may choose
-// either source per run, so neither may be distinguishable from
-// execution.
-func checkGangReplay(p *isa.Program, bare pipeline.Config, exec pipeline.Stats, ref *reference, tr *trace.Trace) error {
-	fail := func(format string, args ...any) error {
-		return fmt.Errorf("verify: %s on %s (gang replay): %s", p.Name, bare.Name, fmt.Sprintf(format, args...))
-	}
-	cache := trace.NewSlabCache(tr.DecodedBytes())
-	cur, err := trace.NewSlabCursor(cache, tr)
-	if err != nil {
-		return fail("%v", err)
-	}
-	defer cur.Release()
-	sim, err := pipeline.NewSlabReplay(bare, cur)
 	if err != nil {
 		return fail("%v", err)
 	}
@@ -314,9 +273,8 @@ func checkGangReplay(p *isa.Program, bare pipeline.Config, exec pipeline.Stats, 
 }
 
 // compareDriven asserts every simulated statistic of a source-driven run
-// matches the execution-driven run — the battery shared by the streaming
-// and gang replay checks. Host-performance telemetry legitimately
-// differs between runs; all simulated metrics must not.
+// matches the execution-driven run. Host-performance telemetry
+// legitimately differs between runs; all simulated metrics must not.
 func compareDriven(fail func(string, ...any) error, st, exec pipeline.Stats) error {
 	st.HostAllocs, st.HostWallSeconds = exec.HostAllocs, exec.HostWallSeconds
 	if st.Cycles != exec.Cycles || st.Committed != exec.Committed || st.EmuSteps != exec.EmuSteps {

@@ -274,11 +274,7 @@ func (e *Engine) runSegmented(cfg Config, tr *trace.Trace, plan segPlan, attr *s
 			pick = append(pick, i)
 		}
 	}
-	// Gang the segment fan-out when the slab cache admits the trace: the
-	// K segment workers (across however many configs run concurrently)
-	// share each chunk decoded once, each pinning a single slab at a
-	// time. Streaming otherwise — each worker a private Reader.
-	opts := pipeline.SegmentOpts{Warmup: plan.warmup, Adaptive: plan.adaptive, Slabs: e.slabCacheFor(tr)}
+	opts := pipeline.SegmentOpts{Warmup: plan.warmup, Adaptive: plan.adaptive}
 	parts, reports, err := runSegments(cfg, tr, segs, pick, opts)
 	if err != nil {
 		return Stats{}, err
@@ -342,24 +338,16 @@ func (e *Engine) runSegmented(cfg Config, tr *trace.Trace, plan segPlan, attr *s
 		}
 	}
 	attr.segments = sm
-	attr.ganged = opts.Slabs != nil
+	var decoded uint64
+	for _, r := range reports {
+		decoded += r.RecordsDecoded
+	}
 	e.traceMu.Lock()
 	e.tstats.ReplayRuns++
 	e.tstats.SegmentRuns++
 	e.tstats.SegmentsSimulated += len(parts)
 	e.tstats.StepsReplayed += st.EmuSteps
-	if opts.Slabs != nil {
-		e.tstats.GangRuns++
-	} else {
-		// Private streaming readers decoded every measured record plus
-		// each segment's warmup prefix (WarmupSteps counts committed
-		// instructions — a close proxy for records decoded during warmup).
-		decoded := st.EmuSteps
-		for _, r := range reports {
-			decoded += r.WarmupSteps
-		}
-		e.tstats.RecordsDecoded += decoded
-	}
+	e.tstats.RecordsDecoded += decoded
 	e.traceMu.Unlock()
 	return st, nil
 }

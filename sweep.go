@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/runcache"
-	"repro/internal/trace"
 )
 
 // RunMetrics records the observability data for one simulation run (or
@@ -43,10 +42,6 @@ type RunMetrics struct {
 	// pre-captured trace from the engine's trace pool instead of lockstep
 	// functional execution (false for cached results).
 	Replayed bool `json:"replayed,omitempty"`
-	// Ganged reports that the replay read shared decoded slabs (gang
-	// replay) instead of streaming a private reader. The statistics are
-	// byte-identical either way; only the host cost differs.
-	Ganged bool `json:"ganged,omitempty"`
 	// CaptureSeconds is the time this run spent performing its workload's
 	// one-time trace capture — reported only by the run that owned the
 	// capture, so summing it across a sweep counts each capture once.
@@ -55,8 +50,8 @@ type RunMetrics struct {
 	// simulation cost.
 	CaptureSeconds float64 `json:"capture_seconds,omitempty"`
 	// CaptureWaitSeconds is time spent blocked on a capture owned (and
-	// reported) by another run — the other gang members' view of the same
-	// capture. Also excluded from WallSeconds.
+	// reported) by another run of the same workload. Also excluded from
+	// WallSeconds.
 	CaptureWaitSeconds float64 `json:"capture_wait_seconds,omitempty"`
 	// Segments describes the segment-parallel plan this run used, when
 	// one was active (nil for monolithic and cached results).
@@ -100,13 +95,6 @@ type Engine struct {
 	segSample   int
 	segAdaptive bool
 	segPhases   int
-
-	// Gang replay (tracepool.go): concurrent replay runs of one workload
-	// share decoded chunk slabs through one engine-global cache, created
-	// lazily at the first gang run. Guarded by traceMu.
-	noGang     bool
-	slabBudget int64
-	slabs      *trace.SlabCache
 }
 
 // NewEngine returns an Engine with an empty in-memory run cache.
@@ -226,7 +214,6 @@ func (e *Engine) runOne(cfg Config, workload string) (Stats, RunMetrics, error) 
 		HostWallSeconds: st.HostWallSeconds,
 
 		Replayed:           attr.replayed,
-		Ganged:             attr.ganged,
 		CaptureSeconds:     attr.captureSeconds,
 		CaptureWaitSeconds: attr.captureWait,
 		Segments:           attr.segments,
@@ -292,12 +279,11 @@ func (e *Engine) RunMatrix(cfgs []Config, workloads []string) ([][]Stats, error)
 			}
 		}()
 	}
-	// Dispatch workload-major: one workload's configurations fly together
-	// as a gang, sharing the workload's decoded slabs (and its capture)
-	// while they are resident, instead of touching each workload once per
-	// configuration. Error precedence stays row-major (configs outer) via
-	// the recorded index, so the reported failure is independent of
-	// dispatch order.
+	// Dispatch workload-major: one workload's configurations run
+	// together, so concurrent runs wait on the workload's single capture
+	// instead of touching each workload once per configuration. Error
+	// precedence stays row-major (configs outer) via the recorded index,
+	// so the reported failure is independent of dispatch order.
 dispatch:
 	for wi := range workloads {
 		for ci := range cfgs {

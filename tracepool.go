@@ -73,35 +73,28 @@ type TraceStats struct {
 	// O(readers) chunk buffers resident. Snapshot at query time.
 	TraceDiskBytes     int64 `json:"trace_disk_bytes"`
 	TraceResidentBytes int64 `json:"trace_resident_bytes"`
-	// Gang replay (slab sharing) counters. GangRuns counts replay runs
-	// driven from shared decoded slabs; SlabDecodes/SlabHits split slab
-	// acquisitions by whether the chunk had to be decoded or was already
-	// resident — their ratio is the decode sharing a sweep achieved.
-	// SlabEvictions and SlabPeakBytes describe the cache's budget
-	// behaviour. RecordsDecoded totals dynamic records decoded from
-	// packed streams across both drive modes (per-run private decoding
-	// under streaming replay, once per chunk under gang replay); the
-	// per-config baseline decodes ~#configs × trace length, so gang
-	// replay's ≥5× reduction shows up directly here.
-	GangRuns       int    `json:"gang_runs,omitempty"`
-	SlabDecodes    int    `json:"slab_decodes,omitempty"`
-	SlabHits       int    `json:"slab_hits,omitempty"`
-	SlabEvictions  int    `json:"slab_evictions,omitempty"`
-	SlabPeakBytes  int64  `json:"slab_peak_bytes,omitempty"`
+	// RecordsDecoded totals the records every replay run's private trace
+	// reader decoded, segment warmup prefixes included, so it is at least
+	// StepsReplayed.
 	RecordsDecoded uint64 `json:"records_decoded,omitempty"`
+	// SlabDecodes and SlabHits are always zero. They counted the shared
+	// decoded-chunk cache that replay no longer has; they remain because
+	// the benchmark harness in cebench/ reads them by name.
+	SlabDecodes int `json:"slab_decodes,omitempty"`
+	SlabHits    int `json:"slab_hits,omitempty"`
 }
 
 // Check reports the first violated counting invariant: each event is
 // counted once, so no counter can exceed the events it is a subset of.
-// A corrupt trace is dropped at most once per load or capture, and a
-// ganged run is a replay run.
+// A corrupt trace is dropped at most once per load or capture, and
+// every replayed record was decoded.
 func (ts TraceStats) Check() error {
 	switch {
 	case ts.CorruptDropped > ts.Captures+ts.DiskHits:
 		return fmt.Errorf("trace stats: %d corrupt traces dropped, only %d captured + %d loaded",
 			ts.CorruptDropped, ts.Captures, ts.DiskHits)
-	case ts.GangRuns > ts.ReplayRuns:
-		return fmt.Errorf("trace stats: %d gang runs exceed %d replay runs", ts.GangRuns, ts.ReplayRuns)
+	case ts.RecordsDecoded < ts.StepsReplayed:
+		return fmt.Errorf("trace stats: %d records decoded, fewer than %d replayed", ts.RecordsDecoded, ts.StepsReplayed)
 	case ts.SegmentRuns > ts.ReplayRuns:
 		return fmt.Errorf("trace stats: %d segment runs exceed %d replay runs", ts.SegmentRuns, ts.ReplayRuns)
 	case ts.LeaseWaits > ts.DiskHits:
@@ -184,8 +177,7 @@ func (e *Engine) TraceReplay() bool {
 }
 
 // TraceStats returns a snapshot of the engine's trace-pool counters,
-// including the pooled traces' current disk/resident byte split and the
-// slab cache's sharing counters.
+// including the pooled traces' current disk/resident byte split.
 func (e *Engine) TraceStats() TraceStats {
 	e.traceMu.Lock()
 	defer e.traceMu.Unlock()
@@ -201,73 +193,7 @@ func (e *Engine) TraceStats() TraceStats {
 		default:
 		}
 	}
-	if e.slabs != nil {
-		ss := e.slabs.Stats()
-		ts.SlabDecodes = ss.Decodes
-		ts.SlabHits = ss.Hits
-		ts.SlabEvictions = ss.Evictions
-		ts.SlabPeakBytes = ss.PeakBytes
-		ts.RecordsDecoded += ss.DecodedRecords
-	}
 	return ts
-}
-
-// defaultSlabBudget bounds the decoded-slab cache when SetSlabBudget was
-// never called: 256 MiB holds ~11M decoded records — tens of chunks —
-// which comfortably fits every paper workload's full decoded stream
-// while staying far under typical sweep-host memory.
-const defaultSlabBudget int64 = 256 << 20
-
-// SetGangReplay toggles gang replay (default on): concurrent replay
-// simulations of one workload share each trace chunk decoded once into
-// an immutable slab, instead of each re-decoding the packed stream. The
-// results are byte-identical either way — only host cost changes — so
-// gang and per-config runs share run-cache keys.
-func (e *Engine) SetGangReplay(on bool) {
-	e.traceMu.Lock()
-	e.noGang = !on
-	e.traceMu.Unlock()
-}
-
-// GangReplay reports whether gang replay is enabled.
-func (e *Engine) GangReplay() bool {
-	e.traceMu.Lock()
-	defer e.traceMu.Unlock()
-	return !e.noGang
-}
-
-// SetSlabBudget bounds the decoded-slab cache to at most budget bytes of
-// resident decoded records (<= 0 restores the default). Call before
-// running: the budget is fixed when the first gang run creates the
-// cache. Traces whose full decoded stream exceeds the budget are not
-// ganged at all — they stream through private Readers, since a cache
-// that must evict a workload's slabs faster than its gang shares them
-// is strictly worse than streaming.
-func (e *Engine) SetSlabBudget(budget int64) {
-	e.traceMu.Lock()
-	e.slabBudget = budget
-	e.traceMu.Unlock()
-}
-
-// slabCacheFor returns the engine's shared slab cache if gang replay
-// should drive simulations of tr, or nil to use streaming replay.
-func (e *Engine) slabCacheFor(tr *trace.Trace) *trace.SlabCache {
-	e.traceMu.Lock()
-	defer e.traceMu.Unlock()
-	if e.noGang || e.noReplay {
-		return nil
-	}
-	budget := e.slabBudget
-	if budget <= 0 {
-		budget = defaultSlabBudget
-	}
-	if tr.DecodedBytes() > budget {
-		return nil
-	}
-	if e.slabs == nil {
-		e.slabs = trace.NewSlabCache(budget)
-	}
-	return e.slabs
 }
 
 // warnOnce writes one diagnostic line to stderr per key for the
@@ -296,11 +222,11 @@ func (e *Engine) traceFor(workload string) (*trace.Trace, error) {
 
 // traceForOwned is traceFor plus ownership: owned is true for the one
 // caller that performed the capture (or disk load), false for callers
-// that merely waited on it. Attribution needs the distinction — in a
-// gang every member blocks on the same capture, but the cost must be
-// charged to exactly one run (the others report it as wait time), or a
-// sweep's summed CaptureSeconds would count one capture once per gang
-// member.
+// that merely waited on it. Attribution needs the distinction — every
+// concurrent run of one workload blocks on the same capture, but the
+// cost must be charged to exactly one run (the others report it as wait
+// time), or a sweep's summed CaptureSeconds would count one capture once
+// per waiting run.
 func (e *Engine) traceForOwned(workload string) (tr *trace.Trace, owned bool, err error) {
 	e.traceMu.Lock()
 	for {
@@ -444,9 +370,6 @@ type simAttribution struct {
 	// CaptureSeconds across a sweep's runs counts each capture once.
 	captureWait float64
 	replayed    bool
-	// ganged reports that the run read shared decoded slabs instead of
-	// streaming its own private Reader.
-	ganged bool
 	// segments is non-nil when the run was conducted segment-parallel.
 	segments *SegmentMetrics
 }
@@ -522,46 +445,15 @@ func (e *Engine) runReplay(cfg Config, workload string, attr *simAttribution) (S
 			attr.replayed = true
 			return st, true, nil
 		}
-		// Monolithic replay: gang-driven from shared decoded slabs when
-		// the cache admits the trace, a private streaming Reader otherwise.
-		var (
-			sim *pipeline.Simulator
-			cur *trace.SlabCursor
-		)
-		if sc := e.slabCacheFor(tr); sc != nil {
-			c, cerr := trace.NewSlabCursor(sc, tr)
-			if cerr == nil {
-				sim, cerr = pipeline.NewSlabReplay(cfg, c)
-				if cerr == nil {
-					cur = c
-				} else {
-					c.Release()
-				}
-			}
-			if cerr != nil {
-				if retry(cerr) {
-					continue
-				}
-				// Non-corrupt construction failure (e.g. the config cannot
-				// replay): the streaming path below reproduces and properly
-				// attributes it.
-				sim = nil
-			}
-		}
-		ganged := sim != nil
-		if sim == nil {
-			sim, err = pipeline.NewReplay(cfg, trace.NewReader(tr))
-			if err != nil {
-				e.noteCaptureFailure(workload, err)
-				return Stats{}, false, nil
-			}
+		// Monolithic replay from a private streaming Reader.
+		rd := trace.NewReader(tr)
+		sim, err := pipeline.NewReplay(cfg, rd)
+		if err != nil {
+			e.noteCaptureFailure(workload, err)
+			return Stats{}, false, nil
 		}
 		st, err := sim.Run(maxCycles)
-		if cur != nil {
-			// The cursor self-releases at the trace's end; this covers runs
-			// that stop early (errors, cycle limits) still pinning a slab.
-			cur.Release()
-		}
+		rd.Release()
 		if err != nil {
 			if retry(err) {
 				continue
@@ -569,18 +461,10 @@ func (e *Engine) runReplay(cfg Config, workload string, attr *simAttribution) (S
 			return st, false, err
 		}
 		attr.replayed = true
-		attr.ganged = ganged
 		e.traceMu.Lock()
 		e.tstats.ReplayRuns++
 		e.tstats.StepsReplayed += st.EmuSteps
-		if ganged {
-			e.tstats.GangRuns++
-		} else {
-			// A private streaming Reader decoded every record this run
-			// consumed; ganged runs' decodes are counted once per chunk by
-			// the slab cache and merged in TraceStats().
-			e.tstats.RecordsDecoded += st.EmuSteps
-		}
+		e.tstats.RecordsDecoded += rd.Decoded()
 		e.traceMu.Unlock()
 		return st, true, nil
 	}
@@ -619,7 +503,6 @@ func (e *Engine) dropCorrupt(workload string, tr *trace.Trace) {
 			// An in-flight recapture already owns the slot; leave it.
 		}
 	}
-	sc := e.slabs
 	e.traceMu.Unlock()
 	if hold != nil {
 		tr.Invalidate()
@@ -629,11 +512,6 @@ func (e *Engine) dropCorrupt(workload string, tr *trace.Trace) {
 		}
 		e.traceMu.Unlock()
 		close(hold.done)
-	}
-	if sc != nil {
-		// Slabs decoded from the bad trace are dead weight; free their
-		// budget now rather than waiting for LRU pressure.
-		sc.DropTrace(tr)
 	}
 	e.warnOnce("corrupt:"+workload, "trace %s: chunk checksum failed mid-replay; dropping the trace and recapturing", workload)
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/pipeline"
 	"repro/internal/prog"
 	"repro/internal/trace"
 )
@@ -226,25 +227,33 @@ func TestEngineCaptureFailureCounted(t *testing.T) {
 // a trace whose on-disk chunk is flipped after capture fails its lazy
 // checksum at the next load, is dropped and invalidated, and the run
 // transparently recaptures and retries — correct results, one
-// CorruptDropped count, two Captures. The segmented variant routes the
+// CorruptDropped count, one recapture. The segmented variants route the
 // replay through parallel segment workers, so the corrupt chunk is
 // observed (and the retry coordinated) across concurrent readers —
-// which the race detector checks for tearing.
+// which the race detector checks for tearing. The load variant has a
+// fresh engine load the already rotten file from disk: the load
+// succeeds (chunks are verified lazily), so the first segment worker
+// to read the bad chunk trips the checksum instead.
 func TestEngineCorruptTraceRecaptured(t *testing.T) {
-	t.Run("monolithic", func(t *testing.T) { testCorruptTraceRecaptured(t, 0) })
-	t.Run("segmented", func(t *testing.T) { testCorruptTraceRecaptured(t, 4) })
+	for _, tc := range []struct {
+		name     string
+		segments int
+		reload   bool
+	}{
+		{"monolithic", 0, false},
+		{"segmented", 4, false},
+		{"segmented-load", 4, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testCorruptTraceRecaptured(t, tc.segments, tc.reload) })
+	}
 }
 
-func testCorruptTraceRecaptured(t *testing.T, segments int) {
+func testCorruptTraceRecaptured(t *testing.T, segments int, reload bool) {
 	eng := NewEngine()
 	eng.SetSegments(segments)
 	// Streaming replay re-reads (and re-verifies) chunks from disk on
 	// every run, so it observes the corruption this test injects after
-	// the first run. Gang replay would legitimately mask it: the chunk
-	// was verified at its one decode and the resident slab stays good —
-	// TestEngineGangCorruptTraceRecaptured covers the gang recovery path
-	// with a cold cache instead.
-	eng.SetGangReplay(false)
+	// the first run.
 	dir := t.TempDir()
 	if err := eng.SetTraceDir(dir); err != nil {
 		t.Fatal(err)
@@ -272,6 +281,15 @@ func testCorruptTraceRecaptured(t *testing.T, segments int) {
 		t.Fatal(err)
 	}
 	f.Close()
+	wantCaptures, wantDiskHits := 2, 0
+	if reload {
+		eng = NewEngine()
+		eng.SetSegments(segments)
+		if err := eng.SetTraceDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		wantCaptures, wantDiskHits = 1, 1
+	}
 
 	// A different configuration misses the run cache and replays the now
 	// rotten trace; the engine must drop it, recapture, and succeed.
@@ -292,8 +310,8 @@ func testCorruptTraceRecaptured(t *testing.T, segments int) {
 	if ts.CorruptDropped != 1 {
 		t.Errorf("CorruptDropped = %d, want 1 (%+v)", ts.CorruptDropped, ts)
 	}
-	if ts.Captures != 2 {
-		t.Errorf("Captures = %d, want 2 (original + recapture)", ts.Captures)
+	if ts.Captures != wantCaptures || ts.DiskHits != wantDiskHits {
+		t.Errorf("Captures/DiskHits = %d/%d, want %d/%d", ts.Captures, ts.DiskHits, wantCaptures, wantDiskHits)
 	}
 	if ts.CaptureFailures != 0 {
 		t.Errorf("corruption miscounted as capture failure: %+v", ts)
@@ -314,77 +332,12 @@ func testCorruptTraceRecaptured(t *testing.T, segments int) {
 	}
 }
 
-// TestEngineGangCorruptTraceRecaptured pins corrupt-chunk recovery on
-// the gang path: a trace whose on-disk bytes rot before any slab is
-// decoded fails its checksum during the gang's single decode, is
-// dropped and invalidated, and the run recaptures and retries — same
-// contract as streaming replay, detected once per chunk instead of once
-// per config.
-func TestEngineGangCorruptTraceRecaptured(t *testing.T) {
-	for _, segments := range []int{0, 4} {
-		seed := NewEngine()
-		dir := t.TempDir()
-		if err := seed.SetTraceDir(dir); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := seed.RunMatrix([]Config{BaselineConfig()}, []string{"micro.branchy"}); err != nil {
-			t.Fatal(err)
-		}
-		w, err := prog.ByName("micro.branchy")
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := w.Program()
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := os.OpenFile(trace.DiskPath(dir, p), os.O_RDWR, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.WriteAt([]byte{0xFF}, 40+64); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-
-		// A fresh engine loads the rotten file lazily; the gang's first
-		// slab decode trips the checksum.
-		eng := NewEngine()
-		eng.SetSegments(segments)
-		if err := eng.SetTraceDir(dir); err != nil {
-			t.Fatal(err)
-		}
-		lock := NewEngine()
-		lock.SetTraceReplay(false)
-		want, err := lock.RunMatrix([]Config{BaselineConfig()}, []string{"micro.branchy"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := eng.RunMatrix([]Config{BaselineConfig()}, []string{"micro.branchy"})
-		if err != nil {
-			t.Fatalf("segments=%d: %v", segments, err)
-		}
-		if got[0][0].Cycles != want[0][0].Cycles {
-			t.Errorf("segments=%d: recaptured gang run diverges: %d cycles vs %d", segments, got[0][0].Cycles, want[0][0].Cycles)
-		}
-		ts := eng.TraceStats()
-		if ts.CorruptDropped != 1 || ts.DiskHits != 1 || ts.Captures != 1 {
-			t.Errorf("segments=%d: recovery accounting: CorruptDropped=%d DiskHits=%d Captures=%d, want 1/1/1",
-				segments, ts.CorruptDropped, ts.DiskHits, ts.Captures)
-		}
-		if ts.GangRuns != 1 {
-			t.Errorf("segments=%d: GangRuns = %d, want 1", segments, ts.GangRuns)
-		}
-		if err := ts.Check(); err != nil {
-			t.Errorf("segments=%d: %v", segments, err)
-		}
-	}
-}
-
 // TestEngineCorruptTraceCountedOnce: two configs replaying one trace
 // both trip over its corrupt chunk, but the pool drops (and counts) the
 // trace once — the second run finds the entry already evicted or
-// recaptured. Run under -race it also checks the concurrent drop path.
+// recaptured. Segmented replay has both configs' workers reading the
+// bad chunk at once; run under -race it also checks the concurrent drop
+// path.
 func TestEngineCorruptTraceCountedOnce(t *testing.T) {
 	const workload = "micro.branchy"
 	cfgs := []Config{BaselineConfig(), DependenceConfig()}
@@ -402,59 +355,52 @@ func TestEngineCorruptTraceCountedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Gang replay decodes the bad chunk once for both configs; segmented
-	// streaming replay has both configs' workers reading it at once.
-	for _, mode := range []struct {
-		gang     bool
-		segments int
-	}{{true, 0}, {false, 8}} {
-		dir := t.TempDir()
-		seed := NewEngine()
-		if err := seed.SetTraceDir(dir); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := seed.RunMatrix([]Config{FourWayConfig()}, []string{workload}); err != nil {
-			t.Fatal(err)
-		}
-		f, err := os.OpenFile(trace.DiskPath(dir, p), os.O_RDWR, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.WriteAt([]byte{0xFF}, 40+64); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
+	dir := t.TempDir()
+	seed := NewEngine()
+	if err := seed.SetTraceDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := seed.RunMatrix([]Config{FourWayConfig()}, []string{workload}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(trace.DiskPath(dir, p), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{0xFF}, 40+64); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
 
-		eng := NewEngine()
-		eng.SetGangReplay(mode.gang)
-		eng.SetSegments(mode.segments)
-		if err := eng.SetTraceDir(dir); err != nil {
-			t.Fatal(err)
+	eng := NewEngine()
+	eng.SetSegments(8)
+	if err := eng.SetTraceDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	got, err := eng.RunMatrix(cfgs, []string{workload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range cfgs {
+		if got[i][0].Cycles != want[i][0].Cycles {
+			t.Errorf("%s: %d cycles after recapture, want %d",
+				cfgs[i].Name, got[i][0].Cycles, want[i][0].Cycles)
 		}
-		got, err := eng.RunMatrix(cfgs, []string{workload})
-		if err != nil {
-			t.Fatalf("%+v: %v", mode, err)
-		}
-		for i := range cfgs {
-			if got[i][0].Cycles != want[i][0].Cycles {
-				t.Errorf("%+v %s: %d cycles after recapture, want %d",
-					mode, cfgs[i].Name, got[i][0].Cycles, want[i][0].Cycles)
-			}
-		}
-		ts := eng.TraceStats()
-		if ts.CorruptDropped != 1 {
-			t.Errorf("%+v: CorruptDropped = %d, want 1 (%+v)", mode, ts.CorruptDropped, ts)
-		}
-		if err := ts.Check(); err != nil {
-			t.Errorf("%+v: %v", mode, err)
-		}
+	}
+	ts := eng.TraceStats()
+	if ts.CorruptDropped != 1 {
+		t.Errorf("CorruptDropped = %d, want 1 (%+v)", ts.CorruptDropped, ts)
+	}
+	if err := ts.Check(); err != nil {
+		t.Error(err)
 	}
 }
 
 // TestTraceStatsCheck pins the invariant table itself: a clean snapshot
 // passes and each over-count is named.
 func TestTraceStatsCheck(t *testing.T) {
-	ok := TraceStats{Captures: 1, DiskHits: 6, CorruptDropped: 1, ReplayRuns: 14, GangRuns: 14, SegmentRuns: 2, LeaseWaits: 1}
+	ok := TraceStats{Captures: 1, DiskHits: 6, CorruptDropped: 1, ReplayRuns: 14, SegmentRuns: 2, LeaseWaits: 1,
+		StepsReplayed: 1000, RecordsDecoded: 1200}
 	if err := ok.Check(); err != nil {
 		t.Fatalf("consistent stats rejected: %v", err)
 	}
@@ -464,7 +410,7 @@ func TestTraceStatsCheck(t *testing.T) {
 		want string
 	}{
 		{"corrupt", func(ts *TraceStats) { ts.CorruptDropped = 8 }, "corrupt"},
-		{"gang", func(ts *TraceStats) { ts.GangRuns = 15 }, "gang"},
+		{"decoded", func(ts *TraceStats) { ts.RecordsDecoded = 999 }, "decoded"},
 		{"segment", func(ts *TraceStats) { ts.SegmentRuns = 15 }, "segment"},
 		{"lease", func(ts *TraceStats) { ts.LeaseWaits = 7 }, "lease"},
 	} {
@@ -476,79 +422,13 @@ func TestTraceStatsCheck(t *testing.T) {
 	}
 }
 
-// TestEngineGangEquivalence pins the gang-replay contract at the engine
-// level: a matrix run with gang replay (the default) and one with it
-// disabled produce identical simulation results, the ganged engine
-// counts its runs and slab sharing, and the decoded-record total drops
-// below the per-config baseline's (#configs × trace length).
-func TestEngineGangEquivalence(t *testing.T) {
-	cfgs := []Config{BaselineConfig(), DependenceConfig(), FourWayConfig()}
-	workloads := []string{"compress", "micro.branchy"}
-
-	gangEng := NewEngine()
-	streamEng := NewEngine()
-	streamEng.SetGangReplay(false)
-
-	got, err := gangEng.RunMatrix(cfgs, workloads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := streamEng.RunMatrix(cfgs, workloads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cfgs {
-		for j := range workloads {
-			a, b := got[i][j], want[i][j]
-			if a.IssuedPerCycle.Total() != b.IssuedPerCycle.Total() ||
-				a.IssuedPerCycle.Mean() != b.IssuedPerCycle.Mean() {
-				t.Errorf("%s/%s: issue histograms diverge", cfgs[i].Name, workloads[j])
-			}
-			a.HostAllocs, b.HostAllocs = 0, 0
-			a.HostWallSeconds, b.HostWallSeconds = 0, 0
-			a.IssuedPerCycle, b.IssuedPerCycle = nil, nil
-			if a != b {
-				t.Errorf("%s/%s: ganged stats diverge from streaming replay:\n  %+v\n  %+v",
-					cfgs[i].Name, workloads[j], a, b)
-			}
-		}
-	}
-
-	gts := gangEng.TraceStats()
-	if gts.GangRuns != len(cfgs)*len(workloads) {
-		t.Errorf("GangRuns = %d, want %d", gts.GangRuns, len(cfgs)*len(workloads))
-	}
-	if gts.SlabDecodes == 0 {
-		t.Error("ganged sweep decoded no slabs")
-	}
-	if gts.SlabHits == 0 {
-		t.Error("ganged sweep shared no slabs (every acquisition decoded)")
-	}
-	sts := streamEng.TraceStats()
-	if sts.GangRuns != 0 || sts.SlabDecodes != 0 {
-		t.Errorf("gang-disabled engine touched the slab cache: %+v", sts)
-	}
-	if gts.RecordsDecoded == 0 || sts.RecordsDecoded == 0 {
-		t.Fatalf("decoded-record accounting is dark: gang %d, stream %d", gts.RecordsDecoded, sts.RecordsDecoded)
-	}
-	if gts.RecordsDecoded*uint64(len(cfgs)) > sts.RecordsDecoded {
-		t.Errorf("gang decoded %d records vs %d streamed — expected at least a %d× reduction",
-			gts.RecordsDecoded, sts.RecordsDecoded, len(cfgs))
-	}
-	for _, m := range gangEng.Metrics() {
-		if !m.Cached && !m.Ganged {
-			t.Errorf("%s/%s: fresh run not marked ganged", m.Config, m.Workload)
-		}
-	}
-}
-
-// TestEngineGangSingleCapture pins the capture-attribution fix: when a
-// gang of configurations races over one uncaptured workload, the
+// TestEngineSingleCaptureAttribution pins the capture-attribution fix:
+// when several configurations race over one uncaptured workload, the
 // capture happens once and is charged to exactly one run's
-// CaptureSeconds; the other gang members report only wait time
+// CaptureSeconds; the other runs report only wait time
 // (CaptureWaitSeconds), so summing CaptureSeconds across the sweep
-// counts each capture once instead of once per gang member.
-func TestEngineGangSingleCapture(t *testing.T) {
+// counts each capture once instead of once per waiting run.
+func TestEngineSingleCaptureAttribution(t *testing.T) {
 	eng := NewEngine()
 	cfgs := []Config{BaselineConfig(), DependenceConfig()}
 	if _, err := eng.RunMatrix(cfgs, []string{"micro.branchy"}); err != nil {
@@ -575,39 +455,49 @@ func TestEngineGangSingleCapture(t *testing.T) {
 	}
 }
 
-// TestEngineGangSegmented checks the two-axis gang end to end: a
-// segment-parallel exact run with slabs stitches bit-identical to the
-// monolithic gang run (they share a run-cache key, so use separate
-// engines) and is accounted as both a segment run and a gang run.
-func TestEngineGangSegmented(t *testing.T) {
-	segEng := NewEngine()
-	segEng.SetSegments(4)
-	monoEng := NewEngine()
-	cfgs := []Config{BaselineConfig()}
-	workloads := []string{"compress"}
-	seg, err := segEng.RunMatrix(cfgs, workloads)
+// TestEngineRecordsDecodedExact pins the decode counter: a monolithic
+// replay decodes exactly the records it replays, and a fixed-warmup
+// segmented run counts each segment reader's own decodes, warmup prefix
+// included.
+func TestEngineRecordsDecodedExact(t *testing.T) {
+	cfg := BaselineConfig()
+	const workload = "micro.branchy"
+	mono := NewEngine()
+	if _, err := mono.RunMatrix([]Config{cfg, DependenceConfig()}, []string{workload}); err != nil {
+		t.Fatal(err)
+	}
+	ts := mono.TraceStats()
+	if ts.StepsReplayed == 0 || ts.RecordsDecoded != ts.StepsReplayed {
+		t.Errorf("monolithic: %d records decoded, want exactly the %d replayed", ts.RecordsDecoded, ts.StepsReplayed)
+	}
+
+	const warmup = 4096
+	seg := NewEngine()
+	seg.SetSegments(4)
+	seg.SetSegmentWarmup(warmup)
+	if _, err := seg.RunMatrix([]Config{cfg}, []string{workload}); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := seg.traceFor(workload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mono, err := monoEng.RunMatrix(cfgs, workloads)
-	if err != nil {
-		t.Fatal(err)
+	var want uint64
+	for _, s := range tr.Segments(4) {
+		_, rep, err := pipeline.RunSegmentOpts(cfg, tr, s, pipeline.SegmentOpts{Warmup: warmup}, maxCycles)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += rep.RecordsDecoded
 	}
-	a, b := seg[0][0], mono[0][0]
-	if a.IssuedPerCycle.Total() != b.IssuedPerCycle.Total() {
-		t.Error("issue histograms diverge between segmented and monolithic gang runs")
+	ts = seg.TraceStats()
+	if ts.RecordsDecoded != want {
+		t.Errorf("segmented: %d records decoded, want the segment readers' %d", ts.RecordsDecoded, want)
 	}
-	a.HostAllocs, b.HostAllocs = 0, 0
-	a.HostWallSeconds, b.HostWallSeconds = 0, 0
-	a.IssuedPerCycle, b.IssuedPerCycle = nil, nil
-	if a != b {
-		t.Errorf("segmented gang stats diverge from monolithic:\n  %+v\n  %+v", a, b)
+	if ts.RecordsDecoded <= ts.StepsReplayed {
+		t.Errorf("segmented: %d records decoded, want more than the %d measured (warmup prefixes)", ts.RecordsDecoded, ts.StepsReplayed)
 	}
-	ts := segEng.TraceStats()
-	if ts.SegmentRuns != 1 || ts.GangRuns != 1 {
-		t.Errorf("segmented gang accounting: SegmentRuns=%d GangRuns=%d, want 1/1", ts.SegmentRuns, ts.GangRuns)
-	}
-	if ts.SlabHits == 0 {
-		t.Error("segment workers shared no slabs")
+	if err := ts.Check(); err != nil {
+		t.Error(err)
 	}
 }
