@@ -1,15 +1,12 @@
-// Command celint runs the simulator's custom static analyzers (detlint,
-// keylint, hotlint) over Go packages.
-//
-// Standalone:
-//
-//	go run ./cmd/celint ./...
-//
-// As a vet tool (integrates with the build cache and go test's vet
-// phase):
+// Command celint runs the simulator's custom static analyzers (dirlint,
+// detlint, keylint, hotlint, locklint, errlint) as a go vet tool:
 //
 //	go build -o /tmp/celint ./cmd/celint
 //	go vet -vettool=/tmp/celint ./...
+//
+// cmd/go orders the packages, caches the results and carries analyzer
+// facts between packages. Run on its own, celint prints a usage line and
+// exits 2.
 package main
 
 import (

@@ -27,8 +27,8 @@ type Fact interface {
 // object. For functions and methods it is types.Func.FullName — e.g.
 // "repro/internal/trace.ReadFile" or "(*repro/internal/trace.Reader).Step" —
 // which is identical whether the object was type-checked from source
-// (standalone driver, analysistest) or reconstructed from gc export data
-// (vettool driver), making it safe to persist in vetx files.
+// (the vettool's own unit, analysistest) or reconstructed from gc export
+// data (the unit's imports), making it safe to persist in vetx files.
 func ObjectKey(obj types.Object) string {
 	if f, ok := obj.(*types.Func); ok {
 		return f.FullName()
@@ -49,28 +49,18 @@ type factKey struct {
 }
 
 // FactSet is the driver-side store of facts for one analysis run. The
-// standalone driver keeps one FactSet for the whole module and threads it
-// bottom-up through the package DAG; the vettool driver decodes one from
-// the dependency vetx files of each compilation unit.
-//
-// A FactSet may be layered: exports go to the top layer while imports
-// fall back through parents, which lets a driver serialize exactly the
-// facts one package pass produced (see NewLayer/Encode).
+// vettool driver decodes one from the vetx files of a compilation unit's
+// direct imports, runs the unit's passes into it, and encodes the whole
+// set as the unit's own vetx file: each vetx file thus carries the
+// transitive fact closure of its unit, so facts about a package reached
+// only through another import still arrive.
 type FactSet struct {
-	parent *FactSet
-	facts  map[factKey]Fact
+	facts map[factKey]Fact
 }
 
 // NewFactSet returns an empty fact store.
 func NewFactSet() *FactSet {
 	return &FactSet{facts: make(map[factKey]Fact)}
-}
-
-// NewLayer returns a FactSet whose exports are kept separate from s but
-// whose imports consult s on a miss. Encode on the layer serializes only
-// the layer's own facts.
-func (s *FactSet) NewLayer() *FactSet {
-	return &FactSet{parent: s, facts: make(map[factKey]Fact)}
 }
 
 // ExportObjectFact stores fact for obj under the given analyzer's
@@ -88,18 +78,12 @@ func (s *FactSet) ImportObjectFact(analyzer string, obj types.Object, fact Fact)
 	if err := validateFactType(fact); err != nil {
 		panic(fmt.Sprintf("analysis: ImportObjectFact(%s): %v", analyzer, err))
 	}
-	key := factKey{analyzer, ObjectKey(obj), factTypeName(fact)}
-	for set := s; set != nil; set = set.parent {
-		if stored, ok := set.facts[key]; ok {
-			reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(stored).Elem())
-			return true
-		}
+	stored, ok := s.facts[factKey{analyzer, ObjectKey(obj), factTypeName(fact)}]
+	if ok {
+		reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(stored).Elem())
 	}
-	return false
+	return ok
 }
-
-// Len returns the number of facts stored in this set (excluding parents).
-func (s *FactSet) Len() int { return len(s.facts) }
 
 // gobFact is the serialized form of one fact. The concrete Fact type
 // travels through the gob interface mechanism, so every fact type must be
@@ -110,9 +94,9 @@ type gobFact struct {
 	Fact     Fact
 }
 
-// Encode serializes this set's own facts (not parents') into a
-// deterministic byte stream: facts are sorted by analyzer, object and
-// type, so identical analyses produce identical vetx bytes.
+// Encode serializes every fact in the set into a deterministic byte
+// stream: facts are sorted by analyzer, object and type, so identical
+// analyses produce identical vetx bytes.
 func (s *FactSet) Encode() ([]byte, error) {
 	out := make([]gobFact, 0, len(s.facts))
 	for k, f := range s.facts {

@@ -53,47 +53,40 @@ func Helper() {}
 	}
 
 	s := NewFactSet()
-	layer := s.NewLayer()
-	layer.ExportObjectFact("testlint", step, &testFact{Hits: 3, Trail: []string{"Step", "fill"}})
-	layer.ExportObjectFact("testlint", helper, &testFact{Hits: 1})
+	s.ExportObjectFact("testlint", step, &testFact{Hits: 3, Trail: []string{"Step", "fill"}})
+	s.ExportObjectFact("testlint", helper, &testFact{Hits: 1})
 
-	// The layer sees its own facts; the parent does not until merged.
-	var got testFact
-	if !layer.ImportObjectFact("testlint", step, &got) || got.Hits != 3 {
-		t.Fatalf("layer import = %+v", got)
-	}
-	if s.ImportObjectFact("testlint", step, &got) {
-		t.Fatal("parent saw unmerged layer fact")
-	}
-
-	blob, err := layer.Encode()
+	blob, err := s.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Decode(blob); err != nil {
+	decoded := NewFactSet()
+	if err := decoded.Decode(blob); err != nil {
 		t.Fatal(err)
 	}
-	got = testFact{}
-	if !s.ImportObjectFact("testlint", step, &got) || got.Hits != 3 || len(got.Trail) != 2 {
+	var got testFact
+	if !decoded.ImportObjectFact("testlint", step, &got) || got.Hits != 3 || len(got.Trail) != 2 {
 		t.Fatalf("after decode: %+v", got)
 	}
-	// A fresh layer over the merged parent imports through the chain.
 	got = testFact{}
-	if !s.NewLayer().ImportObjectFact("testlint", helper, &got) || got.Hits != 1 {
-		t.Fatalf("layered import after merge: %+v", got)
+	if !decoded.ImportObjectFact("testlint", helper, &got) || got.Hits != 1 {
+		t.Fatalf("after decode: %+v", got)
 	}
 
-	// Encoding is deterministic regardless of map iteration order.
-	blob2, err := layer.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(blob, blob2) {
-		t.Fatal("fact encoding not deterministic")
+	// Encoding is deterministic regardless of map iteration order, and a
+	// decoded set re-encodes to the same bytes.
+	for _, set := range []*FactSet{s, decoded} {
+		again, err := set.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(blob, again) {
+			t.Fatal("fact encoding not deterministic")
+		}
 	}
 
-	// Wrong namespace and wrong object both miss.
-	if s.ImportObjectFact("otherlint", step, &testFact{}) {
+	// A fact does not leak across analyzer namespaces.
+	if decoded.ImportObjectFact("otherlint", step, &testFact{}) {
 		t.Fatal("fact leaked across analyzer namespace")
 	}
 }

@@ -43,12 +43,12 @@ func TestData(t *testing.T) string {
 // test failures. It returns the diagnostics per package for tests that
 // make extra assertions (e.g. on suggested fixes).
 //
-// When the analyzer declares FactTypes, Run mirrors the celint drivers'
-// bottom-up module analysis: before a listed package is analyzed, the
+// When the analyzer declares FactTypes, Run mirrors the celint vet
+// driver's bottom-up analysis: before a listed package is analyzed, the
 // analyzer first runs fact-only over the package's fixture dependencies
-// (recursively, in dependency order), and every pass's exported facts are
-// round-tripped through the gob encoder — so a fixture exercising
-// cross-package findings also proves the facts survive vetx
+// (recursively, in dependency order), and after every pass the whole
+// fact set is round-tripped through the gob encoder — so a fixture
+// exercising cross-package findings also proves the facts survive vetx
 // serialization. Want-comments in a dependency are only checked when the
 // dependency itself is listed in pkgPaths (list "base" before "top" to
 // check both sides of a propagation).
@@ -63,9 +63,8 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgPaths ...string) map
 	analyzed := make(map[string]bool)
 
 	// runPass applies the analyzer to one fixture package with the shared
-	// fact store, serializing the pass's fresh facts back into it.
+	// fact store, then replaces the store with its own gob round trip.
 	runPass := func(pkg *fixturePkg, report func(analysis.Diagnostic)) error {
-		layer := facts.NewLayer()
 		pass := &analysis.Pass{
 			Analyzer:  a,
 			Fset:      ld.fset,
@@ -76,19 +75,20 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgPaths ...string) map
 		}
 		if len(a.FactTypes) > 0 {
 			pass.ImportObjectFact = func(obj types.Object, f analysis.Fact) bool {
-				return layer.ImportObjectFact(a.Name, obj, f)
+				return facts.ImportObjectFact(a.Name, obj, f)
 			}
 			pass.ExportObjectFact = func(obj types.Object, f analysis.Fact) {
-				layer.ExportObjectFact(a.Name, obj, f)
+				facts.ExportObjectFact(a.Name, obj, f)
 			}
 		}
 		if _, err := a.Run(pass); err != nil {
 			return err
 		}
-		blob, err := layer.Encode()
+		blob, err := facts.Encode()
 		if err != nil {
 			return err
 		}
+		facts = analysis.NewFactSet()
 		return facts.Decode(blob)
 	}
 

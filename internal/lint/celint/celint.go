@@ -1,17 +1,12 @@
 // Package celint is the driver for the simulator's custom static
 // analyzers (dirlint, detlint, keylint, hotlint, locklint, errlint). It
-// runs in two modes:
+// runs only as a vet tool: `go vet -vettool=$(which celint) ./...`
+// speaks the cmd/go unitchecker protocol (-V=full, -flags, and one .cfg
+// file per compilation unit), so cmd/go orders the units, caches the
+// results and threads analyzer facts between them in vetx files.
 //
-//   - standalone: `celint ./...` loads packages through `go list -export`
-//     and analyzes each module package, test files included, walking the
-//     package DAG bottom-up so analyzer facts flow from dependencies to
-//     dependents;
-//   - vet tool: `go vet -vettool=$(which celint) ./...` speaks the cmd/go
-//     unitchecker protocol (-V=full, -flags, and per-package .cfg files),
-//     so findings integrate with the build cache and go test's vet phase.
-//     Facts ride in the vetx files cmd/go threads between vet actions.
-//
-// Exit status: 0 clean, 1 findings, 2 operational error.
+// Exit status: 0 clean, 1 findings, 2 operational error or a call that
+// is not from cmd/go.
 package celint
 
 import (
@@ -64,20 +59,20 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	if len(args) == 1 && len(args[0]) > 4 && args[0][len(args[0])-4:] == ".cfg" {
 		return vetMode(args[0], stderr)
 	}
-	patterns := args
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	return standalone(patterns, stdout, stderr)
+	fmt.Fprintln(stderr, usage)
+	return 2
 }
+
+// usage is printed for any invocation that is not a cmd/go vet call.
+const usage = "usage: go vet -vettool=$(command -v celint) [packages]"
 
 // diagText formats one diagnostic the way go vet does.
 func diagText(fset *token.FileSet, a *analysis.Analyzer, d analysis.Diagnostic) string {
 	return fmt.Sprintf("%s: %s: %s", fset.Position(d.Pos), a.Name, d.Message)
 }
 
-// runAnalyzers applies the suite to one loaded package, exporting facts
-// into (and importing them from) the given store, and returns the
+// runAnalyzers applies the suite to one type-checked unit, exporting
+// facts into (and importing them from) the given store, and returns the
 // formatted findings, sorted by position.
 func runAnalyzers(pkg *loadedPackage, facts *analysis.FactSet) ([]string, error) {
 	var out []string
@@ -109,46 +104,4 @@ func runAnalyzers(pkg *loadedPackage, facts *analysis.FactSet) ([]string, error)
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-func standalone(patterns []string, stdout, stderr io.Writer) int {
-	pkgs, err := loadPackages(patterns)
-	if err != nil {
-		fmt.Fprintln(stderr, "celint:", err)
-		return 2
-	}
-	// One fact store for the whole run, grown bottom-up: loadPackages
-	// returns the DAG in topological order, so by the time a package is
-	// analyzed every dependency's facts are present. Each package's own
-	// exports make a serialization round trip before joining the store —
-	// the standalone driver then exercises the exact gob path the vettool
-	// driver depends on, so an unserializable fact cannot lurk until the
-	// first `go vet` run.
-	moduleFacts := analysis.NewFactSet()
-	exit := 0
-	for _, pkg := range pkgs {
-		layer := moduleFacts.NewLayer()
-		findings, err := runAnalyzers(pkg, layer)
-		if err != nil {
-			fmt.Fprintln(stderr, "celint:", err)
-			return 2
-		}
-		encoded, err := layer.Encode()
-		if err != nil {
-			fmt.Fprintln(stderr, "celint:", err)
-			return 2
-		}
-		if err := moduleFacts.Decode(encoded); err != nil {
-			fmt.Fprintln(stderr, "celint:", err)
-			return 2
-		}
-		if pkg.factOnly {
-			continue // dependency outside the requested patterns
-		}
-		for _, f := range findings {
-			fmt.Fprintln(stdout, f)
-			exit = 1
-		}
-	}
-	return exit
 }

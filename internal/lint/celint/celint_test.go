@@ -2,7 +2,6 @@ package celint_test
 
 import (
 	"bytes"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -11,24 +10,13 @@ import (
 	"repro/internal/lint/celint"
 )
 
-// chdir switches to dir for the duration of the test.
-func chdir(t *testing.T, dir string) {
-	t.Helper()
-	old, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chdir(dir); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = os.Chdir(old) })
-}
-
-// seededWants are the substrings every driver mode must report for the
-// badmod fixture: the three intra-package classics plus the four
+// seededWants are the substrings go vet -vettool must report for the
+// badmod fixture: the three intra-package classics plus the five
 // cross-package violations that only analyzer facts can surface (hot →
 // allocating callee, deterministic → transitive clock read, lock held
-// across another package's file I/O, unclassified disk error).
+// across another package's file I/O — once through a direct import and
+// once through a package the root never imports — and an unclassified
+// disk error).
 var seededWants = []string{
 	"detlint", "map iteration order escapes",
 	"keylint", "Spec.Extra",
@@ -36,66 +24,16 @@ var seededWants = []string{
 	"call to dep.Grow allocates (Grow: make allocates)",
 	"call to dep.Stamp is transitively nondeterministic (Stamp: time.Now reads the host clock)",
 	"locklint", "mutex b.mu held across call to dep.Save (blocks: Save: call to os.WriteFile)",
+	"mutex b.mu held across call to inner.Flush (blocks: Flush: call to os.WriteFile)",
 	"errlint", "call to dep.Load may return an unclassified environment error (Load: os.ReadFile)",
 }
 
-// TestStandaloneFindsSeededViolations runs the multichecker in-process
-// over a module seeded with one violation per analyzer and checks the
-// exit code and that every analyzer reports by name.
-func TestStandaloneFindsSeededViolations(t *testing.T) {
-	chdir(t, filepath.Join("testdata", "badmod"))
-	var stdout, stderr bytes.Buffer
-	code := celint.Main([]string{"./..."}, &stdout, &stderr)
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1\nstderr:\n%s", code, stderr.String())
-	}
-	out := stdout.String()
-	for _, want := range seededWants {
-		if !strings.Contains(out, want) {
-			t.Errorf("diagnostics missing %q:\n%s", want, out)
-		}
-	}
-}
+// depFinding is the position prefix of dep's own seeded violation.
+var depFinding = filepath.Join("dep", "dep.go") + ":"
 
-// TestStandaloneFactOnlyDeps narrows the pattern to the root package:
-// dep is then loaded as a fact-only dependency — its facts must still
-// flow (the cross-package findings appear) while its own package
-// produces no output lines.
-func TestStandaloneFactOnlyDeps(t *testing.T) {
-	chdir(t, filepath.Join("testdata", "badmod"))
-	var stdout, stderr bytes.Buffer
-	code := celint.Main([]string{"."}, &stdout, &stderr)
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1\nstderr:\n%s", code, stderr.String())
-	}
-	out := stdout.String()
-	for _, want := range []string{
-		"call to dep.Grow allocates (Grow: make allocates)",
-		"mutex b.mu held across call to dep.Save (blocks: Save: call to os.WriteFile)",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("diagnostics missing %q:\n%s", want, out)
-		}
-	}
-	for _, line := range strings.Split(out, "\n") {
-		if strings.Contains(line, string(filepath.Separator)+"dep"+string(filepath.Separator)) {
-			t.Errorf("fact-only dependency produced output: %s", line)
-		}
-	}
-}
-
-// TestStandaloneCleanModuleExitsZero checks the happy path on the
-// repository's own lint fixtures-free package.
-func TestStandaloneCleanModuleExitsZero(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := celint.Main([]string{"repro/internal/canonjson"}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("exit code = %d, want 0\nstderr:\n%s", code, stderr.String())
-	}
-}
-
-// TestVettoolProtocol builds the celint binary and drives it through
-// `go vet -vettool`, exercising the unitchecker protocol end to end.
+// TestVettoolProtocol builds the celint binary once and drives it
+// through `go vet -vettool`, exercising the unitchecker protocol end to
+// end.
 func TestVettoolProtocol(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary and runs go vet")
@@ -105,15 +43,66 @@ func TestVettoolProtocol(t *testing.T) {
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("building celint: %v\n%s", err, out)
 	}
-	vet := exec.Command("go", "vet", "-vettool="+bin, "./...")
-	vet.Dir = filepath.Join("testdata", "badmod")
-	out, err := vet.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet -vettool exited zero on seeded violations\n%s", out)
-	}
-	for _, want := range seededWants {
-		if !strings.Contains(string(out), want) {
-			t.Errorf("vet output missing %q:\n%s", want, out)
+	badmod := filepath.Join("testdata", "badmod")
+
+	t.Run("seeded", func(t *testing.T) {
+		out, err := vet(bin, badmod, "./...")
+		if err == nil {
+			t.Fatalf("go vet -vettool exited zero on seeded violations\n%s", out)
 		}
+		for _, want := range append(seededWants, depFinding) {
+			if !strings.Contains(out, want) {
+				t.Errorf("vet output missing %q:\n%s", want, out)
+			}
+		}
+	})
+
+	// Vetting only the root vets dep and inner as VetxOnly dependencies:
+	// their facts must still flow (the cross-package findings appear)
+	// while dep's own finding is suppressed.
+	t.Run("root-only", func(t *testing.T) {
+		out, err := vet(bin, badmod, ".")
+		if err == nil {
+			t.Fatalf("go vet -vettool exited zero on seeded violations\n%s", out)
+		}
+		for _, want := range []string{
+			"call to dep.Grow allocates (Grow: make allocates)",
+			"mutex b.mu held across call to dep.Save (blocks: Save: call to os.WriteFile)",
+			"mutex b.mu held across call to inner.Flush (blocks: Flush: call to os.WriteFile)",
+		} {
+			if !strings.Contains(out, want) {
+				t.Errorf("vet output missing %q:\n%s", want, out)
+			}
+		}
+		if strings.Contains(out, depFinding) {
+			t.Errorf("dependency-only package produced a finding:\n%s", out)
+		}
+	})
+
+	t.Run("clean", func(t *testing.T) {
+		if out, err := vet(bin, "", "repro/internal/canonjson"); err != nil {
+			t.Fatalf("go vet -vettool on a clean package: %v\n%s", err, out)
+		}
+	})
+}
+
+// vet runs go vet with the celint binary over pkgs from dir and returns
+// its combined output.
+func vet(bin, dir string, pkgs ...string) (string, error) {
+	cmd := exec.Command("go", append([]string{"vet", "-vettool=" + bin}, pkgs...)...)
+	cmd.Dir = dir
+	out, err := cmd.CombinedOutput()
+	return string(out), err
+}
+
+// TestMainRejectsPackagePatterns checks that celint outside go vet
+// prints its usage line and exits 2 instead of loading packages itself.
+func TestMainRejectsPackagePatterns(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := celint.Main([]string{"./..."}, &stdout, &stderr); code != 2 {
+		t.Fatalf("exit code = %d, want 2", code)
+	}
+	if !strings.HasPrefix(stderr.String(), "usage: go vet -vettool=") || stdout.Len() != 0 {
+		t.Fatalf("stdout = %q, stderr = %q; want only the usage line on stderr", stdout.String(), stderr.String())
 	}
 }

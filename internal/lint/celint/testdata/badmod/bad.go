@@ -1,7 +1,7 @@
 // Package badmod seeds one violation of each celint contract — the
 // intra-package classics here, the cross-package ones in cross.go (see
-// the dep package) — and the celint tests assert both driver modes exit
-// nonzero naming every analyzer.
+// the dep and inner packages) — and the celint tests assert that
+// go vet -vettool exits nonzero naming every analyzer.
 //
 //ce:deterministic
 //ce:classify-errors

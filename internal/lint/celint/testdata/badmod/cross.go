@@ -34,6 +34,14 @@ func (b *Box) Checkpoint(path string) error {
 	return dep.Save(path, nil)
 }
 
+// Sync holds its mutex across file I/O two packages down: Flush belongs
+// to inner, which this package never imports.
+func (b *Box) Sync(path string) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return dep.New(path).Flush()
+}
+
 // ReadState lets dep.Load's raw environment error escape unclassified.
 func ReadState(path string) ([]byte, error) {
 	return dep.Load(path)

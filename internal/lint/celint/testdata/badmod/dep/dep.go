@@ -3,12 +3,19 @@
 // visible to importing packages only through analyzer facts. The badmod
 // root package reaches every one of them across the package boundary,
 // so a driver that fails to thread facts between passes misses all four
-// seeded violations.
+// seeded violations. New hands out a value of inner's type, whose
+// blocking method is a fifth violation one package further down.
+//
+// Fill is dep's own seeded violation: go vet reports it when dep is
+// among the vetted packages and suppresses it when dep is vetted only as
+// a dependency of the root.
 package dep
 
 import (
 	"os"
 	"time"
+
+	"badmod/inner"
 )
 
 // Grow allocates: hot callers must not reach it.
@@ -29,4 +36,16 @@ func Save(path string, data []byte) error {
 // Load returns raw environment errors for callers to classify.
 func Load(path string) ([]byte, error) {
 	return os.ReadFile(path)
+}
+
+// New returns a file whose Flush blocks; the caller need not import inner.
+func New(path string) *inner.File {
+	return &inner.File{Path: path}
+}
+
+// Fill allocates on the hot path.
+//
+//ce:hot
+func Fill() []int {
+	return make([]int, 4)
 }

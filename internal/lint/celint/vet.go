@@ -64,16 +64,18 @@ func printVersion(stdout, stderr io.Writer) int {
 
 // vetMode analyzes the single compilation unit described by cfgPath,
 // following the unitchecker protocol: diagnostics to stderr, exit 1 when
-// any are found, and always produce the VetxOutput file — the encoded
-// facts this unit's pass exported — so cmd/go's action cache has its
-// output and dependent units can import the facts.
+// any are found, and always produce the VetxOutput file so cmd/go's
+// action cache has its output and dependent units can import the facts.
 //
 // cmd/go drives the tool over every dependency of the vetted packages
 // with VetxOnly set, which is what makes the analysis interprocedural:
 // the dependency pass computes and serializes facts (diagnostics are
 // suppressed — the user asked to vet their packages, not the whole
 // dependency closure), and the dependent's pass reads them back through
-// PackageVetx.
+// PackageVetx. cmd/go lists only the unit's direct imports there, so the
+// VetxOutput carries the unit's transitive fact closure — the facts it
+// decoded plus the ones its own pass exported — or a fact about a
+// package reached only through another import would never arrive.
 func vetMode(cfgPath string, stderr io.Writer) int {
 	data, err := os.ReadFile(cfgPath)
 	if err != nil {
@@ -109,7 +111,6 @@ func vetMode(cfgPath string, stderr io.Writer) int {
 	if facts == nil {
 		return 2
 	}
-	layer := facts.NewLayer()
 	pkg, err := typecheckVetUnit(cfg)
 	if err != nil {
 		writeVetx(nil)
@@ -119,12 +120,12 @@ func vetMode(cfgPath string, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "celint:", err)
 		return 2
 	}
-	findings, err := runAnalyzers(pkg, layer)
+	findings, err := runAnalyzers(pkg, facts)
 	if err != nil {
 		fmt.Fprintln(stderr, "celint:", err)
 		return 2
 	}
-	encoded, err := layer.Encode()
+	encoded, err := facts.Encode()
 	if err != nil {
 		fmt.Fprintln(stderr, "celint:", err)
 		return 2
@@ -157,10 +158,11 @@ func stdlibUnit(cfg *vetConfig) bool {
 	return err == nil && rel != ".." && !strings.HasPrefix(rel, ".."+string(filepath.Separator))
 }
 
-// analysisFactsFromVetx decodes every dependency's exported facts. The
-// files are read in sorted order for determinism (last write wins in the
-// store, and distinct units never export facts for the same object, but
-// determinism is cheap insurance). Returns nil after printing on error.
+// analysisFactsFromVetx decodes every direct dependency's fact closure.
+// The closures overlap wherever two imports share a dependency, but each
+// fact was computed once, by the unit that declares its object, so the
+// overlapping copies are identical. The files are read in sorted order
+// for determinism all the same. Returns nil after printing on error.
 func analysisFactsFromVetx(cfg *vetConfig, stderr io.Writer) *analysis.FactSet {
 	facts := analysis.NewFactSet()
 	paths := make([]string, 0, len(cfg.PackageVetx))
@@ -180,6 +182,15 @@ func analysisFactsFromVetx(cfg *vetConfig, stderr io.Writer) *analysis.FactSet {
 		}
 	}
 	return facts
+}
+
+// loadedPackage is one type-checked compilation unit ready for analysis.
+type loadedPackage struct {
+	importPath string
+	fset       *token.FileSet
+	files      []*ast.File
+	types      *types.Package
+	info       *types.Info
 }
 
 // typecheckVetUnit parses and type-checks the unit from cfg, resolving

@@ -2,7 +2,7 @@
 // the concurrent subsystems (internal/server, internal/runcache,
 // internal/lease): critical sections must stay short and must not leak.
 //
-// Three rules:
+// Two rules:
 //
 //  1. A sync.Mutex/RWMutex must not be held across a blocking operation:
 //     file or network I/O, channel sends/receives, selects with no
@@ -16,10 +16,8 @@
 //     via a deferred unlock. A branch that returns early with the lock
 //     held deadlocks the next caller.
 //
-//  3. Lock values must not be copied: value receivers and by-value
-//     parameters of mutex-bearing structs, and dereference assignments
-//     (x := *p), silently fork the lock so the copies no longer exclude
-//     each other.
+// Copies of lock values (value receivers, by-value parameters, x := *p)
+// are go vet's copylocks check, which the plain `go vet` run covers.
 //
 // The held-across analysis is branch-sensitive and conservative in the
 // "must hold" direction: lock state is tracked per critical-section key
@@ -56,7 +54,7 @@ import (
 // Analyzer is the locklint pass.
 var Analyzer = &analysis.Analyzer{
 	Name:      "locklint",
-	Doc:       "flags mutexes held across blocking operations, lock leaks on early exits, and lock-value copies",
+	Doc:       "flags mutexes held across blocking operations and lock leaks on early exits",
 	Run:       run,
 	FactTypes: []analysis.Fact{new(BlockFact)},
 }
@@ -175,7 +173,6 @@ func run(pass *analysis.Pass) (any, error) {
 		if !w.terminated {
 			w.exitLocked(d.fd.Body.Rbrace, "function exit")
 		}
-		st.copyChecks(d.fd, d.idx)
 		// Function literals run with their own lock state: locks they
 		// acquire are theirs, and locks of the enclosing function are not
 		// provably held when the literal eventually runs.
@@ -765,107 +762,4 @@ func isPanic(info *types.Info, e ast.Expr) bool {
 	}
 	b, ok := info.Uses[id].(*types.Builtin)
 	return ok && b.Name() == "panic"
-}
-
-// copyChecks reports lock-value copies: value receivers and by-value
-// parameters of mutex-bearing types, and dereference assignments.
-func (st *passState) copyChecks(fd *ast.FuncDecl, idx *directive.Index) {
-	report := func(pos token.Pos, format string, args ...any) {
-		if _, ok := idx.Covering(pos); ok {
-			return
-		}
-		st.pass.Report(analysis.Diagnostic{
-			Pos:      pos,
-			Category: "lock-copy",
-			Message:  fmt.Sprintf(format, args...),
-		})
-	}
-	qual := types.RelativeTo(st.pass.Pkg)
-	if fd.Recv != nil {
-		for _, f := range fd.Recv.List {
-			t := st.pass.TypesInfo.TypeOf(f.Type)
-			if t == nil {
-				continue
-			}
-			if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-				continue
-			}
-			if inner := containsMutex(t); inner != "" {
-				report(f.Pos(), "value receiver of method %s copies a lock (%s contains %s); use a pointer receiver",
-					fd.Name.Name, types.TypeString(t, qual), inner)
-			}
-		}
-	}
-	if fd.Type.Params != nil {
-		for _, f := range fd.Type.Params.List {
-			t := st.pass.TypesInfo.TypeOf(f.Type)
-			if t == nil {
-				continue
-			}
-			if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-				continue
-			}
-			if inner := containsMutex(t); inner != "" {
-				name := "_"
-				if len(f.Names) > 0 {
-					name = f.Names[0].Name
-				}
-				report(f.Pos(), "parameter %s passes a lock by value (%s contains %s); pass a pointer",
-					name, types.TypeString(t, qual), inner)
-			}
-		}
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		for _, r := range as.Rhs {
-			star, ok := ast.Unparen(r).(*ast.StarExpr)
-			if !ok {
-				continue
-			}
-			t := st.pass.TypesInfo.TypeOf(star)
-			if t == nil {
-				continue
-			}
-			if inner := containsMutex(t); inner != "" {
-				report(star.Pos(), "dereference copies a lock (%s contains %s)",
-					types.TypeString(t, qual), inner)
-			}
-		}
-		return true
-	})
-}
-
-// containsMutex reports the first sync synchronization type found by
-// value inside t ("sync.Mutex", ...), or "" when there is none.
-func containsMutex(t types.Type) string {
-	return containsMutexRec(t, make(map[types.Type]bool))
-}
-
-func containsMutexRec(t types.Type, seen map[types.Type]bool) string {
-	if seen[t] {
-		return ""
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		if obj := named.Obj(); obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-			switch obj.Name() {
-			case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond", "Pool", "Map":
-				return "sync." + obj.Name()
-			}
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if inner := containsMutexRec(u.Field(i).Type(), seen); inner != "" {
-				return inner
-			}
-		}
-	case *types.Array:
-		return containsMutexRec(u.Elem(), seen)
-	}
-	return ""
 }

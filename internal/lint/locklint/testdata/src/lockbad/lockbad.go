@@ -160,30 +160,3 @@ func (b *box) deferredClosure(v int) error {
 	b.n = v
 	return nil
 }
-
-// --- lock-value copies ---
-
-type counter struct {
-	mu sync.Mutex
-	n  int
-}
-
-func (c counter) get() int { // want "value receiver of method get copies a lock \\(counter contains sync.Mutex\\); use a pointer receiver"
-	return c.n
-}
-
-func addAll(c counter, v int) int { // want "parameter c passes a lock by value \\(counter contains sync.Mutex\\); pass a pointer"
-	return c.n + v
-}
-
-func snapshot(p *counter) int {
-	c := *p // want "dereference copies a lock \\(counter contains sync.Mutex\\)"
-	return c.n
-}
-
-// Pointers are fine.
-func bump(p *counter) {
-	p.mu.Lock()
-	p.n++
-	p.mu.Unlock()
-}
