@@ -78,7 +78,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strconv"
 	"time"
 
 	"repro"
@@ -186,23 +185,8 @@ func setupObservability() (func() error, error) {
 	}
 	eng.SetTraceReplay(!*noReplay)
 	eng.SetSegments(*segments)
-	if *segWarmup == "adaptive" {
-		eng.SetSegmentAdaptive(true)
-	} else {
-		w, err := strconv.ParseInt(*segWarmup, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("-warmup: %q is neither an instruction count nor 'adaptive'", *segWarmup)
-		}
-		eng.SetSegmentWarmup(w)
-	}
-	if *segSample == "phase" {
-		eng.SetSegmentPhases(*segPhases)
-	} else {
-		n, err := strconv.Atoi(*segSample)
-		if err != nil {
-			return nil, fmt.Errorf("-sample: %q is neither a stride nor 'phase'", *segSample)
-		}
-		eng.SetSegmentSample(n)
+	if err := eng.SetSegmentFlags(*segWarmup, *segSample, *segPhases); err != nil {
+		return nil, err
 	}
 	for _, path := range []string{*metrics, *metricsDet} {
 		if path == "" {

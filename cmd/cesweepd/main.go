@@ -36,7 +36,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strconv"
 	"syscall"
 	"time"
 
@@ -89,23 +88,8 @@ func run() error {
 	eng.SetCacheLimit(*cacheMax)
 	eng.SetTraceReplay(!*noReplay)
 	eng.SetSegments(*segments)
-	if *segWarmup == "adaptive" {
-		eng.SetSegmentAdaptive(true)
-	} else {
-		w, err := strconv.ParseInt(*segWarmup, 10, 64)
-		if err != nil {
-			return fmt.Errorf("-warmup: %q is neither an instruction count nor 'adaptive'", *segWarmup)
-		}
-		eng.SetSegmentWarmup(w)
-	}
-	if *segSample == "phase" {
-		eng.SetSegmentPhases(*segPhases)
-	} else {
-		n, err := strconv.Atoi(*segSample)
-		if err != nil {
-			return fmt.Errorf("-sample: %q is neither a stride nor 'phase'", *segSample)
-		}
-		eng.SetSegmentSample(n)
+	if err := eng.SetSegmentFlags(*segWarmup, *segSample, *segPhases); err != nil {
+		return err
 	}
 
 	var opts server.Options

@@ -161,8 +161,6 @@ func (w *CentralWindow) Len() int { return w.occupancy }
 func (w *CentralWindow) Capacity() int { return w.size }
 
 // Dispatch implements Scheduler.
-//
-//ce:hot
 func (w *CentralWindow) Dispatch(u *Uop) bool {
 	if w.occupancy >= w.size {
 		return false
@@ -181,8 +179,6 @@ func (w *CentralWindow) Dispatch(u *Uop) bool {
 // (age) order, which is the paper's position-based selection policy; with
 // random selection every entry is a candidate and the age-ordered list
 // is shuffled deterministically each cycle.
-//
-//ce:hot
 func (w *CentralWindow) Select(now int64, tryIssue func(u *Uop) bool) {
 	if !w.randomSelect {
 		w.t.promote(now)
@@ -204,8 +200,6 @@ func (w *CentralWindow) Select(now int64, tryIssue func(u *Uop) bool) {
 }
 
 // Wakeup implements Scheduler.
-//
-//ce:hot
 func (w *CentralWindow) Wakeup(p int16, readyCycle int64) {
 	w.t.wakeup(p, readyCycle)
 }
@@ -213,8 +207,6 @@ func (w *CentralWindow) Wakeup(p int16, readyCycle int64) {
 // NextWake implements Scheduler. Random selection reshuffles — and
 // advances its rng stream — every cycle the window is occupied, so its
 // Select must run every such cycle.
-//
-//ce:hot
 func (w *CentralWindow) NextWake() int64 {
 	if w.occupancy == 0 {
 		return NeverWake
@@ -298,7 +290,7 @@ type FIFOBank struct {
 
 // FIFOBankConfig sizes a FIFOBank.
 type FIFOBankConfig struct {
-	Name            string //ce:timing-neutral
+	Name            string
 	Clusters        int
 	FIFOsPerCluster int
 	Depth           int
@@ -356,8 +348,6 @@ func (b *FIFOBank) Len() int { return b.occupancy }
 func (b *FIFOBank) Capacity() int { return len(b.fifos) * b.depth }
 
 // Dispatch implements Scheduler.
-//
-//ce:hot
 func (b *FIFOBank) Dispatch(u *Uop) bool {
 	var fi int
 	switch b.policy {
@@ -389,8 +379,6 @@ func (b *FIFOBank) Dispatch(u *Uop) bool {
 
 // steerDependence implements the Section 5.1 heuristic, generalized over
 // clusters with the Section 5.5 free-list policy.
-//
-//ce:hot
 func (b *FIFOBank) steerDependence(u *Uop) int {
 	// Try each outstanding source operand in order: if its producer is
 	// the tail of its FIFO and the FIFO has room, follow it.
@@ -413,8 +401,6 @@ func (b *FIFOBank) steerDependence(u *Uop) int {
 
 // allocFIFO takes an empty FIFO, preferring the current cluster's pool and
 // switching the current cluster when its pool is exhausted (Section 5.5).
-//
-//ce:hot
 func (b *FIFOBank) allocFIFO() int {
 	for try := 0; try < b.clusters; try++ {
 		pool := &b.freeFIFOs[b.cur]
@@ -430,8 +416,6 @@ func (b *FIFOBank) allocFIFO() int {
 
 // steerRandom picks a random cluster and falls back to the other(s) when
 // its buffering is full (Section 5.6.3).
-//
-//ce:hot
 func (b *FIFOBank) steerRandom() int {
 	b.rng = b.rng*1103515245 + 12345
 	start := int(uint32(b.rng)>>16) % b.clusters
@@ -451,8 +435,6 @@ func (b *FIFOBank) steerRandom() int {
 // taken once, before any candidate issues, so an entry exposed by its
 // head issuing this cycle waits for the next — the head-only semantics
 // of the paper's FIFO machine.
-//
-//ce:hot
 func (b *FIFOBank) Select(now int64, tryIssue func(u *Uop) bool) {
 	b.t.promote(now)
 	cand := b.t.awake
@@ -468,8 +450,6 @@ func (b *FIFOBank) Select(now int64, tryIssue func(u *Uop) bool) {
 }
 
 // Wakeup implements Scheduler.
-//
-//ce:hot
 func (b *FIFOBank) Wakeup(p int16, readyCycle int64) {
 	b.t.wakeup(p, readyCycle)
 }
@@ -479,8 +459,6 @@ func (b *FIFOBank) Wakeup(p int16, readyCycle int64) {
 // conservative, never late, because a blocked awake uop implies an awake
 // head in the same FIFO with an equal-or-earlier wake cycle is still
 // unissued — and Select runs while any candidate is awake.
-//
-//ce:hot
 func (b *FIFOBank) NextWake() int64 {
 	if b.occupancy == 0 {
 		return NeverWake
@@ -490,8 +468,6 @@ func (b *FIFOBank) NextWake() int64 {
 
 // dequeue takes an issued uop's slot out of its FIFO, exposing the next
 // head, and recycles the FIFO once empty.
-//
-//ce:hot
 func (b *FIFOBank) dequeue(s int32) {
 	u := b.t.uop[s]
 	fi := u.FIFO
@@ -508,8 +484,6 @@ func (b *FIFOBank) dequeue(s int32) {
 }
 
 // unlink removes slot s, holding u, from FIFO f and the producer table.
-//
-//ce:hot
 func (b *FIFOBank) unlink(f *fifo, s int32, u *Uop) {
 	f.slots[s>>6] &^= 1 << (s & 63)
 	b.heads[s>>6] &^= 1 << (s & 63)

@@ -1,22 +1,34 @@
 package core
 
-// UopPool is a per-simulator free list of Uops. Fetch allocates one Uop
-// per dynamic instruction; recycling them at commit and squash keeps the
-// simulator's steady state allocation-free instead of churning the GC.
-// Not safe for concurrent use — each Simulator owns its own pool.
+// UopPool is a per-simulator free list of Uops. Fetch takes one Uop per
+// dynamic instruction and commit and squash return it, so the simulator
+// never allocates per instruction. The pool is filled once to the
+// machine's in-flight bound: Get on an empty pool and Put on a full one
+// are bugs and panic. Not safe for concurrent use — each Simulator owns
+// its own pool.
 type UopPool struct {
 	free []*Uop
 }
 
-// Get returns a zeroed Uop, reusing a recycled one when available. The
-// PhysSrcs backing array is retained across recycling so rename can
-// append into it without allocating.
-//
-//ce:hot
+// NewUopPool returns a pool of n Uops backed by one slab, each with room
+// for the two physical sources an instruction can name, so rename writes
+// PhysSrcs in place.
+func NewUopPool(n int) UopPool {
+	slab := make([]Uop, n)
+	srcs := make([]int16, 2*n)
+	p := UopPool{free: make([]*Uop, n)}
+	for i := range slab {
+		slab[i].PhysSrcs = srcs[2*i : 2*i : 2*i+2]
+		p.free[i] = &slab[i]
+	}
+	return p
+}
+
+// Get returns a zeroed Uop whose PhysSrcs keeps its backing array.
 func (p *UopPool) Get() *Uop {
 	n := len(p.free)
 	if n == 0 {
-		return &Uop{} //ce:alloc-ok pool miss: one allocation per pool high-water mark, amortized across the run
+		panic("core: UopPool.Get on an empty pool (more uops in flight than the pool's bound)")
 	}
 	u := p.free[n-1]
 	p.free[n-1] = nil
@@ -28,11 +40,14 @@ func (p *UopPool) Get() *Uop {
 
 // Put recycles a Uop the pipeline no longer references. The caller must
 // guarantee no queue and no occupied scheduler slot still points at u.
-//
-//ce:hot
 func (p *UopPool) Put(u *Uop) {
 	if u == nil {
 		return
 	}
-	p.free = append(p.free, u)
+	n := len(p.free)
+	if n == cap(p.free) {
+		panic("core: UopPool.Put on a full pool (a uop returned twice)")
+	}
+	p.free = p.free[:n+1]
+	p.free[n] = u
 }

@@ -102,8 +102,6 @@ func newSlots(b Bounds) slots {
 // insert buffers u: it waits on each source whose producer has not
 // issued, and sleeps until its wake cycle once none is left. u's
 // destination is pending until Wakeup reports its producer issued.
-//
-//ce:hot
 func (t *slots) insert(u *Uop) int {
 	s := int(u.Seq & t.mod)
 	w, bit := s>>6, uint64(1)<<(s&63)
@@ -141,8 +139,6 @@ func (t *slots) insert(u *Uop) int {
 
 // wakeup broadcasts that the producer of physical register p has issued
 // and its value is consumable, in the nearest cluster, at readyCycle.
-//
-//ce:hot
 func (t *slots) wakeup(p int16, readyCycle int64) {
 	t.regWake[p] = readyCycle
 	cons := t.cons[int(p)*t.words : int(p+1)*t.words]
@@ -165,8 +161,6 @@ func (t *slots) wakeup(p int16, readyCycle int64) {
 }
 
 // promote wakes every asleep uop whose wake cycle has arrived.
-//
-//ce:hot
 func (t *slots) promote(now int64) {
 	if t.minWake > now {
 		return
@@ -188,8 +182,6 @@ func (t *slots) promote(now int64) {
 }
 
 // nextWake reports a lower bound on the next cycle a uop can be awake.
-//
-//ce:hot
 func (t *slots) nextWake() int64 {
 	for _, m := range t.awake {
 		if m != 0 {
@@ -203,8 +195,6 @@ func (t *slots) nextWake() int64 {
 // to the bits in keep. Piece 0 runs from the slot after the newest uop's
 // to the end of its word, piece t.words is the rest of that word, and
 // the pieces between are whole words.
-//
-//ce:hot
 func (t *slots) segment(k int) (w int, keep uint64) {
 	if w = t.w0 + k; w >= t.words {
 		w -= t.words
@@ -220,8 +210,6 @@ func (t *slots) segment(k int) (w int, keep uint64) {
 
 // ageOrder lists the slots set in mask, oldest first, into the order
 // scratch list.
-//
-//ce:hot
 func (t *slots) ageOrder(mask []uint64) []int32 {
 	order := t.order[:0]
 	for k := 0; k <= t.words; k++ {
@@ -238,8 +226,6 @@ func (t *slots) ageOrder(mask []uint64) []int32 {
 // in age order, removes those it accepts and returns their slots, oldest
 // first. Each word of cand is read before its uops are offered, so the
 // removals are safe.
-//
-//ce:hot
 func (t *slots) offer(cand []uint64, tryIssue func(u *Uop) bool) []int32 {
 	issued := t.order[:0]
 	for k := 0; k <= t.words; k++ {
@@ -256,8 +242,6 @@ func (t *slots) offer(cand []uint64, tryIssue func(u *Uop) bool) []int32 {
 }
 
 // oldest returns the oldest slot set in mask, or -1.
-//
-//ce:hot
 func (t *slots) oldest(mask []uint64) int32 {
 	for k := 0; k <= t.words; k++ {
 		if w, keep := t.segment(k); mask[w]&keep != 0 {
@@ -268,8 +252,6 @@ func (t *slots) oldest(mask []uint64) int32 {
 }
 
 // youngest returns the youngest slot set in mask, or -1.
-//
-//ce:hot
 func (t *slots) youngest(mask []uint64) int32 {
 	for k := t.words; k >= 0; k-- {
 		if w, keep := t.segment(k); mask[w]&keep != 0 {
@@ -280,8 +262,6 @@ func (t *slots) youngest(mask []uint64) int32 {
 }
 
 // remove drops slot s, on issue or squash.
-//
-//ce:hot
 func (t *slots) remove(s int) {
 	w, bit := s>>6, uint64(1)<<(s&63)
 	t.occupied[w] &^= bit

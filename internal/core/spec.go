@@ -24,11 +24,9 @@ const (
 // SchedulerSpec is a serializable description of a scheduler. Unlike an
 // opaque factory closure, a spec can be fingerprinted, so configurations
 // built from specs are eligible for run memoization (see
-// pipeline.Config.Key and internal/runcache). keylint (cmd/celint)
-// statically verifies every exported field is folded into Key or marked
-// //ce:timing-neutral.
-//
-//ce:keyed
+// pipeline.Config.Key and internal/runcache). pipeline's
+// TestKeySeparatesBehavior classifies every field per Kind and checks
+// that each live field changes Key.
 type SchedulerSpec struct {
 	Kind SchedKind
 	// Size is the window entry count (the central-window kinds).

@@ -58,15 +58,15 @@ func (m *Machine) Checkpoint() Checkpoint {
 // machine speculating only if checkpoints older than cp remain.
 func (m *Machine) Restore(cp Checkpoint) error {
 	if m.journalDepth == 0 {
-		return fmt.Errorf("emu: Restore without a live checkpoint") //ce:alloc-ok fatal path, run is over
+		return fmt.Errorf("emu: Restore without a live checkpoint")
 	}
 	if cp.depth > m.journalDepth {
 		// cp was already popped by restoring/committing an older
 		// checkpoint; its snapshot describes a rolled-back future.
-		return fmt.Errorf("emu: stale checkpoint (depth %d, only %d live)", cp.depth, m.journalDepth) //ce:alloc-ok fatal path, run is over
+		return fmt.Errorf("emu: stale checkpoint (depth %d, only %d live)", cp.depth, m.journalDepth)
 	}
 	if cp.journalLen > len(m.journal) {
-		return fmt.Errorf("emu: stale checkpoint (journal %d < checkpoint %d)", len(m.journal), cp.journalLen) //ce:alloc-ok fatal path, run is over
+		return fmt.Errorf("emu: stale checkpoint (journal %d < checkpoint %d)", len(m.journal), cp.journalLen)
 	}
 	for i := len(m.journal) - 1; i >= cp.journalLen; i-- {
 		w := m.journal[i]

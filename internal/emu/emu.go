@@ -94,7 +94,7 @@ func (m *Machine) Halted() bool { return m.halted }
 func (m *Machine) page(addr uint32) *[1 << pageBits]byte {
 	p, ok := m.pages[addr>>pageBits]
 	if !ok {
-		p = new([1 << pageBits]byte) //ce:alloc-ok lazy page fault, once per touched page
+		p = new([1 << pageBits]byte)
 		m.pages[addr>>pageBits] = p
 	}
 	return p
@@ -142,7 +142,7 @@ func (m *Machine) Step() (Record, error) {
 		return Record{}, ErrHalted
 	}
 	if m.pc >= uint32(len(m.prog.Text)) {
-		return Record{}, fmt.Errorf("emu: pc %d outside text segment (%d instructions)", m.pc, len(m.prog.Text)) //ce:alloc-ok fatal path, run is over
+		return Record{}, fmt.Errorf("emu: pc %d outside text segment (%d instructions)", m.pc, len(m.prog.Text))
 	}
 	in := m.prog.Text[m.pc]
 	rec := Record{PC: m.pc, Inst: in, NextPC: m.pc + 1}
@@ -176,7 +176,7 @@ func (m *Machine) Step() (Record, error) {
 	case isa.Div:
 		if rt == 0 {
 			if m.journalDepth == 0 {
-				return Record{}, fmt.Errorf("emu: division by zero at pc %d", m.pc) //ce:alloc-ok fatal path, run is over
+				return Record{}, fmt.Errorf("emu: division by zero at pc %d", m.pc)
 			}
 			m.SetReg(in.Rd, 0) // speculative path: squashed before commit
 		} else {
@@ -185,7 +185,7 @@ func (m *Machine) Step() (Record, error) {
 	case isa.Rem:
 		if rt == 0 {
 			if m.journalDepth == 0 {
-				return Record{}, fmt.Errorf("emu: remainder by zero at pc %d", m.pc) //ce:alloc-ok fatal path, run is over
+				return Record{}, fmt.Errorf("emu: remainder by zero at pc %d", m.pc)
 			}
 			m.SetReg(in.Rd, 0)
 		} else {
@@ -262,7 +262,7 @@ func (m *Machine) Step() (Record, error) {
 		m.halted = true
 		rec.NextPC = m.pc
 	default:
-		return Record{}, fmt.Errorf("emu: invalid opcode %d at pc %d", in.Op, m.pc) //ce:alloc-ok fatal path, run is over
+		return Record{}, fmt.Errorf("emu: invalid opcode %d at pc %d", in.Op, m.pc)
 	}
 
 	m.pc = rec.NextPC

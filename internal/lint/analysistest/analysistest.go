@@ -177,7 +177,7 @@ func (ld *loader) isFixture(path string) bool {
 }
 
 // Import implements types.Importer so fixture packages can import each
-// other (keylint's multi-package test needs this).
+// other (the cross-package fact tests need this).
 func (ld *loader) Import(path string) (*types.Package, error) {
 	if ld.isFixture(path) {
 		pkg, err := ld.load(path)

@@ -1,5 +1,5 @@
 // Package celint is the driver for the simulator's custom static
-// analyzers (dirlint, detlint, keylint, hotlint, locklint, errlint). It
+// analyzers (dirlint, detlint, locklint, errlint). It
 // runs only as a vet tool: `go vet -vettool=$(which celint) ./...`
 // speaks the cmd/go unitchecker protocol (-V=full, -flags, and one .cfg
 // file per compilation unit), so cmd/go orders the units, caches the
@@ -20,8 +20,6 @@ import (
 	"repro/internal/lint/detlint"
 	"repro/internal/lint/dirlint"
 	"repro/internal/lint/errlint"
-	"repro/internal/lint/hotlint"
-	"repro/internal/lint/keylint"
 	"repro/internal/lint/locklint"
 )
 
@@ -32,8 +30,6 @@ func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		dirlint.Analyzer,
 		detlint.Analyzer,
-		keylint.Analyzer,
-		hotlint.Analyzer,
 		locklint.Analyzer,
 		errlint.Analyzer,
 	}

@@ -6,14 +6,6 @@ import (
 	"badmod/dep"
 )
 
-// HotGrow reaches an allocating callee in another package: only the
-// AllocFact exported by dep's pass makes this visible.
-//
-//ce:hot
-func HotGrow() []int {
-	return dep.Grow(8)
-}
-
 // Epoch transitively reads the wall clock inside a //ce:deterministic
 // package.
 func Epoch() int64 {

@@ -1,27 +1,23 @@
-// Package dep provides callees whose contract-relevant behavior —
-// allocation, clock reads, blocking I/O, raw environment errors — is
-// visible to importing packages only through analyzer facts. The badmod
-// root package reaches every one of them across the package boundary,
-// so a driver that fails to thread facts between passes misses all four
-// seeded violations. New hands out a value of inner's type, whose
-// blocking method is a fifth violation one package further down.
+// Package dep provides callees whose contract-relevant behavior — clock
+// reads, blocking I/O, raw environment errors — is visible to importing
+// packages only through analyzer facts. The badmod root package reaches
+// every one of them across the package boundary, so a driver that fails
+// to thread facts between passes misses all three seeded violations.
+// New hands out a value of inner's type, whose blocking method is a
+// fourth violation one package further down.
 //
-// Fill is dep's own seeded violation: go vet reports it when dep is
-// among the vetted packages and suppresses it when dep is vetted only as
-// a dependency of the root.
+// Log.Append is dep's own seeded violation: go vet reports it when dep
+// is among the vetted packages and suppresses it when dep is vetted only
+// as a dependency of the root.
 package dep
 
 import (
 	"os"
+	"sync"
 	"time"
 
 	"badmod/inner"
 )
-
-// Grow allocates: hot callers must not reach it.
-func Grow(n int) []int {
-	return make([]int, n)
-}
 
 // Stamp reads the wall clock: deterministic callers must not reach it.
 func Stamp() int64 {
@@ -43,9 +39,15 @@ func New(path string) *inner.File {
 	return &inner.File{Path: path}
 }
 
-// Fill allocates on the hot path.
-//
-//ce:hot
-func Fill() []int {
-	return make([]int, 4)
+// Log appends records to a file under its mutex.
+type Log struct {
+	mu   sync.Mutex
+	path string
+}
+
+// Append holds the mutex across file I/O.
+func (l *Log) Append(data []byte) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return os.WriteFile(l.path, data, 0o644)
 }

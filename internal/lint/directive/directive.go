@@ -2,18 +2,12 @@
 // simulator's statically-enforced contracts:
 //
 //	//ce:deterministic          marks a package bit-deterministic (detlint)
-//	//ce:keyed                  marks a struct whose Key() must cover every
-//	                            exported field (keylint); `via=Func` names
-//	                            a free function instead of the Key method
-//	//ce:timing-neutral         exempts one struct field from Key coverage
-//	//ce:hot                    marks a function allocation-free (hotlint)
 //	//ce:classify-errors        marks a function whose environmental errors
 //	                            must be wrapped into a classified sentinel
 //	                            before being returned (errlint)
 //	//ce:classifier             marks a function that performs that
 //	                            classification (errlint)
 //	//ce:nondet-ok <reason>     per-line detlint escape hatch
-//	//ce:alloc-ok <reason>      per-line hotlint escape hatch
 //	//ce:lock-ok <reason>       per-line locklint escape hatch
 //	//ce:err-ok <reason>        per-line errlint escape hatch
 //	//ce:det-boundary <reason>  function-level detlint hatch: the function
@@ -42,13 +36,9 @@ import (
 // Directive names.
 const (
 	Deterministic  = "deterministic"
-	Keyed          = "keyed"
-	TimingNeutral  = "timing-neutral"
-	Hot            = "hot"
 	ClassifyErrors = "classify-errors"
 	Classifier     = "classifier"
 	NondetOK       = "nondet-ok"
-	AllocOK        = "alloc-ok"
 	LockOK         = "lock-ok"
 	ErrOK          = "err-ok"
 	DetBoundary    = "det-boundary"
@@ -58,13 +48,9 @@ const (
 // trailing text (the reason) is mandatory.
 var verbs = map[string]bool{
 	Deterministic:  false,
-	Keyed:          false,
-	TimingNeutral:  false,
-	Hot:            false,
 	ClassifyErrors: false,
 	Classifier:     false,
 	NondetOK:       true,
-	AllocOK:        true,
 	LockOK:         true,
 	ErrOK:          true,
 	DetBoundary:    true,
@@ -81,17 +67,6 @@ type Directive struct {
 	Pos    token.Pos
 	Name   string // "deterministic", "nondet-ok", ...
 	Reason string // text after the name, trimmed
-}
-
-// Param extracts a `key=value` parameter from the directive's trailing
-// text ("" when absent), e.g. Param("via") on `//ce:keyed via=segKeySuffix`.
-func (d Directive) Param(key string) string {
-	for _, f := range strings.Fields(d.Reason) {
-		if v, ok := strings.CutPrefix(f, key+"="); ok {
-			return v
-		}
-	}
-	return ""
 }
 
 // parse extracts the directive from one comment, if any.
@@ -251,7 +226,7 @@ func Problems(fset *token.FileSet, f *ast.File) []Problem {
 						d.Name, d.Name),
 				})
 			}
-			// `_ = x //ce:alloc-ok pooled //ce:nondet-ok seeded` parses as ONE
+			// `_ = x //ce:lock-ok brief //ce:nondet-ok seeded` parses as ONE
 			// directive whose reason swallows the second marker — the second
 			// hatch is silently dead, which is exactly the failure mode this
 			// check exists to make loud.

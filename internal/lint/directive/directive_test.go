@@ -20,8 +20,8 @@ func parseSrc(t *testing.T, src string) (*token.FileSet, *ast.File) {
 
 func TestKnownAndReasonRequired(t *testing.T) {
 	for _, name := range []string{
-		Deterministic, Keyed, TimingNeutral, Hot, ClassifyErrors, Classifier,
-		NondetOK, AllocOK, LockOK, ErrOK, DetBoundary,
+		Deterministic, ClassifyErrors, Classifier,
+		NondetOK, LockOK, ErrOK, DetBoundary,
 	} {
 		if !Known(name) {
 			t.Errorf("Known(%q) = false", name)
@@ -30,28 +30,15 @@ func TestKnownAndReasonRequired(t *testing.T) {
 	if Known("nondetok") {
 		t.Error("Known accepted a typo verb")
 	}
-	for _, name := range []string{NondetOK, AllocOK, LockOK, ErrOK, DetBoundary} {
+	for _, name := range []string{NondetOK, LockOK, ErrOK, DetBoundary} {
 		if !ReasonRequired(name) {
 			t.Errorf("ReasonRequired(%q) = false, want true", name)
 		}
 	}
-	for _, name := range []string{Deterministic, Keyed, Hot, Classifier} {
+	for _, name := range []string{Deterministic, ClassifyErrors, Classifier} {
 		if ReasonRequired(name) {
 			t.Errorf("ReasonRequired(%q) = true, want false", name)
 		}
-	}
-}
-
-func TestParam(t *testing.T) {
-	d := Directive{Name: Keyed, Reason: "via=segKeySuffix"}
-	if got := d.Param("via"); got != "segKeySuffix" {
-		t.Errorf("Param(via) = %q", got)
-	}
-	if got := d.Param("other"); got != "" {
-		t.Errorf("Param(other) = %q, want empty", got)
-	}
-	if got := (Directive{Name: Keyed}).Param("via"); got != "" {
-		t.Errorf("Param on bare directive = %q, want empty", got)
 	}
 }
 
@@ -107,12 +94,12 @@ func TestProblemsDuplicateOnOneLine(t *testing.T) {
 	f := &ast.File{
 		Name: &ast.Ident{Name: "p", NamePos: file.Pos(0)},
 		Comments: []*ast.CommentGroup{{List: []*ast.Comment{
-			mk(2, "//ce:alloc-ok pooled"),
-			mk(10, "//ce:alloc-ok pooled again"), // same line (offsets 2,10 < 20)
+			mk(2, "//ce:lock-ok brief"),
+			mk(10, "//ce:lock-ok brief again"), // same line (offsets 2,10 < 20)
 		}}},
 	}
 	probs := Problems(fset, f)
-	if len(probs) != 1 || !strings.Contains(probs[0].Message, "duplicate //ce:alloc-ok") {
+	if len(probs) != 1 || !strings.Contains(probs[0].Message, "duplicate //ce:lock-ok") {
 		t.Fatalf("Problems = %v, want one duplicate error", probs)
 	}
 }
@@ -121,7 +108,7 @@ func TestProblemsEmbeddedSecondDirective(t *testing.T) {
 	fset, f := parseSrc(t, `package p
 
 func f() {
-	_ = 1 //ce:alloc-ok pooled //ce:nondet-ok seeded
+	_ = 1 //ce:lock-ok brief //ce:nondet-ok seeded
 }
 `)
 	probs := Problems(fset, f)
@@ -136,9 +123,9 @@ func TestProblemsCleanFile(t *testing.T) {
 // Package-level prose that merely mentions //ce:deterministic inside a
 // sentence is fine as long as the comment doesn't start with the marker.
 
-//ce:hot
+//ce:classifier
 func f() {
-	_ = 1 //ce:alloc-ok reused buffer
+	_ = 1 //ce:lock-ok brief critical section
 }
 
 //ce:det-boundary wraps a seeded source
@@ -186,7 +173,7 @@ func g() {}
 	if !ok || d.Reason != "wraps the host clock at the telemetry seam" {
 		t.Fatalf("FuncDirective = %+v, %v", d, ok)
 	}
-	if _, ok := FuncDirective(fd, Hot); ok {
+	if _, ok := FuncDirective(fd, Classifier); ok {
 		t.Fatal("FuncDirective found a directive that isn't there")
 	}
 }

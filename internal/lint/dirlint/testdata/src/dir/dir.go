@@ -6,7 +6,7 @@ package dir
 func typoVerb() {}
 
 // A hatch without its mandatory reason.
-/* want "//ce:alloc-ok requires a reason" */ //ce:alloc-ok
+/* want "//ce:lock-ok requires a reason" */ //ce:lock-ok
 func bareHatch() {
 	_ = make([]int, 4)
 }
@@ -14,14 +14,14 @@ func bareHatch() {
 // Two directives on one line: the second is dead text inside the first
 // one's reason.
 func stacked() {
-	_ = 1 /* want "embedded in the reason" */ //ce:alloc-ok pooled //ce:nondet-ok seeded
+	_ = 1 /* want "embedded in the reason" */ //ce:lock-ok brief //ce:nondet-ok seeded
 }
 
 // Well-formed directives produce nothing.
 
-//ce:hot
+//ce:classifier
 func clean() {
-	_ = 1 //ce:alloc-ok amortized against pre-grown capacity
+	_ = 1 //ce:lock-ok brief critical section
 }
 
 //ce:det-boundary wraps host telemetry

@@ -26,7 +26,7 @@
 // merge. A select with a default case is a poll, not a block, and its
 // communication clauses do not individually count as blocking.
 //
-// Like hotlint, the analysis is interprocedural: every function gets a
+// Like detlint, the analysis is interprocedural: every function gets a
 // BlockFact recording whether it (transitively) blocks, propagated
 // bottom-up over the package DAG via the driver's fact store, so a lock
 // held across a call into another package is still a finding — with the

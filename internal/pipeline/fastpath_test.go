@@ -1,14 +1,18 @@
 package pipeline
 
 // Tests for the allocation-free, event-driven fast path: the Uop pool,
-// the ring-buffered pipeline queues, idle-cycle skipping, and the
-// steady-state zero-allocation guarantee.
+// idle-cycle skipping, and the allocation guard over the cycle loop.
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/prog"
+	"repro/internal/trace"
 )
 
 // fastPathConfigs pairs the two scheduler families (central window and
@@ -115,9 +119,11 @@ end:	out  $s0
 	}
 }
 
-// TestSteadyStateAllocationFree is the allocation guard: after warm-up,
-// a full simulation of the baseline window configuration must perform
-// (amortized) zero heap allocations per simulated cycle.
+// TestSteadyStateAllocationFree bounds a whole lockstep simulation of the
+// baseline window configuration: construction allocates a bounded number
+// of objects and the cycles after it (amortized) none. With the old
+// per-fetch &core.Uop and per-cycle scratch slices this was > 5
+// allocs/cycle.
 func TestSteadyStateAllocationFree(t *testing.T) {
 	w, err := prog.ByName("compress")
 	if err != nil {
@@ -144,20 +150,16 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 	if st.Cycles < 1000 {
 		t.Fatalf("guard program too small: %d cycles", st.Cycles)
 	}
-	// Each run constructs a fresh Simulator (caches, rename table,
-	// predictor...), so per-run allocations are bounded by a constant;
-	// the per-cycle amortized count must be ~0. With the old per-fetch
-	// &core.Uop and per-cycle scratch slices this was > 5 allocs/cycle.
 	const maxPerRun = 2000
 	allocs := testing.AllocsPerRun(5, func() { run() })
 	if allocs > maxPerRun {
 		t.Errorf("simulation run allocates %.0f objects (limit %d): steady state is not allocation-free (%.3f allocs/cycle over %d cycles)",
 			allocs, maxPerRun, allocs/float64(st.Cycles), st.Cycles)
 	}
-	// HostAllocs should agree with the direct measurement's order of
-	// magnitude (it includes ReadMemStats noise, so just sanity-bound it).
-	if st.HostAllocs > 100*maxPerRun {
-		t.Errorf("Stats.HostAllocs = %d, want construction-bounded count", st.HostAllocs)
+	// HostAllocs counts only Run's own loop, after construction; the
+	// lockstep emulator may grow its memory and output under it.
+	if st.HostAllocs > maxPerRun {
+		t.Errorf("Stats.HostAllocs = %d, want at most %d", st.HostAllocs, maxPerRun)
 	}
 	if st.HostWallSeconds <= 0 {
 		t.Errorf("Stats.HostWallSeconds = %v, want > 0", st.HostWallSeconds)
@@ -189,48 +191,211 @@ func figureSchedulers() []struct {
 	}
 }
 
-// TestCycleLoopAllocationFree is the exact form of the allocation guard:
-// once a simulation is warm, stepping it allocates nothing at all, for
-// every figure scheduler and the random-select ablation.
+// guardVariants are the feature variants the allocation guard crosses
+// with every workload and figure scheduler: each switches on a path the
+// base configuration never runs (I-cache probing and store forwarding,
+// the extra wakeup stage, ring bypass routing, fetch breaks, and
+// squashes of wrong-path uops).
+var guardVariants = []struct {
+	name string
+	set  func(*Config)
+	// lockstepOnly marks wrong-path execution, which a trace cannot
+	// drive.
+	lockstepOnly bool
+}{
+	{"base", func(*Config) {}, false},
+	{"icache+stf", func(c *Config) {
+		c.ICache = &cache.Config{SizeBytes: 1 << 10, Ways: 1, LineBytes: 32, HitCycles: 1, MissCycles: 6}
+		c.StoreForwarding = true
+	}, false},
+	{"pipelined-ws", func(c *Config) { c.PipelinedWakeupSelect = true }, false},
+	{"ring", func(c *Config) { c.RingTopology = true }, false},
+	{"fetch-break", func(c *Config) { c.FetchBreakOnTaken = true }, false},
+	{"wrong-path", func(c *Config) { c.WrongPathExecution = true }, true},
+}
+
+// guardCycles is how long the guard steps each combination (or until its
+// program finishes).
+const guardCycles = 20_000
+
+// emuGrowthSites are the only functions the lockstep leg lets allocate
+// under the cycle loop: the functional emulator growing its own data. It
+// faults in a memory page (page), appends program output (Step's only
+// allocation) and journals overwritten bytes under a wrong-path
+// checkpoint (StoreByte's only allocation besides page).
+var emuGrowthSites = map[string]bool{
+	"repro/internal/emu.(*Machine).page":      true,
+	"repro/internal/emu.(*Machine).Step":      true,
+	"repro/internal/emu.(*Machine).StoreByte": true,
+}
+
+// TestCycleLoopAllocationFree is the allocation guard. For every workload,
+// figure scheduler and guard variant it steps a fresh simulator from its
+// first cycle and counts every heap allocation the cycle loop makes:
+//   - replay-driven (NewReplay over a trace.Reader): none at all;
+//   - lockstep (New): only at emuGrowthSites, each allocation attributed
+//     to its site by a rate-1 memory profile.
+//
+// Everything else the loop touches is sized at construction, so a new
+// allocation anywhere under step fails here.
 func TestCycleLoopAllocationFree(t *testing.T) {
-	w, err := prog.ByName("compress")
-	if err != nil {
-		t.Fatal(err)
+	if raceEnabled {
+		t.Skip("the race detector slows the full guard twentyfold; run it without -race")
 	}
-	p, err := w.Program()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, fs := range figureSchedulers() {
-		c := cfg(fs.name, fs.clusters, fs.clusters-1, nil)
-		spec := fs.spec
-		c.Scheduler = &spec
-		c.PerfectBPred = false
-		sim, err := New(c, p)
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	g := allocGuard{prof: memProfile()}
+	for _, name := range prog.ExtendedNames() {
+		w, err := prog.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		step := func() {
-			for i := 0; i < 2000; i++ {
-				if err := sim.step(); err != nil {
+		p, err := w.Program()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := trace.Capture(p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fs := range figureSchedulers() {
+			for _, v := range guardVariants {
+				c := cfg(fs.name, fs.clusters, fs.clusters-1, nil)
+				spec := fs.spec
+				c.Scheduler = &spec
+				c.PerfectBPred = false
+				v.set(&c)
+				label := name + "/" + fs.name + "/" + v.name
+				sim, err := New(c, p)
+				if err != nil {
 					t.Fatal(err)
 				}
+				for _, s := range g.step(t, sim) {
+					if !emuGrowthSites[s.fn] {
+						t.Errorf("%s lockstep: %d allocations at %s (%s), outside the emulator's growth sites",
+							label, s.n, s.fn, s.pos)
+					}
+				}
+				if t.Failed() {
+					t.FailNow() // every later combination would profile the same fault
+				}
+				if v.lockstepOnly {
+					continue
+				}
+				sim, err = NewReplay(c, trace.NewReader(tr))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, s := range g.step(t, sim) {
+					t.Errorf("%s replay: %d allocations at %s (%s), want none", label, s.n, s.fn, s.pos)
+				}
+				if t.Failed() {
+					t.FailNow()
+				}
 			}
-		}
-		step() // warm up pools, queues and scratch lists
-		if allocs := testing.AllocsPerRun(5, step); allocs != 0 {
-			t.Errorf("%s: %.1f allocations per 2000 cycles in steady state, want 0", fs.name, allocs)
-		}
-		if sim.done() {
-			t.Fatalf("%s: program finished during the guard; it no longer measures steady state", fs.name)
 		}
 	}
 }
 
+// allocGuard attributes the cycle loop's allocations. prof is the memory
+// profile as last read; it is re-read only after a run allocated, so a
+// clean run costs two ReadMemStats calls.
+type allocGuard struct {
+	prof map[[32]uintptr]int64
+}
+
+// allocSite is where the cycle loop allocated: the innermost frame
+// outside the runtime, and how many objects it allocated there.
+type allocSite struct {
+	fn, pos string
+	n       int64
+}
+
+// step runs sim from its current cycle for guardCycles cycles (or until
+// it finishes) and returns the sites of every allocation made under
+// (*Simulator).step.
+func (g *allocGuard) step(t *testing.T, sim *Simulator) []allocSite {
+	t.Helper()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	for i := 0; i < guardCycles && !sim.done(); i++ {
+		if err := sim.step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&ms)
+	if ms.Mallocs == before {
+		return nil
+	}
+	prev := g.prof
+	g.prof = memProfile()
+	var sites []allocSite
+	for stk, n := range g.prof { //ce:nondet-ok only the order of failure messages depends on it
+		if d := n - prev[stk]; d > 0 {
+			if s, ok := stepSite(stk); ok {
+				s.n = d
+				sites = append(sites, s)
+			}
+		}
+	}
+	return sites
+}
+
+// memProfile returns the allocation counts of the current memory
+// profile, by stack. The GC publishes every allocation made before it.
+func memProfile() map[[32]uintptr]int64 {
+	runtime.GC()
+	n, _ := runtime.MemProfile(nil, true)
+	var recs []runtime.MemProfileRecord
+	for {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		var ok bool
+		if n, ok = runtime.MemProfile(recs, true); ok {
+			break
+		}
+	}
+	prof := make(map[[32]uintptr]int64, n)
+	for _, r := range recs[:n] {
+		prof[r.Stack0] += r.AllocObjects
+	}
+	return prof
+}
+
+// stepSite resolves an allocation stack to its site, reporting false
+// when the stack does not pass through (*Simulator).step.
+func stepSite(stk [32]uintptr) (allocSite, bool) {
+	pcs := stk[:]
+	for i, pc := range pcs {
+		if pc == 0 {
+			pcs = pcs[:i]
+			break
+		}
+	}
+	var site allocSite
+	underStep := false
+	frames := runtime.CallersFrames(pcs)
+	for {
+		f, more := frames.Next()
+		runtimeFrame := strings.HasPrefix(f.Function, "runtime.") || strings.HasPrefix(f.Function, "internal/")
+		if site.fn == "" && !runtimeFrame {
+			site.fn, site.pos = f.Function, fmt.Sprintf("%s:%d", f.File, f.Line)
+		}
+		if f.Function == "repro/internal/pipeline.(*Simulator).step" {
+			underStep = true
+		}
+		if !more {
+			break
+		}
+	}
+	return site, underStep
+}
+
 // TestUopPoolRecycles pins the free-list behavior: Get returns reset
-// uops, retains PhysSrcs capacity, and Put/Get round-trips.
+// uops, retains the two-source PhysSrcs array, Put/Get round-trips, and
+// the pool neither grows past its bound nor hands out more than it holds.
 func TestUopPoolRecycles(t *testing.T) {
-	var pool core.UopPool
+	pool := core.NewUopPool(2)
 	u := pool.Get()
 	u.Seq = 42
 	u.PhysSrcs = append(u.PhysSrcs, 1, 2)
@@ -244,11 +409,24 @@ func TestUopPoolRecycles(t *testing.T) {
 	if v.Seq != 0 || v.Issued || v.FIFO != 0 || len(v.PhysSrcs) != 0 {
 		t.Fatalf("recycled uop not reset: %+v", v)
 	}
-	if cap(v.PhysSrcs) < 2 {
-		t.Fatalf("recycled uop lost PhysSrcs capacity")
+	if cap(v.PhysSrcs) != 2 {
+		t.Fatalf("recycled uop has PhysSrcs capacity %d, want 2", cap(v.PhysSrcs))
 	}
 	w := pool.Get()
 	if w == v {
 		t.Fatalf("pool returned an in-use uop")
 	}
+	expectPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	expectPanic("Get on an empty pool", func() { pool.Get() })
+	pool.Put(v)
+	pool.Put(w)
+	expectPanic("Put on a full pool", func() { pool.Put(w) })
 }

@@ -48,10 +48,9 @@ func (k *checker) failf(format string, args ...any) {
 	if k.err != nil {
 		return
 	}
-	//ce:alloc-ok invariant violation ends the run
 	prefix := fmt.Sprintf("pipeline: %s/%s: invariant violated at cycle %d: ",
 		k.s.cfg.Name, k.s.stats.Workload, k.s.cycle)
-	k.err = fmt.Errorf(prefix+format, args...) //ce:alloc-ok invariant violation ends the run
+	k.err = fmt.Errorf(prefix+format, args...)
 }
 
 // onCommit checks one retiring instruction.

@@ -37,14 +37,12 @@ import (
 
 // Config describes one machine organization.
 //
-// Every exported field must either feed Key() or carry a
-// //ce:timing-neutral annotation, so the run cache can never serve stats
-// from a behaviorally different machine. Enforced by keylint.
-//
-//ce:keyed
+// Every field must feed Key() or be one of the timing-neutral fields
+// TestKeySeparatesBehavior allowlists, so the run cache can never serve
+// stats from a behaviorally different machine.
 type Config struct {
 	// Name labels the configuration in reports.
-	Name string //ce:timing-neutral
+	Name string
 	// FetchWidth is instructions fetched per cycle ("any 8 instructions"
 	// in Table 3 — fetch may span taken branches).
 	FetchWidth int
@@ -106,13 +104,13 @@ type Config struct {
 	// (retrievable via Timeline) — intended for small programs. Pure
 	// observation: cycle-for-cycle timing is unchanged, so it is excluded
 	// from Key (cached Stats stay valid either way).
-	RecordTimeline bool //ce:timing-neutral
+	RecordTimeline bool
 	// CheckInvariants arms the cycle-level invariant checker (see
 	// invariants.go): Run fails on the first violated pipeline invariant.
 	// A verification instrument for tests and the differential harness —
 	// it adds per-cycle ROB scans, so it stays off outside of them.
 	// Observational only, like RecordTimeline: excluded from Key.
-	CheckInvariants bool //ce:timing-neutral
+	CheckInvariants bool
 	// NoCycleSkip disables idle-cycle skipping (the event-driven fast
 	// path that jumps over cycles on which commit, issue, dispatch and
 	// fetch are all provably blocked). Skipping is timing-neutral — the
@@ -368,8 +366,6 @@ type TimelineEntry struct {
 // concrete sources are dispatched directly (here and inline in fetch for
 // Step, whose Record return is too large to route through an extra call
 // frame); the interface is the fallback for custom sources.
-//
-//ce:hot
 func (s *Simulator) sourcePC() uint32 {
 	if s.machine != nil {
 		return s.machine.PC()
@@ -381,8 +377,6 @@ func (s *Simulator) sourcePC() uint32 {
 }
 
 // sourceHalted mirrors sourcePC for the end-of-stream check.
-//
-//ce:hot
 func (s *Simulator) sourceHalted() bool {
 	if s.machine != nil {
 		return s.machine.Halted()
@@ -466,6 +460,16 @@ func newSimulator(cfg Config, src ExecSource, machine *emu.Machine) (*Simulator,
 	s.stats.Workload = prog.Name
 	s.stats.IssuedPerCycle = stats.NewHistogram(cfg.IssueWidth)
 	s.fuUsed = make([]int, cfg.Clusters)
+	// Size every queue once to its architectural bound, so the cycle loop
+	// never allocates. A uop lives in the fetch queue (at most
+	// FetchQueueSize) or the ROB (at most MaxInFlight), plus the one
+	// mispredicted branch fetch may still hold after it commits (see
+	// commit). Unissued stores and squashed uops are ROB entries.
+	s.pool = core.NewUopPool(cfg.MaxInFlight + cfg.FetchQueueSize + 1)
+	s.fetchQ = ring.New[*core.Uop](cfg.FetchQueueSize)
+	s.rob = ring.New[*core.Uop](cfg.MaxInFlight)
+	s.unissuedStores = ring.New[*core.Uop](cfg.MaxInFlight)
+	s.squashScratch = make([]*core.Uop, 0, cfg.MaxInFlight)
 	s.tryIssueFn = s.tryIssue
 	s.fast = !cfg.CheckInvariants && !cfg.RecordTimeline && !cfg.NoCycleSkip
 	if cfg.CheckInvariants {
@@ -526,8 +530,6 @@ func (s *Simulator) done() bool {
 // step advances one clock cycle. Stage order within the cycle — commit,
 // issue, dispatch, fetch — gives dispatch→issue and fetch→dispatch the
 // one-cycle latencies of the Figure 1 pipeline.
-//
-//ce:hot
 func (s *Simulator) step() error {
 	if s.fast {
 		s.skipAhead()
@@ -562,8 +564,6 @@ func (s *Simulator) step() error {
 // decoded, fetch is stalled — so jumping over them is timing-neutral; the
 // differential harness asserts cycle counts are identical with skipping
 // on and off. Conservatism is always safe: when in doubt, don't skip.
-//
-//ce:hot
 func (s *Simulator) skipAhead() {
 	next := int64(math.MaxInt64)
 	consider := func(c int64) {
@@ -648,8 +648,6 @@ func (s *Simulator) skipAhead() {
 }
 
 // commit retires completed instructions in program order.
-//
-//ce:hot
 func (s *Simulator) commit() {
 	n := 0
 	for n < s.cfg.RetireWidth && s.rob.Len() > 0 {
@@ -679,7 +677,7 @@ func (s *Simulator) commit() {
 			s.stats.InterClusterUops++
 		}
 		if s.cfg.RecordTimeline {
-			s.timeline = append(s.timeline, TimelineEntry{ //ce:alloc-ok timeline recording is off on measured runs
+			s.timeline = append(s.timeline, TimelineEntry{
 				Seq:      u.Seq,
 				PC:       u.Rec.PC,
 				Inst:     u.Rec.Inst,
@@ -717,7 +715,7 @@ func (s *Simulator) squash() error {
 	// dispatched before speculation began or is in the ROB).
 	for i := 0; i < s.fetchQ.Len(); i++ {
 		if s.fetchQ.At(i).Seq <= br.Seq {
-			return fmt.Errorf("pipeline: %s: non-speculative uop %d in fetch queue at squash", s.cfg.Name, s.fetchQ.At(i).Seq) //ce:alloc-ok fatal path, run is over
+			return fmt.Errorf("pipeline: %s: non-speculative uop %d in fetch queue at squash", s.cfg.Name, s.fetchQ.At(i).Seq)
 		}
 	}
 	s.stats.SquashedUops += uint64(s.fetchQ.Len())
@@ -752,7 +750,7 @@ func (s *Simulator) squash() error {
 	// Roll the functional machine back to just after the branch and
 	// resume on the architectural path.
 	if err := s.machine.Restore(s.checkpoint); err != nil {
-		return fmt.Errorf("pipeline: %s: %w", s.cfg.Name, err) //ce:alloc-ok fatal path, run is over
+		return fmt.Errorf("pipeline: %s: %w", s.cfg.Name, err)
 	}
 	s.seq = br.Seq + 1
 	s.resolving = nil
@@ -774,8 +772,6 @@ func (s *Simulator) squash() error {
 // bypassExtra returns the additional cycles before a value produced in
 // cluster `from` is consumable in cluster `to`, beyond the producer's
 // completion (precomputed per cluster pair at construction).
-//
-//ce:hot
 func (s *Simulator) bypassExtra(from, to int) int64 {
 	return s.bypassTab[from*s.nClus+to]
 }
@@ -800,8 +796,6 @@ func (s *Simulator) bypassExtraSlow(from, to int) int64 {
 // issue performs wakeup+select: the scheduler offers candidates in
 // priority order and the pipeline issues those whose operands and
 // resources are available.
-//
-//ce:hot
 func (s *Simulator) issue() {
 	// Memory disambiguation horizon: a load may issue only if every older
 	// store has issued (its address is then known).
@@ -827,8 +821,6 @@ func (s *Simulator) issue() {
 // (width, ports, store horizon, functional units, operand readiness) and
 // performs the issue when they pass. Rejection has no side effects, so
 // the scheduler may offer any superset of the issuable candidates.
-//
-//ce:hot
 func (s *Simulator) tryIssue(u *core.Uop) bool {
 	if s.issuedCount >= s.cfg.IssueWidth {
 		return false
@@ -908,8 +900,6 @@ func (s *Simulator) tryIssue(u *core.Uop) bool {
 
 // operandsReady reports whether every source of u is consumable in
 // cluster c this cycle.
-//
-//ce:hot
 func (s *Simulator) operandsReady(u *core.Uop, c int) bool {
 	base := c * s.nPhys
 	for _, p := range u.PhysSrcs {
@@ -922,8 +912,6 @@ func (s *Simulator) operandsReady(u *core.Uop, c int) bool {
 
 // pickCluster implements execution-driven steering (Section 5.6.1):
 // clusters are tried in static order, so ties go to cluster 0.
-//
-//ce:hot
 func (s *Simulator) pickCluster(u *core.Uop, fuUsed []int) int {
 	for c := 0; c < s.cfg.Clusters; c++ {
 		if fuUsed[c] < s.cfg.FUsPerCluster && s.operandsReady(u, c) {
@@ -936,8 +924,6 @@ func (s *Simulator) pickCluster(u *core.Uop, fuUsed []int) int {
 // noteBypasses records whether u consumed any operand over an
 // inter-cluster bypass path: the producer ran in another cluster and the
 // value had not yet been written into this cluster's register file.
-//
-//ce:hot
 func (s *Simulator) noteBypasses(u *core.Uop, c int) {
 	for _, p := range u.PhysSrcs {
 		if p < 0 {
@@ -958,8 +944,6 @@ func (s *Simulator) noteBypasses(u *core.Uop, c int) {
 // forwardingStore reports whether an older in-flight store writes the
 // load's word. The load's issue is already gated on all older store
 // addresses being known, so the in-order ROB scan is sound.
-//
-//ce:hot
 func (s *Simulator) forwardingStore(load *core.Uop) bool {
 	word := load.Rec.Addr >> 2
 	for i := s.rob.Len() - 1; i >= 0; i-- {
@@ -975,8 +959,6 @@ func (s *Simulator) forwardingStore(load *core.Uop) bool {
 }
 
 // dispatch renames and inserts fetched instructions into the scheduler.
-//
-//ce:hot
 func (s *Simulator) dispatch() error {
 	for n := 0; n < s.cfg.DecodeWidth && s.fetchQ.Len() > 0; n++ {
 		u := s.fetchQ.Front()
@@ -1028,8 +1010,6 @@ func (s *Simulator) dispatch() error {
 // mispredicted conditional branch until the branch executes (trace-driven
 // misprediction model: the wrong path is not executed, its fetch slots are
 // simply lost).
-//
-//ce:hot
 func (s *Simulator) fetch() error {
 	if s.redirect != nil {
 		if !s.redirect.Issued || s.cycle < s.redirect.CompleteCycle {
@@ -1084,7 +1064,7 @@ func (s *Simulator) fetch() error {
 				s.wrongPathDone = true
 				return nil
 			}
-			return fmt.Errorf("pipeline: %s/%s: functional emulation: %w", s.cfg.Name, s.stats.Workload, err) //ce:alloc-ok fatal path, run is over
+			return fmt.Errorf("pipeline: %s/%s: functional emulation: %w", s.cfg.Name, s.stats.Workload, err)
 		}
 		s.stats.EmuSteps++
 		rec := &u.Rec

@@ -2,8 +2,9 @@ package pipeline
 
 // Tests for the replay execution source: a simulator driven by a
 // pre-captured trace must be statistically indistinguishable from one
-// driving the functional emulator in lockstep, and the replay path must
-// preserve the steady-state zero-allocation guarantee.
+// driving the functional emulator in lockstep, and a replay-driven run
+// must allocate nothing once constructed. TestCycleLoopAllocationFree
+// attributes the cycle loop's allocations site by site.
 
 import (
 	"testing"
@@ -89,9 +90,9 @@ func TestNewReplayRejectsWrongPath(t *testing.T) {
 	}
 }
 
-// TestReplayRunAllocationFree extends the steady-state allocation guard
-// to the replay path: a full replay-driven simulation must stay within
-// the same construction-bounded allocation budget as lockstep.
+// TestReplayRunAllocationFree bounds a whole replay-driven simulation:
+// construction allocates a bounded number of objects, and Run itself,
+// as its Stats.HostAllocs measures, none.
 func TestReplayRunAllocationFree(t *testing.T) {
 	w, err := prog.ByName("compress")
 	if err != nil {
@@ -107,22 +108,26 @@ func TestReplayRunAllocationFree(t *testing.T) {
 	}
 	c := cfg("replay-alloc-guard", 1, 0, window64)
 	c.PerfectBPred = false
-	var cycles int64
+	var st Stats
 	run := func() {
 		sim, err := NewReplay(c, trace.NewReader(tr))
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := sim.Run(10_000_000)
-		if err != nil {
+		if st, err = sim.Run(10_000_000); err != nil {
 			t.Fatal(err)
 		}
-		cycles = st.Cycles
 	}
 	const maxPerRun = 2000
 	allocs := testing.AllocsPerRun(5, run)
 	if allocs > maxPerRun {
 		t.Errorf("replay run allocates %.0f objects (limit %d): %.3f allocs/cycle over %d cycles",
-			allocs, maxPerRun, allocs/float64(cycles), cycles)
+			allocs, maxPerRun, allocs/float64(st.Cycles), st.Cycles)
+	}
+	if st.HostAllocs != 0 {
+		t.Errorf("replay Run: Stats.HostAllocs = %d, want 0", st.HostAllocs)
+	}
+	if st.HostWallSeconds <= 0 {
+		t.Errorf("replay Run: Stats.HostWallSeconds = %v, want > 0", st.HostWallSeconds)
 	}
 }

@@ -1,34 +1,41 @@
-// Package ring provides a growable ring buffer used as a double-ended
-// queue. The timing pipeline keeps its program-order queues (fetch queue,
-// reorder buffer, unissued-store queue) in ring buffers so that head pops
-// are O(1) and — unlike reslicing a Go slice — do not leave dead elements
-// reachable through the backing array.
+// Package ring provides a fixed-capacity ring buffer used as a
+// double-ended queue. The timing pipeline keeps its program-order queues
+// (fetch queue, reorder buffer, unissued-store queue) in ring buffers so
+// that head pops are O(1) and — unlike reslicing a Go slice — do not leave
+// dead elements reachable through the backing array. Each queue has an
+// architectural bound, so the buffer is sized once at construction and
+// never grows.
 //
 //ce:deterministic
 package ring
 
-// Buffer is a growable ring buffer. The zero value is an empty buffer
-// ready for use. Capacity grows by doubling and is always a power of two,
-// so index wrapping is a mask. Popped and cleared slots are zeroed so the
-// buffer never retains references to removed elements.
+// Buffer is a fixed-capacity ring buffer. Capacity is a power of two, so
+// index wrapping is a mask. Popped and cleared slots are zeroed so the
+// buffer never retains references to removed elements. The zero value
+// has capacity 0; New sizes a buffer.
 type Buffer[T any] struct {
 	buf  []T
 	head int
 	n    int
 }
 
+// New returns an empty buffer holding at least n elements (n rounded up
+// to a power of two).
+func New[T any](n int) Buffer[T] {
+	c := 1
+	for c < n {
+		c *= 2
+	}
+	return Buffer[T]{buf: make([]T, c)}
+}
+
 // Len reports the number of buffered elements.
-//
-//ce:hot
 func (b *Buffer[T]) Len() int { return b.n }
 
-// PushBack appends v at the tail. Steady-state pushes reuse capacity;
-// growth is a doubling event amortized to zero.
-//
-//ce:hot
+// PushBack appends v at the tail; it panics on a full buffer.
 func (b *Buffer[T]) PushBack(v T) {
 	if b.n == len(b.buf) {
-		b.grow()
+		panic("ring: PushBack on full buffer")
 	}
 	b.buf[(b.head+b.n)&(len(b.buf)-1)] = v
 	b.n++
@@ -36,8 +43,6 @@ func (b *Buffer[T]) PushBack(v T) {
 
 // PopFront removes and returns the head element; it panics on an empty
 // buffer.
-//
-//ce:hot
 func (b *Buffer[T]) PopFront() T {
 	if b.n == 0 {
 		panic("ring: PopFront on empty buffer")
@@ -52,8 +57,6 @@ func (b *Buffer[T]) PopFront() T {
 
 // PopBack removes and returns the tail element; it panics on an empty
 // buffer.
-//
-//ce:hot
 func (b *Buffer[T]) PopBack() T {
 	if b.n == 0 {
 		panic("ring: PopBack on empty buffer")
@@ -68,8 +71,6 @@ func (b *Buffer[T]) PopBack() T {
 
 // Front returns the head element without removing it; it panics on an
 // empty buffer.
-//
-//ce:hot
 func (b *Buffer[T]) Front() T {
 	if b.n == 0 {
 		panic("ring: Front on empty buffer")
@@ -79,8 +80,6 @@ func (b *Buffer[T]) Front() T {
 
 // Back returns the tail element without removing it; it panics on an
 // empty buffer.
-//
-//ce:hot
 func (b *Buffer[T]) Back() T {
 	if b.n == 0 {
 		panic("ring: Back on empty buffer")
@@ -90,8 +89,6 @@ func (b *Buffer[T]) Back() T {
 
 // At returns the element i positions from the head (At(0) == Front()); it
 // panics when i is out of range.
-//
-//ce:hot
 func (b *Buffer[T]) At(i int) T {
 	if i < 0 || i >= b.n {
 		panic("ring: At index out of range")
@@ -107,19 +104,4 @@ func (b *Buffer[T]) Clear() {
 		b.buf[(b.head+i)&(len(b.buf)-1)] = zero
 	}
 	b.head, b.n = 0, 0
-}
-
-// grow doubles capacity, unwrapping the contents to the front of the new
-// backing array.
-func (b *Buffer[T]) grow() {
-	newCap := 16
-	if len(b.buf) > 0 {
-		newCap = len(b.buf) * 2
-	}
-	nb := make([]T, newCap)
-	if b.n > 0 {
-		k := copy(nb, b.buf[b.head:])
-		copy(nb[k:], b.buf[:b.n-k])
-	}
-	b.buf, b.head = nb, 0
 }

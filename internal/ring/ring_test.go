@@ -3,7 +3,7 @@ package ring
 import "testing"
 
 func TestPushPopFIFO(t *testing.T) {
-	var b Buffer[int]
+	b := New[int](100)
 	for i := 0; i < 100; i++ {
 		b.PushBack(i)
 	}
@@ -26,7 +26,7 @@ func TestPushPopFIFO(t *testing.T) {
 // TestWraparound drives head and tail around the backing array many times
 // at constant occupancy, so pushes and pops cross the wrap point.
 func TestWraparound(t *testing.T) {
-	var b Buffer[int]
+	b := New[int](12)
 	next := 0
 	for i := 0; i < 12; i++ {
 		b.PushBack(i)
@@ -48,41 +48,52 @@ func TestWraparound(t *testing.T) {
 	}
 }
 
-// TestGrowWhileWrapped forces a capacity doubling while the contents wrap
-// around the end of the backing array.
-func TestGrowWhileWrapped(t *testing.T) {
-	var b Buffer[int]
-	// Fill to the initial capacity of 16, then rotate so head != 0.
-	for i := 0; i < 16; i++ {
+// TestFullWhileWrapped fills a buffer whose contents wrap around the end
+// of the backing array: every slot is usable, and one push past capacity
+// panics instead of growing.
+func TestFullWhileWrapped(t *testing.T) {
+	b := New[int](16)
+	if len(b.buf) != 16 {
+		t.Fatalf("capacity = %d, want 16", len(b.buf))
+	}
+	// Rotate so head != 0, then fill every slot.
+	for i := 0; i < 10; i++ {
 		b.PushBack(i)
 	}
 	for i := 0; i < 10; i++ {
-		if got := b.PopFront(); got != i {
-			t.Fatalf("PopFront = %d, want %d", got, i)
-		}
-		b.PushBack(16 + i)
+		b.PopFront()
 	}
-	// Buffer holds 10..25 wrapped; pushing past capacity triggers grow.
-	for i := 26; i < 40; i++ {
+	for i := 0; i < 16; i++ {
 		b.PushBack(i)
 	}
-	if b.Len() != 30 {
-		t.Fatalf("Len = %d, want 30", b.Len())
-	}
-	for i := 0; i < 30; i++ {
-		if got := b.At(i); got != 10+i {
-			t.Fatalf("At(%d) = %d, want %d", i, got, 10+i)
+	for i := 0; i < 16; i++ {
+		if got := b.At(i); got != i {
+			t.Fatalf("At(%d) = %d, want %d", i, got, i)
 		}
 	}
-	for i := 0; i < 30; i++ {
-		if got := b.PopFront(); got != 10+i {
-			t.Fatalf("PopFront = %d, want %d", got, 10+i)
+	defer func() {
+		if recover() == nil {
+			t.Error("PushBack on a full buffer did not panic")
+		}
+		if b.Len() != 16 || len(b.buf) != 16 {
+			t.Errorf("full buffer changed: Len = %d, capacity = %d", b.Len(), len(b.buf))
+		}
+	}()
+	b.PushBack(16)
+}
+
+// TestNewRoundsUp pins the capacity rule: the requested bound rounded up
+// to a power of two.
+func TestNewRoundsUp(t *testing.T) {
+	for _, tc := range []struct{ n, want int }{{0, 1}, {1, 1}, {2, 2}, {3, 4}, {32, 32}, {33, 64}, {129, 256}} {
+		if b := New[int](tc.n); len(b.buf) != tc.want {
+			t.Errorf("New(%d) capacity = %d, want %d", tc.n, len(b.buf), tc.want)
 		}
 	}
 }
 
 func TestPopBack(t *testing.T) {
-	var b Buffer[int]
+	b := New[int](20)
 	for i := 0; i < 20; i++ {
 		b.PushBack(i)
 	}
@@ -99,7 +110,7 @@ func TestPopBack(t *testing.T) {
 // TestPopZeroesSlots checks that removed elements are not retained through
 // the backing array (the ROB reslice leak this package exists to fix).
 func TestPopZeroesSlots(t *testing.T) {
-	var b Buffer[*int]
+	b := New[*int](4)
 	v := new(int)
 	b.PushBack(v)
 	b.PopFront()
@@ -129,15 +140,17 @@ func TestPanics(t *testing.T) {
 	expectPanic := func(name string, f func()) {
 		defer func() {
 			if recover() == nil {
-				t.Errorf("%s on empty buffer did not panic", name)
+				t.Errorf("%s did not panic", name)
 			}
 		}()
 		f()
 	}
-	var b Buffer[int]
-	expectPanic("PopFront", func() { b.PopFront() })
-	expectPanic("PopBack", func() { b.PopBack() })
-	expectPanic("Front", func() { b.Front() })
-	expectPanic("Back", func() { b.Back() })
-	expectPanic("At", func() { b.At(0) })
+	b := New[int](4)
+	expectPanic("PopFront on empty buffer", func() { b.PopFront() })
+	expectPanic("PopBack on empty buffer", func() { b.PopBack() })
+	expectPanic("Front on empty buffer", func() { b.Front() })
+	expectPanic("Back on empty buffer", func() { b.Back() })
+	expectPanic("At on empty buffer", func() { b.At(0) })
+	var zero Buffer[int]
+	expectPanic("PushBack on the zero Buffer", func() { zero.PushBack(1) })
 }

@@ -145,7 +145,7 @@ func grabChunkBuf(n int) *[]byte {
 			return b
 		}
 	}
-	b := make([]byte, n) //ce:alloc-ok pool refill, amortized across all chunks of a segment
+	b := make([]byte, n)
 	return &b
 }
 

@@ -205,10 +205,11 @@ func parseFooter(footer []byte, p *isa.Program) (*Trace, error) {
 	}
 	t.bounds = make([]Boundary, nBounds)
 	for i := range t.bounds {
-		t.bounds[i] = Boundary{Step: c.u64(), Pos: c.u64(), PC: c.u32()}
-		if t.bounds[i].Step > t.n || t.bounds[i].Pos > t.packedLen {
+		b := Boundary{Step: c.u64(), Pos: c.u64(), PC: c.u32()}
+		if b.Step > t.n || b.Pos > t.packedLen || (b.Step < t.n && b.PC >= uint32(len(p.Text))) {
 			return corrupt("boundary outside the trace")
 		}
+		t.bounds[i] = b
 	}
 	t.bbv.Dim = int(c.u32())
 	t.bbv.Interval = c.u64()

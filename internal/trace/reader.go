@@ -132,7 +132,7 @@ func (r *Reader) load(ci int, globalPos uint64) error {
 }
 
 // advance moves to the next chunk when the cursor crosses the current
-// chunk's last record. Kept out of the //ce:hot Step body; it performs
+// chunk's last record. Kept out of the Step body; it performs
 // no allocation in steady state (the pooled buffer is reused), which
 // TestReaderStepAllocFree pins across a chunk crossing.
 func (r *Reader) advance() error {
@@ -164,8 +164,6 @@ func (r *Reader) finishHalt() {
 // emu.Machine.Step produces for the same instruction — both are pinned
 // by differential tests. Returns emu.ErrHalted after the final record,
 // exactly like the machine it stands in for.
-//
-//ce:hot
 func (r *Reader) Step() (emu.Record, error) {
 	var rec emu.Record
 	if err := r.Next(&rec); err != nil {
@@ -179,8 +177,6 @@ func (r *Reader) Step() (emu.Record, error) {
 // value right after its fields were stored one by one reloads them as
 // wider words, a store-forwarding stall per instruction. Next sets
 // every field of *rec on success; on error *rec is unspecified.
-//
-//ce:hot
 func (r *Reader) Next(rec *emu.Record) error {
 	if r.halted {
 		return emu.ErrHalted

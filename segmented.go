@@ -26,6 +26,7 @@ package ce
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"time"
 
@@ -124,13 +125,36 @@ func (e *Engine) SetSegmentPhases(k int) {
 	e.traceMu.Unlock()
 }
 
+// SetSegmentFlags applies the -warmup, -sample and -phases command-line
+// spellings: warmup is an instruction count or "adaptive", sample a
+// stride or "phase" (which then uses phases). The error names the flag.
+func (e *Engine) SetSegmentFlags(warmup, sample string, phases int) error {
+	if warmup == "adaptive" {
+		e.SetSegmentAdaptive(true)
+	} else {
+		w, err := strconv.ParseInt(warmup, 10, 64)
+		if err != nil {
+			return fmt.Errorf("-warmup: %q is neither an instruction count nor 'adaptive'", warmup)
+		}
+		e.SetSegmentWarmup(w)
+	}
+	if sample == "phase" {
+		e.SetSegmentPhases(phases)
+		return nil
+	}
+	n, err := strconv.Atoi(sample)
+	if err != nil {
+		return fmt.Errorf("-sample: %q is neither a stride nor 'phase'", sample)
+	}
+	e.SetSegmentSample(n)
+	return nil
+}
+
 // segPlan is a snapshot of the engine's segment configuration. Every
 // field feeds segmented timing, so every field must reach the run-cache
-// key segKeySuffix builds — keylint's via mode enforces it, because a
-// plan field dropped from the key would let an approximate run
+// key segKeySuffix builds — TestSegKeySuffixCoversPlan checks it,
+// because a plan field dropped from the key would let an approximate run
 // masquerade as a different plan's (or the exact) result.
-//
-//ce:keyed via=segKeySuffix
 type segPlan struct {
 	k        int   // segments to cut (<=1: monolithic)
 	warmup   int64 // fixed warmup prefix (-1: full, exact)

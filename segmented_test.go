@@ -1,6 +1,7 @@
 package ce
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -252,5 +253,83 @@ func TestSegmentBench(t *testing.T) {
 	}
 	if res.IPCErrorPct < -50 || res.IPCErrorPct > 50 {
 		t.Errorf("sampled IPC off by %.1f%%", res.IPCErrorPct)
+	}
+}
+
+// TestSegKeySuffixCoversPlan changes every segPlan field in turn, through
+// the engine setter that feeds it, and requires segKeySuffix to change:
+// a plan field missing from the key would let one approximate plan's
+// estimate be served for another's. A segPlan field without a setter
+// here fails the test until it is classified.
+func TestSegKeySuffixCoversPlan(t *testing.T) {
+	setters := map[string]func(*Engine){
+		"k":        func(e *Engine) { e.SetSegments(5) },
+		"warmup":   func(e *Engine) { e.SetSegmentWarmup(1001) },
+		"sample":   func(e *Engine) { e.SetSegmentSample(3) },
+		"adaptive": func(e *Engine) { e.SetSegmentAdaptive(true) },
+		"phases":   func(e *Engine) { e.SetSegmentPhases(3) },
+	}
+	base := func() *Engine {
+		e := NewEngine()
+		e.SetSegments(4)
+		e.SetSegmentWarmup(1000)
+		e.SetSegmentSample(2)
+		return e
+	}
+	cfg := BaselineConfig()
+	baseSuffix := base().segKeySuffix(cfg)
+	if baseSuffix == "" {
+		t.Fatal("approximate base plan shares the exact key")
+	}
+	pt := reflect.TypeOf(segPlan{})
+	for i := 0; i < pt.NumField(); i++ {
+		name := pt.Field(i).Name
+		set, ok := setters[name]
+		if !ok {
+			t.Errorf("segPlan.%s has no setter in this test: classify it", name)
+			continue
+		}
+		e := base()
+		set(e)
+		if e.segKeySuffix(cfg) == baseSuffix {
+			t.Errorf("segPlan.%s: changing it did not change segKeySuffix", name)
+		}
+	}
+}
+
+// TestSetSegmentFlags pins the -warmup/-sample/-phases spellings cesweep
+// and cesweepd share: the accepted values and the plan each yields, and
+// the rejected ones with the flag named in the error.
+func TestSetSegmentFlags(t *testing.T) {
+	for _, tc := range []struct {
+		warmup, sample string
+		want           segPlan // on a fresh engine
+		err            string
+	}{
+		{warmup: "-1", sample: "1", want: segPlan{warmup: -1, sample: 1}},
+		{warmup: "0", sample: "4", want: segPlan{warmup: 0, sample: 4}},
+		{warmup: "65536", sample: "phase", want: segPlan{warmup: 65536, sample: 1, phases: 3}},
+		{warmup: "adaptive", sample: "2", want: segPlan{warmup: -1, sample: 2, adaptive: true}},
+		{warmup: "full", sample: "1", err: `-warmup: "full" is neither an instruction count nor 'adaptive'`},
+		{warmup: "", sample: "1", err: `-warmup: "" is neither an instruction count nor 'adaptive'`},
+		{warmup: "1.5", sample: "1", err: `-warmup: "1.5" is neither an instruction count nor 'adaptive'`},
+		{warmup: "-1", sample: "stride", err: `-sample: "stride" is neither a stride nor 'phase'`},
+		{warmup: "-1", sample: "", err: `-sample: "" is neither a stride nor 'phase'`},
+	} {
+		e := NewEngine()
+		err := e.SetSegmentFlags(tc.warmup, tc.sample, 3)
+		if tc.err != "" {
+			if err == nil || err.Error() != tc.err {
+				t.Errorf("(%q, %q): err = %v, want %q", tc.warmup, tc.sample, err, tc.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("(%q, %q): %v", tc.warmup, tc.sample, err)
+			continue
+		}
+		if got := e.segmentPlan(); got != tc.want {
+			t.Errorf("(%q, %q): plan %+v, want %+v", tc.warmup, tc.sample, got, tc.want)
+		}
 	}
 }
