@@ -43,13 +43,12 @@ type SweepBenchResult struct {
 	// loaded from disk, runs by drive mode, one-time capture cost, and
 	// dynamic instructions functionally executed versus replayed.
 	Trace TraceStats `json:"trace"`
-	// Segment, when present, benchmarks segment-parallel sampled
-	// simulation against the monolithic baseline on a long workload.
-	Segment *SegmentBenchResult `json:"segment,omitempty"`
-	// Stream, when present, benchmarks streamed capture and sampled
-	// simulation of a huge workload (cesweep -stream-bench): wall time,
-	// peak RSS and IPC error per sampling mode against the
-	// streamed-exact truth.
+	// Segment, when present, benchmarks phase-sampled simulation
+	// against the exact monolithic replay on a long workload, in memory.
+	Segment *StreamBenchResult `json:"segment,omitempty"`
+	// Stream, when present, is the same benchmark on a huge workload
+	// streamed through disk (cesweep -stream-bench): wall time, peak RSS
+	// and IPC error against the exact truth.
 	Stream *StreamBenchResult `json:"stream,omitempty"`
 }
 
@@ -142,13 +141,7 @@ func CompareSweepBench(old, cur SweepBenchResult, tolerancePct float64) []BenchD
 	}
 	if old.Stream != nil && cur.Stream != nil {
 		add("stream.exact_wall_seconds", old.Stream.ExactWallSeconds, cur.Stream.ExactWallSeconds, false)
-		for _, om := range old.Stream.Modes {
-			for _, nm := range cur.Stream.Modes {
-				if nm.Mode == om.Mode {
-					add("stream."+om.Mode+".speedup", om.Speedup, nm.Speedup, false)
-				}
-			}
-		}
+		add("stream.speedup", old.Stream.Speedup, cur.Stream.Speedup, false)
 	}
 	return out
 }

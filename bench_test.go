@@ -324,9 +324,9 @@ func TestSweepBenchJSONRoundTrip(t *testing.T) {
 		Sims:        42,
 		SimsPerSec:  28,
 		Replay:      true,
-		Segment: &SegmentBenchResult{
+		Segment: &StreamBenchResult{
 			Config: "baseline-8way-64win", Workload: "compress.big",
-			Segments: 16, Sample: 4, Speedup: 3.5,
+			Segments: 16, Phases: 4, Speedup: 3.5,
 		},
 	}
 	if err := WriteSweepBenchJSON(path, want); err != nil {
@@ -347,7 +347,7 @@ func TestSweepBenchJSONRoundTrip(t *testing.T) {
 func TestCompareSweepBench(t *testing.T) {
 	old := SweepBenchResult{
 		WallSeconds: 10, SimsPerSec: 20,
-		Segment: &SegmentBenchResult{Speedup: 4.0},
+		Segment: &StreamBenchResult{Speedup: 4.0},
 	}
 	for _, tc := range []struct {
 		name      string
@@ -360,7 +360,7 @@ func TestCompareSweepBench(t *testing.T) {
 		cur := SweepBenchResult{
 			// Wall time doubled: reported, never gated.
 			WallSeconds: 20, SimsPerSec: 10,
-			Segment: &SegmentBenchResult{Speedup: tc.speedup},
+			Segment: &StreamBenchResult{Speedup: tc.speedup},
 		}
 		byName := make(map[string]BenchDelta)
 		for _, d := range CompareSweepBench(old, cur, 25) {

@@ -39,13 +39,12 @@
 //	-warmup N           per-segment warmup prefix in instructions;
 //	                    -1 (default) replays the full prefix, making the
 //	                    stitched result bit-identical to the monolithic
-//	                    run; 'adaptive' starts each segment cold and
-//	                    discards its leading windows until IPC converges
-//	-sample N           simulate every Nth segment and extrapolate the
-//	                    rest (approximate, reported with error bars);
-//	                    'phase' clusters segments by their basic-block
-//	                    vectors and times one representative per cluster
-//	-phases K           maximum behavior clusters for -sample=phase
+//	                    run
+//	-phases K           cluster segments into at most K phases by their
+//	                    basic-block vectors and time one representative
+//	                    per phase, weighted by its share of the run
+//	                    (approximate, reported with error bars); 0
+//	                    (default) times every segment
 //
 // Host-performance flags for working on the simulator itself:
 //
@@ -56,10 +55,10 @@
 //	-stream-bench W     benchmark streamed capture + sampled simulation on
 //	                    huge workload W (e.g. compress.huge): capture the
 //	                    trace straight to -trace-dir, time it exactly once
-//	                    monolithically, then estimate with fixed, adaptive
-//	                    and phase sampling at an equal segment budget;
-//	                    wall time, peak RSS and IPC error per mode go to
-//	                    BENCH_sweep.json
+//	                    monolithically, then estimate it by phase sampling
+//	                    at most -phases of its segments after a fixed
+//	                    32768-instruction warmup; wall time, peak RSS and
+//	                    IPC error go to BENCH_sweep.json
 //	-stream-segments K  segment count for -stream-bench (default 64)
 //	-bench-compare F    compare this run's BENCH_sweep.json entries against
 //	                    the baseline at F and print per-entry deltas
@@ -103,15 +102,14 @@ var (
 	traceDir   = flag.String("trace-dir", "", "persist captured execution traces under this directory")
 	noReplay   = flag.Bool("no-trace-replay", false, "drive every simulation by lockstep execution instead of shared trace replay")
 	segments   = flag.Int("segments", 0, "cut each trace into this many segments timed in parallel (0 = monolithic)")
-	segWarmup  = flag.String("warmup", "-1", "per-segment warmup: instruction count (-1 = full prefix, exact stitching) or 'adaptive' (per-segment IPC-convergence detection)")
-	segSample  = flag.String("sample", "1", "segment sampling: simulate every Nth segment and extrapolate (N), or 'phase' (time one representative per behavior cluster, weighted by cluster mass)")
-	segPhases  = flag.Int("phases", 8, "maximum behavior clusters for -sample=phase")
+	segWarmup  = flag.Int64("warmup", -1, "per-segment warmup prefix in instructions (-1 = full prefix, exact stitching)")
+	segPhases  = flag.Int("phases", 0, "phase sampling: time one representative segment per behavior cluster, at most this many, weighted by cluster mass (0 = time every segment)")
 	benchJSON  = flag.String("bench-json", "", "benchmark the simulator per panel config and write results to this file")
 	benchWork  = flag.String("bench-workload", "compress", "workload for -bench-json")
 	benchCmp   = flag.String("bench-compare", "", "compare this invocation's BENCH_sweep.json against the baseline at this path and print per-entry deltas")
 	benchTol   = flag.Float64("bench-tolerance", 25, "percent a gated benchmark ratio may fall below the -bench-compare baseline before exiting nonzero; negative = warn only")
 	streamWork = flag.String("stream-bench", "", "benchmark streamed capture + sampled simulation on this (huge) workload and record it in BENCH_sweep.json")
-	streamSegs = flag.Int("stream-segments", 64, "segment count for -stream-bench (sampled modes simulate at most -phases of them)")
+	streamSegs = flag.Int("stream-segments", 64, "segment count for -stream-bench (phase sampling times at most -phases of them)")
 	cpuprof    = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memprof    = flag.String("memprofile", "", "write a heap profile taken after the sweep to this file")
 )
@@ -185,9 +183,8 @@ func setupObservability() (func() error, error) {
 	}
 	eng.SetTraceReplay(!*noReplay)
 	eng.SetSegments(*segments)
-	if err := eng.SetSegmentFlags(*segWarmup, *segSample, *segPhases); err != nil {
-		return nil, err
-	}
+	eng.SetSegmentWarmup(*segWarmup)
+	eng.SetSegmentPhases(*segPhases)
 	for _, path := range []string{*metrics, *metricsDet} {
 		if path == "" {
 			continue
@@ -464,13 +461,13 @@ func run() (err error) {
 	if (sweepRan && (*benchJSON != "" || *benchCmp != "")) || *streamWork != "" {
 		// Record whole-sweep performance next to the per-configuration
 		// benchmark: the sweep's own throughput (when one ran), the
-		// segment-parallel sampled benchmark on a workload long enough
-		// (millions of instructions) for segmentation to pay, and the
-		// streaming benchmark on a huge workload when requested.
+		// phase-sampled benchmark on a workload long enough (millions of
+		// instructions) for segmentation to pay, and the same benchmark
+		// streamed on a huge workload when requested.
 		ran = true
 		sb := ce.SweepBench(ce.DefaultEngine, sweepWall)
 		if sweepRan {
-			seg, err := ce.SegmentBench("compress.big", 16, 4, 1<<15)
+			seg, err := ce.StreamBench("compress.big", "", 16, 4)
 			if err != nil {
 				return err
 			}
@@ -505,23 +502,11 @@ func run() (err error) {
 				path, sb.Sims, sb.WallSeconds, sb.SimsPerSec,
 				sb.Trace.StepsExecuted, sb.Trace.StepsReplayed)
 		}
-		if seg := sb.Segment; seg != nil {
-			simulated := (seg.Segments + seg.Sample - 1) / seg.Sample
-			fmt.Printf("Segment benchmark on %s (%d steps): monolithic %.2f s, sampled %d/%d segments %.2f s — %.1fx; IPC %.3f vs %.3f (%+.1f%%)\n",
-				seg.Workload, seg.Steps, seg.MonoWallSeconds, simulated, seg.Segments,
-				seg.SampledWallSeconds, seg.Speedup, seg.SampledIPC, seg.MonoIPC, seg.IPCErrorPct)
+		if sb.Segment != nil {
+			printSampledBench("Segment", path, sb.Segment)
 		}
-		if st := sb.Stream; st != nil {
-			fmt.Printf("Stream benchmark on %s (written to %s): %d steps, %.1f MB trace on disk (%.1f MB resident), capture %.1f s (peak RSS %.0f MB)\n",
-				st.Workload, path, st.Steps, float64(st.TraceDiskBytes)/1e6, float64(st.TraceResidentBytes)/1e6,
-				st.CaptureSeconds, float64(st.CapturePeakRSS)/1e6)
-			fmt.Printf("  %-9s %10s %9s %9s %9s %9s\n", "mode", "insts", "wall s", "rss MB", "ipc", "err %")
-			fmt.Printf("  %-9s %10d %9.1f %9.0f %9.3f %9s\n",
-				"exact", st.Steps, st.ExactWallSeconds, float64(st.ExactPeakRSS)/1e6, st.ExactIPC, "—")
-			for _, m := range st.Modes {
-				fmt.Printf("  %-9s %10d %9.1f %9.0f %9.3f %+8.2f%%\n",
-					m.Mode, m.SimulatedSteps, m.WallSeconds, float64(m.PeakRSSBytes)/1e6, m.IPC, m.IPCErrorPct)
-			}
+		if sb.Stream != nil {
+			printSampledBench("Stream", path, sb.Stream)
 		}
 		if *benchCmp != "" {
 			tol, gate := *benchTol, *benchTol >= 0
@@ -564,4 +549,18 @@ func run() (err error) {
 		return fmt.Errorf("nothing selected: pass -fig N, -speedup, -tradeoff, -ablations, -micro, -bench-json, -stream-bench or -all")
 	}
 	return nil
+}
+
+// printSampledBench prints one sampled-simulation benchmark record: the
+// trace's footprint, then the exact and phase-sampled legs side by side.
+func printSampledBench(name, path string, r *ce.StreamBenchResult) {
+	fmt.Printf("%s benchmark on %s (written to %s): %d steps, %.1f MB trace on disk (%.1f MB resident), capture %.1f s (peak RSS %.0f MB)\n",
+		name, r.Workload, path, r.Steps, float64(r.TraceDiskBytes)/1e6, float64(r.TraceResidentBytes)/1e6,
+		r.CaptureSeconds, float64(r.CapturePeakRSS)/1e6)
+	fmt.Printf("  %-9s %10s %9s %9s %9s %9s\n", "mode", "insts", "wall s", "rss MB", "ipc", "err %")
+	fmt.Printf("  %-9s %10d %9.2f %9.0f %9.3f %9s\n",
+		"exact", r.Steps, r.ExactWallSeconds, float64(r.ExactPeakRSS)/1e6, r.ExactIPC, "—")
+	fmt.Printf("  %-9s %10d %9.2f %9.0f %9.3f %+8.2f%%  (%d of %d segments, %.1fx)\n",
+		"phase", r.SimulatedSteps, r.SampledWallSeconds, float64(r.SampledPeakRSS)/1e6, r.SampledIPC, r.IPCErrorPct,
+		r.Simulated, r.Segments, r.Speedup)
 }

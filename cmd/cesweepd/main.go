@@ -52,9 +52,8 @@ var (
 	noReplay        = flag.Bool("no-trace-replay", false, "drive every simulation by lockstep execution instead of trace replay")
 	pprofAddr       = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); empty = disabled. Never exposed on the serving port")
 	segments        = flag.Int("segments", 0, "cut each trace into this many segments timed in parallel (0 = monolithic)")
-	segWarmup       = flag.String("warmup", "-1", "per-segment warmup: instruction count (-1 = full prefix, exact stitching) or 'adaptive'")
-	segSample       = flag.String("sample", "1", "segment sampling: every Nth segment (N) or 'phase' (one representative per behavior cluster)")
-	segPhases       = flag.Int("phases", 8, "maximum behavior clusters for -sample=phase")
+	segWarmup       = flag.Int64("warmup", -1, "per-segment warmup prefix in instructions (-1 = full prefix, exact stitching)")
+	segPhases       = flag.Int("phases", 0, "phase sampling: time one representative segment per behavior cluster, at most this many (0 = time every segment)")
 	shutdownTimeout = flag.Duration("shutdown-timeout", 2*time.Minute, "max time to drain in-flight requests on SIGINT/SIGTERM")
 	quiet           = flag.Bool("quiet", false, "suppress per-request log lines")
 )
@@ -88,9 +87,8 @@ func run() error {
 	eng.SetCacheLimit(*cacheMax)
 	eng.SetTraceReplay(!*noReplay)
 	eng.SetSegments(*segments)
-	if err := eng.SetSegmentFlags(*segWarmup, *segSample, *segPhases); err != nil {
-		return err
-	}
+	eng.SetSegmentWarmup(*segWarmup)
+	eng.SetSegmentPhases(*segPhases)
 
 	var opts server.Options
 	if !*quiet {

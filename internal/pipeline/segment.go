@@ -57,178 +57,46 @@ func (s *Simulator) RunUntilCommitted(target uint64, maxCycles int64) (Stats, er
 	return s.snapshot(), nil
 }
 
-// SegmentOpts selects how a segment run warms microarchitectural state
-// before its measurement window opens.
-type SegmentOpts struct {
-	// Warmup is the fixed warmup prefix in committed instructions: the
-	// replay starts Warmup records before the segment (clamped to the
-	// trace start) and discards the cycles up to the segment boundary.
-	// Negative replays the full prefix — the exact mode. Ignored when
-	// Adaptive is set.
-	Warmup int64
-	// Adaptive replaces the fixed prefix with IPC-convergence detection:
-	// the replay starts cold at the segment boundary and discards the
-	// segment's own leading sub-windows until the windowed IPC settles,
-	// so each segment pays only the warmup it actually needs.
-	Adaptive bool
-	// AdaptiveWindow is the sub-window size in committed instructions
-	// over which IPC is measured (default 4096).
-	AdaptiveWindow uint64
-	// AdaptiveTol is the relative IPC change below which two consecutive
-	// windows count as converged (default 0.02).
-	AdaptiveTol float64
-	// AdaptiveCap bounds the discarded prefix in committed instructions
-	// (default 65536 — two warm-start intervals — and never more than
-	// half the segment, so every segment yields a measurement).
-	AdaptiveCap uint64
-}
-
-// Adaptive warmup defaults; see SegmentOpts.
-const (
-	defaultAdaptiveWindow = 4096
-	defaultAdaptiveTol    = 0.02
-	defaultAdaptiveCap    = 65536
-)
-
-// SegmentReport describes what a segment run discarded as warmup.
-type SegmentReport struct {
-	// WarmupSteps is how many committed instructions were discarded
-	// before the measurement window opened (for fixed warmup, the prefix
-	// actually replayed after clamping at the trace start).
-	WarmupSteps uint64
-	// Converged reports whether adaptive warmup's windowed IPC settled
-	// before the cap. Always true for fixed warmup.
-	Converged bool
-	// RecordsDecoded is how many records the segment's trace reader
-	// decoded, warmup prefix included.
-	RecordsDecoded uint64
-}
-
 // RunSegment simulates one trace segment under cfg with a fixed warmup:
 // replay starts at the segment's warm-start boundary (see
 // trace.Trace.WarmStart; warmup < 0 replays the full prefix), cycles up
 // to the segment start are discarded, and the returned Stats is the
-// delta over the measurement window [seg.Start, seg.End).
-func RunSegment(cfg Config, tr *trace.Trace, seg trace.Segment, warmup, maxCycles int64) (Stats, error) {
-	st, _, err := RunSegmentOpts(cfg, tr, seg, SegmentOpts{Warmup: warmup}, maxCycles)
-	return st, err
-}
-
-// RunSegmentOpts simulates one trace segment under cfg with the given
-// warmup policy and returns the measurement window's Stats delta plus a
-// report of what was discarded. Host telemetry covers the warmup leg
-// too — that cost is real work this segment run performed.
-func RunSegmentOpts(cfg Config, tr *trace.Trace, seg trace.Segment, opts SegmentOpts, maxCycles int64) (Stats, SegmentReport, error) {
-	warmup := opts.Warmup
-	if opts.Adaptive {
-		// Adaptive warmup starts cold at the boundary and discards the
-		// segment's own leading windows; there is no replayed prefix.
-		warmup = 0
-	}
+// delta over the measurement window [seg.Start, seg.End). It also
+// returns how many records the segment's trace reader decoded, warmup
+// prefix included. Host telemetry covers the warmup leg too — that cost
+// is real work this segment run performed.
+func RunSegment(cfg Config, tr *trace.Trace, seg trace.Segment, warmup, maxCycles int64) (Stats, uint64, error) {
 	start := tr.WarmStart(seg, warmup)
 	rd, err := trace.NewReaderAt(tr, start)
 	if err != nil {
-		return Stats{}, SegmentReport{}, err
+		return Stats{}, 0, err
 	}
 	defer rd.Release()
 	sim, err := NewReplay(cfg, rd)
 	if err != nil {
-		return Stats{}, SegmentReport{}, err
+		return Stats{}, 0, err
 	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	startAllocs := ms.Mallocs
 	startWall := time.Now() //ce:nondet-ok host-performance telemetry (HostWallSeconds), not simulated time
 
-	var (
-		warm   Stats
-		report SegmentReport
-	)
-	if opts.Adaptive {
-		warm, report, err = sim.adaptiveWarm(seg, opts, maxCycles)
-	} else {
-		warm, err = sim.RunUntilCommitted(seg.Start.Step-start.Step, maxCycles)
-		report = SegmentReport{WarmupSteps: warm.Committed, Converged: true}
-	}
+	warm, err := sim.RunUntilCommitted(seg.Start.Step-start.Step, maxCycles)
 	if err != nil {
-		return warm, report, err
+		return warm, rd.Decoded(), err
 	}
 	end, err := sim.RunUntilCommitted(seg.End.Step-start.Step, maxCycles)
 	if err != nil {
-		return end, report, err
+		return end, rd.Decoded(), err
 	}
 	delta, err := SubStats(end, warm)
 	if err != nil {
-		return delta, report, fmt.Errorf("pipeline: %s/%s segment %d: %w", cfg.Name, tr.Program().Name, seg.Index, err)
+		return delta, rd.Decoded(), fmt.Errorf("pipeline: %s/%s segment %d: %w", cfg.Name, tr.Program().Name, seg.Index, err)
 	}
 	delta.HostWallSeconds = time.Since(startWall).Seconds() //ce:nondet-ok host-performance telemetry, not simulated time
 	runtime.ReadMemStats(&ms)
 	delta.HostAllocs = ms.Mallocs - startAllocs
-	report.RecordsDecoded = rd.Decoded()
-	return delta, report, nil
-}
-
-// adaptiveWarm advances a simulator freshly booted at seg.Start through
-// sub-windows of the segment itself until the windowed IPC of two
-// consecutive windows agrees within tolerance, and returns the snapshot
-// at which the measurement window opens. Where a fixed warmup replays
-// an extra prefix before the segment (paying for records outside it),
-// adaptive warmup spends nothing extra: it sacrifices a bounded sliver
-// of the segment's own front, sized by when the caches and predictor
-// actually stop drifting rather than by a one-size guess.
-func (s *Simulator) adaptiveWarm(seg trace.Segment, opts SegmentOpts, maxCycles int64) (Stats, SegmentReport, error) {
-	window := opts.AdaptiveWindow
-	if window == 0 {
-		window = defaultAdaptiveWindow
-	}
-	tol := opts.AdaptiveTol
-	if tol <= 0 {
-		tol = defaultAdaptiveTol
-	}
-	limit := opts.AdaptiveCap
-	if limit == 0 {
-		limit = defaultAdaptiveCap
-	}
-	if half := seg.Steps() / 2; limit > half {
-		limit = half
-	}
-	var (
-		warm    Stats // snapshot at the measurement window's opening
-		prevIPC float64
-	)
-	for warm.Committed < limit {
-		target := warm.Committed + window
-		if target > limit {
-			target = limit
-		}
-		snap, err := s.RunUntilCommitted(target, maxCycles)
-		if err != nil {
-			return snap, SegmentReport{WarmupSteps: snap.Committed}, err
-		}
-		if snap.Committed < target {
-			// The run completed inside the warmup prefix (tiny tail
-			// segment); nothing left to measure beyond what we have.
-			return warm, SegmentReport{WarmupSteps: warm.Committed}, nil
-		}
-		wc := snap.Committed - warm.Committed
-		wy := snap.Cycles - warm.Cycles
-		ipc := 0.0
-		if wy > 0 {
-			ipc = float64(wc) / float64(wy)
-		}
-		warm = snap
-		if prevIPC > 0 {
-			d := ipc - prevIPC
-			if d < 0 {
-				d = -d
-			}
-			if d <= tol*prevIPC {
-				return warm, SegmentReport{WarmupSteps: warm.Committed, Converged: true}, nil
-			}
-		}
-		prevIPC = ipc
-	}
-	return warm, SegmentReport{WarmupSteps: warm.Committed}, nil
+	return delta, rd.Decoded(), nil
 }
 
 // SubStats returns end minus warm, field by field: the statistics of

@@ -106,7 +106,7 @@ func TestSegmentStitchingExact(t *testing.T) {
 		}
 		parts := make([]Stats, len(segs))
 		for i, seg := range segs {
-			parts[i], err = RunSegment(c, tr, seg, -1, 50_000_000)
+			parts[i], _, err = RunSegment(c, tr, seg, -1, 50_000_000)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,7 +140,7 @@ func TestSegmentFiniteWarmupApproximates(t *testing.T) {
 	segs := tr.Segments(4)
 	var parts []Stats
 	for _, seg := range segs {
-		st, err := RunSegment(c, tr, seg, 1<<14, 50_000_000)
+		st, _, err := RunSegment(c, tr, seg, 1<<14, 50_000_000)
 		if err != nil {
 			t.Fatal(err)
 		}

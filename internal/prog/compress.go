@@ -158,9 +158,9 @@ finish:	addi $s5, $s5, 1       # emit the final prefix
 // symbols: the dictionary absorbs them, lookups hit, IPC runs high) and
 // high-entropy blocks (8-bit symbols: the saturated dictionary misses,
 // probe chains stretch, IPC drops) with irregular deterministic block
-// lengths, giving the trace genuine program phases for the
-// phase-clustered sampler to find — and for a blind stride sampler to
-// alias on. All shifts mirror the machine's logical srl.
+// lengths, giving the trace genuine, irregularly spaced program phases
+// for the phase-clustered sampler to find. All shifts mirror the
+// machine's logical srl.
 func compressHugeRefN(n int32) []int32 {
 	const size = 1 << compressTabBits
 	const mask = size - 1

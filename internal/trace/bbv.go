@@ -6,7 +6,7 @@ package trace
 // per-block execution counts are accumulated over fixed-length
 // intervals. Two intervals with similar vectors execute similar code —
 // the classic observation that lets a sampler time one representative
-// per program phase instead of a blind stride (see phase.go). Blocks
+// per program phase (see phase.go). Blocks
 // are identified by their leader PC hashed into a fixed number of
 // buckets, so a vector is a small dense array however large the program.
 
@@ -91,19 +91,13 @@ func (b *bbvBuilder) finish() BBV {
 	return BBV{Dim: bbvDim, Interval: bbvInterval, Counts: b.vecs}
 }
 
-// HasBBV reports whether the trace carries a basic-block-vector profile
-// (every v3 capture does; kept explicit for defensive callers).
-func (t *Trace) HasBBV() bool { return t.bbv.Dim > 0 && len(t.bbv.Counts) > 0 }
-
 // SegmentBBV returns seg's phase fingerprint: the L1-normalized sum of
 // the basic-block vectors of the intervals the segment covers. Segment
 // cuts fall on interval boundaries (both are boundaryInterval-aligned),
 // so intervals nest cleanly; the trace's final partial interval belongs
-// to the final segment. Returns nil if the trace has no profile.
+// to the final segment. Every trace carries a profile covering all its
+// steps: captures build one and the loader rejects a file without it.
 func (t *Trace) SegmentBBV(seg Segment) []float64 {
-	if !t.HasBBV() {
-		return nil
-	}
 	n := t.bbv.Intervals()
 	lo := int(seg.Start.Step / t.bbv.Interval)
 	hi := int((seg.End.Step + t.bbv.Interval - 1) / t.bbv.Interval)

@@ -217,8 +217,20 @@ func parseFooter(footer []byte, p *isa.Program) (*Trace, error) {
 	if c.bad || uint64(len(c.b)) < uint64(nBBV)*4 {
 		return corrupt("bbv table overruns the footer")
 	}
-	if t.bbv.Dim < 0 || (t.bbv.Dim > 0 && (t.bbv.Interval == 0 || int(nBBV)%t.bbv.Dim != 0)) {
-		return corrupt("bbv table is not a whole number of vectors")
+	// Every capture profiles the whole run, so a missing or partial
+	// profile is damage.
+	if t.bbv.Dim != bbvDim {
+		return corrupt("bbv vector dimension differs from the capture's")
+	}
+	if t.bbv.Interval != bbvInterval {
+		return corrupt("bbv interval differs from the capture's")
+	}
+	intervals := t.n / bbvInterval
+	if t.n%bbvInterval != 0 {
+		intervals++
+	}
+	if nBBV%bbvDim != 0 || uint64(nBBV/bbvDim) != intervals {
+		return corrupt("bbv profile does not cover the trace's steps")
 	}
 	t.bbv.Counts = make([]uint32, nBBV)
 	for i := range t.bbv.Counts {

@@ -3,11 +3,11 @@ package trace
 // Phase clustering (SimPoint-style): group a trace's segments by the
 // similarity of their basic-block vectors, so a sampler can time one
 // representative segment per phase and weight it by the phase's share
-// of the execution, instead of sampling segments on a blind stride.
-// The clustering must be deterministic — same trace, same phases, every
-// process, every run — so the run cache stays content-addressed and CI
-// byte-compares hold; seeding uses farthest-point selection with
-// lowest-index tie-breaking, no randomness anywhere.
+// of the execution. The clustering must be deterministic — same trace,
+// same phases, every process, every run — so the run cache stays
+// content-addressed and CI byte-compares hold; seeding uses
+// farthest-point selection with lowest-index tie-breaking, no
+// randomness anywhere.
 
 // Phase is one cluster of segments with similar execution fingerprints.
 type Phase struct {
@@ -164,12 +164,8 @@ func sqDist(a, b []float64) float64 {
 
 // SegmentPhases clusters segs (cut from this trace) into at most k
 // phases by their basic-block vectors, weighting each segment by its
-// dynamic instruction count. Returns nil if the trace carries no BBV
-// profile (pre-v3 capture paths; callers fall back to stride sampling).
+// dynamic instruction count.
 func (t *Trace) SegmentPhases(segs []Segment, k int) []Phase {
-	if !t.HasBBV() || len(segs) == 0 {
-		return nil
-	}
 	vecs := make([][]float64, len(segs))
 	weights := make([]float64, len(segs))
 	for i, s := range segs {

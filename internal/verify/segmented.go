@@ -143,7 +143,7 @@ func checkSegmentedOne(cfg pipeline.Config, tr *trace.Trace, k int) error {
 	// must equal the monolithic run's on every deterministic field.
 	parts := make([]pipeline.Stats, len(segs))
 	for i, seg := range segs {
-		parts[i], err = pipeline.RunSegment(cfg, tr, seg, -1, maxCycles)
+		parts[i], _, err = pipeline.RunSegment(cfg, tr, seg, -1, maxCycles)
 		if err != nil {
 			return fail("segment %d: %v", i, err)
 		}
@@ -160,7 +160,7 @@ func checkSegmentedOne(cfg pipeline.Config, tr *trace.Trace, k int) error {
 	// must stay inside its stated error bars against the monolithic IPC.
 	var ipcs []float64
 	for i := 0; i < len(segs); i += 2 {
-		st, err := pipeline.RunSegment(cfg, tr, segs[i], 1<<14, maxCycles)
+		st, _, err := pipeline.RunSegment(cfg, tr, segs[i], 1<<14, maxCycles)
 		if err != nil {
 			return fail("sampled segment %d: %v", i, err)
 		}

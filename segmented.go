@@ -7,28 +7,28 @@ package ce
 //
 // Two regimes, chosen by the engine's segment plan:
 //
-//   - Exact (warmup < 0, sample 1): each segment replays its full
+//   - Exact (warmup < 0, no phases): each segment replays its full
 //     prefix as warmup, so the stitched result is bit-identical to the
 //     monolithic run (the telescoping argument in internal/pipeline's
 //     segment.go) and shares the monolithic run-cache key. Total work
 //     is O(K·N), so this mode trades CPU for latency: wall clock drops
 //     only when idle cores absorb the redundant prefixes.
 //
-//   - Sampled (finite warmup and/or sample > 1): each measured segment
-//     warms caches and predictors over a bounded prefix, and only every
-//     sample-th segment is simulated. Total work drops to roughly
-//     (warmup + N/K) · K/sample records, which is where the real
-//     speedup lives; the result is an estimate and carries a
-//     per-segment-IPC confidence interval. Approximate results are
-//     cached under a key suffixed with the plan so they can never
-//     shadow (or be shadowed by) an exact run.
+//   - Sampled (phases > 0): the segments are clustered by their
+//     basic-block vectors, one representative per phase is timed after
+//     a fixed warmup prefix, and each is weighted by its phase's share
+//     of the execution (SimPoint). Total work drops to roughly
+//     (warmup + N/K) · phases records, which is where the real speedup
+//     lives; the result is an estimate and carries a confidence
+//     interval. A finite warmup without phases times every segment and
+//     is likewise approximate. Approximate results are cached under a
+//     key suffixed with the plan so they can never shadow (or be
+//     shadowed by) an exact run.
 
 import (
 	"fmt"
 	"runtime"
-	"strconv"
 	"sync"
-	"time"
 
 	"repro/internal/pipeline"
 	"repro/internal/stats"
@@ -39,34 +39,20 @@ import (
 // sampled runs, how tight the estimate is.
 type SegmentMetrics struct {
 	// Segments is how many segments the trace was cut into; Simulated is
-	// how many were actually timed (== Segments unless sampling).
+	// how many were actually timed (== Segments unless phase-sampled).
 	Segments  int `json:"segments"`
 	Simulated int `json:"simulated"`
 	// Warmup is the per-segment warmup prefix in committed instructions
-	// (-1 = full prefix, the exact mode; 0 under adaptive warmup, which
-	// replays no prefix at all).
+	// (-1 = full prefix).
 	Warmup int64 `json:"warmup"`
-	// Sample is the sampling stride: every Sample-th segment is timed.
-	Sample int `json:"sample"`
-	// Mode names how the timed segments were chosen: "exact" (all, full
-	// warmup), "stride" (every Sample-th), or "phase" (one representative
-	// per behavior cluster, weighted by cluster mass).
-	Mode string `json:"mode"`
-	// Phases is the number of behavior clusters found (phase mode only).
+	// Phases is the number of behavior clusters timed, one
+	// representative each (0 unless phase-sampled).
 	Phases int `json:"phases,omitempty"`
 	// Exact reports whether the stitched result is bit-identical to the
-	// monolithic run (full warmup, no sampling).
+	// monolithic run (full warmup, every segment timed).
 	Exact bool `json:"exact"`
-	// AdaptiveWarmup reports whether per-segment IPC-convergence warmup
-	// replaced the fixed prefix; WarmupMeanSteps is then the mean
-	// instructions each timed segment actually discarded, and
-	// WarmupConverged counts segments whose windowed IPC settled before
-	// the cap.
-	AdaptiveWarmup  bool    `json:"adaptive_warmup,omitempty"`
-	WarmupMeanSteps float64 `json:"warmup_mean_steps,omitempty"`
-	WarmupConverged int     `json:"warmup_converged,omitempty"`
 	// IPCMean and IPCHalfCI95 summarize the timed segments' IPC
-	// population: the (phase-weighted, in phase mode) mean and the
+	// population: the (phase-weighted, when phase-sampled) mean and the
 	// half-width of its 95% confidence interval.
 	IPCMean     float64 `json:"ipc_mean"`
 	IPCHalfCI95 float64 `json:"ipc_half_ci95"`
@@ -94,60 +80,14 @@ func (e *Engine) SetSegmentWarmup(warmup int64) {
 	e.traceMu.Unlock()
 }
 
-// SetSegmentSample sets the sampling stride: every sample-th segment is
-// simulated and the rest extrapolated. sample <= 1 simulates every
-// segment.
-func (e *Engine) SetSegmentSample(sample int) {
-	e.traceMu.Lock()
-	e.segSample = sample
-	e.traceMu.Unlock()
-}
-
-// SetSegmentAdaptive replaces the fixed per-segment warmup prefix with
-// IPC-convergence detection: each timed segment starts cold at its
-// boundary and discards its own leading sub-windows until the windowed
-// IPC settles (see pipeline.SegmentOpts). The result is approximate,
-// like any finite warmup.
-func (e *Engine) SetSegmentAdaptive(on bool) {
-	e.traceMu.Lock()
-	e.segAdaptive = on
-	e.traceMu.Unlock()
-}
-
 // SetSegmentPhases selects phase-clustered sampling: the trace's
 // segments are clustered into at most k phases by their basic-block
 // vectors, one representative per phase is timed, and the results are
-// stitched with cluster weights. k <= 0 disables (stride sampling
-// applies). Traces without a BBV profile fall back to stride sampling.
+// stitched with cluster weights. k <= 0 times every segment.
 func (e *Engine) SetSegmentPhases(k int) {
 	e.traceMu.Lock()
 	e.segPhases = k
 	e.traceMu.Unlock()
-}
-
-// SetSegmentFlags applies the -warmup, -sample and -phases command-line
-// spellings: warmup is an instruction count or "adaptive", sample a
-// stride or "phase" (which then uses phases). The error names the flag.
-func (e *Engine) SetSegmentFlags(warmup, sample string, phases int) error {
-	if warmup == "adaptive" {
-		e.SetSegmentAdaptive(true)
-	} else {
-		w, err := strconv.ParseInt(warmup, 10, 64)
-		if err != nil {
-			return fmt.Errorf("-warmup: %q is neither an instruction count nor 'adaptive'", warmup)
-		}
-		e.SetSegmentWarmup(w)
-	}
-	if sample == "phase" {
-		e.SetSegmentPhases(phases)
-		return nil
-	}
-	n, err := strconv.Atoi(sample)
-	if err != nil {
-		return fmt.Errorf("-sample: %q is neither a stride nor 'phase'", sample)
-	}
-	e.SetSegmentSample(n)
-	return nil
 }
 
 // segPlan is a snapshot of the engine's segment configuration. Every
@@ -156,34 +96,22 @@ func (e *Engine) SetSegmentFlags(warmup, sample string, phases int) error {
 // because a plan field dropped from the key would let an approximate run
 // masquerade as a different plan's (or the exact) result.
 type segPlan struct {
-	k        int   // segments to cut (<=1: monolithic)
-	warmup   int64 // fixed warmup prefix (-1: full, exact)
-	sample   int   // stride sampling (>=1)
-	adaptive bool  // IPC-convergence warmup instead of the fixed prefix
-	phases   int   // phase-clustered sampling (>0: at most this many phases)
+	k      int   // segments to cut (<=1: monolithic)
+	warmup int64 // fixed warmup prefix (-1: full, exact)
+	phases int   // phase-clustered sampling (>0: at most this many phases)
 }
 
 // exact reports whether the plan stitches bit-identical to the
 // monolithic run: full warmup, every segment timed.
 func (p segPlan) exact() bool {
-	return p.warmup < 0 && !p.adaptive && p.sample == 1 && p.phases <= 0
+	return p.warmup < 0 && p.phases <= 0
 }
 
 // segmentPlan snapshots the engine's segment configuration.
 func (e *Engine) segmentPlan() segPlan {
 	e.traceMu.Lock()
 	defer e.traceMu.Unlock()
-	p := segPlan{
-		k:        e.segments,
-		warmup:   e.segWarmup,
-		sample:   e.segSample,
-		adaptive: e.segAdaptive,
-		phases:   e.segPhases,
-	}
-	if p.sample < 1 {
-		p.sample = 1
-	}
-	return p
+	return segPlan{k: e.segments, warmup: e.segWarmup, phases: e.segPhases}
 }
 
 // segKeySuffix returns the run-cache key suffix for the engine's
@@ -204,21 +132,20 @@ func (e *Engine) segKeySuffix(cfg Config) string {
 	if p.exact() {
 		return "" // exact: same bits as the monolithic run
 	}
-	return fmt.Sprintf("\x00segments=%d warmup=%d sample=%d adaptive=%t phases=%d",
-		p.k, p.warmup, p.sample, p.adaptive, p.phases)
+	return fmt.Sprintf("\x00segments=%d warmup=%d phases=%d", p.k, p.warmup, p.phases)
 }
 
 // runSegments fans the given segment indices out across CPUs, running
-// pipeline.RunSegmentOpts for each, and returns the per-segment Stats
-// and warmup reports in index order. The fan-out lives here — not in
-// internal/pipeline, which is //ce:deterministic and goroutine-free —
-// so each worker runs a fully independent Simulator over the shared
-// read-only trace, holding one chunk buffer each for disk-backed
-// traces (K workers keep O(K) chunks resident, whatever the trace
-// size).
-func runSegments(cfg Config, tr *trace.Trace, segs []trace.Segment, pick []int, opts pipeline.SegmentOpts) ([]Stats, []pipeline.SegmentReport, error) {
+// pipeline.RunSegment for each with the given warmup, and returns the
+// per-segment Stats in index order and the records their readers
+// decoded. The fan-out lives here — not in internal/pipeline, which is
+// //ce:deterministic and goroutine-free — so each worker runs a fully
+// independent Simulator over the shared read-only trace, holding one
+// chunk buffer each for disk-backed traces (K workers keep O(K) chunks
+// resident, whatever the trace size).
+func runSegments(cfg Config, tr *trace.Trace, segs []trace.Segment, pick []int, warmup int64) ([]Stats, uint64, error) {
 	parts := make([]Stats, len(pick))
-	reports := make([]pipeline.SegmentReport, len(pick))
+	decoded := make([]uint64, len(pick))
 	var (
 		wg       sync.WaitGroup
 		errMu    sync.Mutex
@@ -235,7 +162,7 @@ func runSegments(cfg Config, tr *trace.Trace, segs []trace.Segment, pick []int, 
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				st, rep, err := pipeline.RunSegmentOpts(cfg, tr, segs[pick[i]], opts, maxCycles)
+				st, n, err := pipeline.RunSegment(cfg, tr, segs[pick[i]], warmup, maxCycles)
 				if err != nil {
 					errMu.Lock()
 					if firstErr == nil || i < firstIdx {
@@ -245,7 +172,7 @@ func runSegments(cfg Config, tr *trace.Trace, segs []trace.Segment, pick []int, 
 					continue
 				}
 				parts[i] = st
-				reports[i] = rep
+				decoded[i] = n
 			}
 		}()
 	}
@@ -255,9 +182,42 @@ func runSegments(cfg Config, tr *trace.Trace, segs []trace.Segment, pick []int, 
 	close(idx)
 	wg.Wait()
 	if firstErr != nil {
-		return nil, nil, firstErr
+		return nil, 0, firstErr
 	}
-	return parts, reports, nil
+	var total uint64
+	for _, n := range decoded {
+		total += n
+	}
+	return parts, total, nil
+}
+
+// phasePick clusters segs into at most k phases and returns each
+// phase's representative segment index with the phase's share of the
+// execution.
+func phasePick(tr *trace.Trace, segs []trace.Segment, k int) (pick []int, weights []float64) {
+	for _, ph := range tr.SegmentPhases(segs, k) {
+		pick = append(pick, ph.Rep)
+		weights = append(weights, ph.Weight)
+	}
+	return pick, weights
+}
+
+// phaseEstimate is the phase-weighted IPC estimate of a phase-sampled
+// run: the weighted mean of the representatives' IPCs with its 95%
+// confidence half-width, and the whole-run cycle count with each
+// phase's share of the trace's steps retiring at its representative's
+// IPC.
+func phaseEstimate(parts []Stats, weights []float64, steps uint64) (mean, half float64, cycles int64) {
+	ipcs := make([]float64, len(parts))
+	var cyc float64
+	for i, p := range parts {
+		ipcs[i] = p.IPC()
+		if ipcs[i] > 0 {
+			cyc += weights[i] * float64(steps) / ipcs[i]
+		}
+	}
+	mean, half = stats.WeightedMeanCI95(ipcs, weights)
+	return mean, half, int64(cyc)
 }
 
 // runSegmented performs one segment-parallel simulation of (cfg, tr)
@@ -266,40 +226,24 @@ func runSegments(cfg Config, tr *trace.Trace, segs []trace.Segment, pick []int, 
 //
 // Phase mode times one representative segment per behavior cluster and
 // weights it by the cluster's share of the execution, so the IPC mean
-// is cluster-weighted (stats.WeightedMeanCI95) and the cycle estimate
-// sums each phase's instructions at its representative's IPC. Stride
-// mode times every sample-th segment and treats them as an unweighted
-// IPC population.
+// is cluster-weighted and the cycle estimate sums each phase's
+// instructions at its representative's IPC. Otherwise every segment is
+// timed and the IPC population is unweighted.
 func (e *Engine) runSegmented(cfg Config, tr *trace.Trace, plan segPlan, attr *simAttribution) (Stats, error) {
 	segs := tr.Segments(plan.k)
-	mode := "stride"
-	if plan.exact() {
-		mode = "exact"
-	}
 	var (
 		pick    []int
 		weights []float64 // phase mode: pick[i]'s share of the execution
 	)
 	if plan.phases > 0 {
-		if phases := tr.SegmentPhases(segs, plan.phases); phases != nil {
-			mode = "phase"
-			pick = make([]int, len(phases))
-			weights = make([]float64, len(phases))
-			for i, ph := range phases {
-				pick[i] = ph.Rep
-				weights[i] = ph.Weight
-			}
-		}
-		// No BBV profile (pre-v3 trace still resident): stride sampling.
-	}
-	if pick == nil {
-		pick = make([]int, 0, (len(segs)+plan.sample-1)/plan.sample)
-		for i := 0; i < len(segs); i += plan.sample {
-			pick = append(pick, i)
+		pick, weights = phasePick(tr, segs, plan.phases)
+	} else {
+		pick = make([]int, len(segs))
+		for i := range pick {
+			pick[i] = i
 		}
 	}
-	opts := pipeline.SegmentOpts{Warmup: plan.warmup, Adaptive: plan.adaptive}
-	parts, reports, err := runSegments(cfg, tr, segs, pick, opts)
+	parts, decoded, err := runSegments(cfg, tr, segs, pick, plan.warmup)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -307,65 +251,28 @@ func (e *Engine) runSegmented(cfg Config, tr *trace.Trace, plan segPlan, attr *s
 	if err != nil {
 		return Stats{}, err
 	}
-	ipcs := make([]float64, len(parts))
-	for i, p := range parts {
-		ipcs[i] = p.IPC()
-	}
-	var mean, half float64
-	if mode == "phase" {
-		mean, half = stats.WeightedMeanCI95(ipcs, weights)
-	} else {
-		mean, half = stats.MeanCI95(ipcs)
-	}
-	warmup := plan.warmup
-	if plan.adaptive {
-		warmup = 0
-	}
 	sm := &SegmentMetrics{
 		Segments:        len(segs),
 		Simulated:       len(parts),
-		Warmup:          warmup,
-		Sample:          plan.sample,
-		Mode:            mode,
+		Warmup:          plan.warmup,
 		Exact:           plan.exact(),
-		AdaptiveWarmup:  plan.adaptive,
-		IPCMean:         mean,
-		IPCHalfCI95:     half,
 		EstimatedCycles: st.Cycles,
 	}
-	if mode == "phase" {
+	if plan.phases > 0 {
 		sm.Phases = len(pick)
-		// Each phase's instructions retire at its representative's IPC.
-		var cyc float64
-		for i, w := range weights {
-			if ipcs[i] > 0 {
-				cyc += w * float64(tr.Steps()) / ipcs[i]
-			}
-		}
+		var cyc int64
+		sm.IPCMean, sm.IPCHalfCI95, cyc = phaseEstimate(parts, weights, tr.Steps())
 		if cyc > 0 {
-			sm.EstimatedCycles = int64(cyc)
+			sm.EstimatedCycles = cyc
 		}
-	} else if plan.sample > 1 && mean > 0 {
-		// Extrapolate: the whole trace at the sampled segments' mean IPC.
-		sm.EstimatedCycles = int64(float64(tr.Steps()) / mean)
-	}
-	if plan.adaptive {
-		var steps uint64
-		for _, r := range reports {
-			steps += r.WarmupSteps
-			if r.Converged {
-				sm.WarmupConverged++
-			}
+	} else {
+		ipcs := make([]float64, len(parts))
+		for i, p := range parts {
+			ipcs[i] = p.IPC()
 		}
-		if len(reports) > 0 {
-			sm.WarmupMeanSteps = float64(steps) / float64(len(reports))
-		}
+		sm.IPCMean, sm.IPCHalfCI95 = stats.MeanCI95(ipcs)
 	}
 	attr.segments = sm
-	var decoded uint64
-	for _, r := range reports {
-		decoded += r.RecordsDecoded
-	}
 	e.traceMu.Lock()
 	e.tstats.ReplayRuns++
 	e.tstats.SegmentRuns++
@@ -374,95 +281,4 @@ func (e *Engine) runSegmented(cfg Config, tr *trace.Trace, plan segPlan, attr *s
 	e.tstats.RecordsDecoded += decoded
 	e.traceMu.Unlock()
 	return st, nil
-}
-
-// SegmentBenchResult quantifies what segment-parallel simulation buys
-// on one (config, workload) pair: the monolithic baseline against the
-// sampled segmented run, with the estimate's error and the wall-clock
-// speedup.
-type SegmentBenchResult struct {
-	Workload string `json:"workload"`
-	Config   string `json:"config"`
-	Segments int    `json:"segments"`
-	Sample   int    `json:"sample"`
-	Warmup   int64  `json:"warmup"`
-	Steps    uint64 `json:"steps"`
-
-	MonoWallSeconds float64 `json:"mono_wall_seconds"`
-	MonoCycles      int64   `json:"mono_cycles"`
-	MonoIPC         float64 `json:"mono_ipc"`
-
-	SampledWallSeconds float64 `json:"sampled_wall_seconds"`
-	SampledIPC         float64 `json:"sampled_ipc"`
-	IPCHalfCI95        float64 `json:"ipc_half_ci95"`
-	// IPCErrorPct is the sampled IPC's signed error against the
-	// monolithic truth, in percent.
-	IPCErrorPct float64 `json:"ipc_error_pct"`
-	// Speedup is MonoWallSeconds / SampledWallSeconds.
-	Speedup float64 `json:"speedup"`
-}
-
-// SegmentBench measures segment-parallel sampled simulation against the
-// monolithic baseline on one workload under the baseline configuration.
-// The trace is captured (or loaded) up front so neither side is charged
-// for it.
-func SegmentBench(workload string, segments, sample int, warmup int64) (*SegmentBenchResult, error) {
-	eng := NewEngine()
-	tr, err := eng.traceFor(workload)
-	if err != nil {
-		return nil, err
-	}
-	cfg := BaselineConfig()
-
-	start := time.Now()
-	sim, err := pipeline.NewReplay(cfg, trace.NewReader(tr))
-	if err != nil {
-		return nil, err
-	}
-	mono, err := sim.Run(maxCycles)
-	if err != nil {
-		return nil, err
-	}
-	monoWall := time.Since(start).Seconds()
-
-	segs := tr.Segments(segments)
-	pick := make([]int, 0, len(segs))
-	for i := 0; i < len(segs); i += max(sample, 1) {
-		pick = append(pick, i)
-	}
-	start = time.Now()
-	parts, _, err := runSegments(cfg, tr, segs, pick, pipeline.SegmentOpts{Warmup: warmup})
-	if err != nil {
-		return nil, err
-	}
-	sampledWall := time.Since(start).Seconds()
-	ipcs := make([]float64, len(parts))
-	for i, p := range parts {
-		ipcs[i] = p.IPC()
-	}
-	mean, half := stats.MeanCI95(ipcs)
-
-	res := &SegmentBenchResult{
-		Workload: workload,
-		Config:   cfg.Name,
-		Segments: len(segs),
-		Sample:   sample,
-		Warmup:   warmup,
-		Steps:    tr.Steps(),
-
-		MonoWallSeconds: monoWall,
-		MonoCycles:      mono.Cycles,
-		MonoIPC:         mono.IPC(),
-
-		SampledWallSeconds: sampledWall,
-		SampledIPC:         mean,
-		IPCHalfCI95:        half,
-	}
-	if res.MonoIPC > 0 {
-		res.IPCErrorPct = (mean - res.MonoIPC) / res.MonoIPC * 100
-	}
-	if sampledWall > 0 {
-		res.Speedup = monoWall / sampledWall
-	}
-	return res, nil
 }

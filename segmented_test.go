@@ -111,93 +111,11 @@ func TestEngineSegmentedSharesExactCacheKey(t *testing.T) {
 	}
 }
 
-// TestEngineSampledSegments exercises the sampling stride: every
-// second segment is simulated, the metrics say so, and the IPC estimate
-// lands near the monolithic truth.
-func TestEngineSampledSegments(t *testing.T) {
-	mono := NewEngine()
-	want, err := mono.RunMatrix([]Config{BaselineConfig()}, []string{"micro.branchy"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := NewEngine()
-	eng.SetSegments(4)
-	eng.SetSegmentWarmup(1 << 14)
-	eng.SetSegmentSample(2)
-	if _, err := eng.RunMatrix([]Config{BaselineConfig()}, []string{"micro.branchy"}); err != nil {
-		t.Fatal(err)
-	}
-	ms := eng.Metrics()
-	if len(ms) != 1 || ms[0].Segments == nil {
-		t.Fatalf("expected one run with segment metrics, got %+v", ms)
-	}
-	sm := ms[0].Segments
-	if sm.Exact {
-		t.Error("sampled run marked exact")
-	}
-	if sm.Simulated >= sm.Segments {
-		t.Errorf("sampling simulated %d of %d segments", sm.Simulated, sm.Segments)
-	}
-	if sm.IPCMean <= 0 {
-		t.Errorf("sampled IPC mean %v", sm.IPCMean)
-	}
-	trueIPC := want[0][0].IPC()
-	if sm.IPCMean < trueIPC*0.8 || sm.IPCMean > trueIPC*1.2 {
-		t.Errorf("sampled IPC %.3f not within 20%% of monolithic %.3f", sm.IPCMean, trueIPC)
-	}
-	if sm.EstimatedCycles <= 0 {
-		t.Errorf("estimated cycles %d", sm.EstimatedCycles)
-	}
-}
-
-// TestEngineAdaptiveWarmup exercises IPC-convergence warmup: the run is
-// approximate (own cache key), the metrics report the adaptive policy
-// with a bounded mean discard, and the estimate lands near the truth.
-func TestEngineAdaptiveWarmup(t *testing.T) {
-	mono := NewEngine()
-	want, err := mono.RunMatrix([]Config{BaselineConfig()}, []string{"micro.branchy"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := NewEngine()
-	eng.SetSegments(4)
-	eng.SetSegmentAdaptive(true)
-	if _, err := eng.RunMatrix([]Config{BaselineConfig()}, []string{"micro.branchy"}); err != nil {
-		t.Fatal(err)
-	}
-	ms := eng.Metrics()
-	if len(ms) != 1 || ms[0].Segments == nil {
-		t.Fatalf("expected one run with segment metrics, got %+v", ms)
-	}
-	sm := ms[0].Segments
-	if !sm.AdaptiveWarmup || sm.Exact || sm.Warmup != 0 {
-		t.Errorf("adaptive run misreported: %+v", sm)
-	}
-	if sm.WarmupConverged < 0 || sm.WarmupConverged > sm.Simulated {
-		t.Errorf("WarmupConverged = %d of %d simulated", sm.WarmupConverged, sm.Simulated)
-	}
-	if sm.WarmupMeanSteps < 0 || sm.WarmupMeanSteps > 65536 {
-		t.Errorf("WarmupMeanSteps = %f, want within the adaptive cap", sm.WarmupMeanSteps)
-	}
-	trueIPC := want[0][0].IPC()
-	if sm.IPCMean < trueIPC*0.8 || sm.IPCMean > trueIPC*1.2 {
-		t.Errorf("adaptive IPC %.3f not within 20%% of monolithic %.3f", sm.IPCMean, trueIPC)
-	}
-	// Adaptive is an estimate: it must not share the exact cache key.
-	eng.SetSegments(0)
-	eng.SetSegmentAdaptive(false)
-	if _, err := eng.RunMatrix([]Config{BaselineConfig()}, []string{"micro.branchy"}); err != nil {
-		t.Fatal(err)
-	}
-	if cs := eng.CacheStats(); cs.Misses != 2 {
-		t.Errorf("adaptive plan shared the exact key: %+v", cs)
-	}
-}
-
 // TestEnginePhaseSampling exercises phase-clustered sampling end to
 // end: segments cluster by their basic-block vectors, one
-// representative per phase is timed, and the cluster-weighted estimate
-// lands near the monolithic truth.
+// representative per phase is timed, the cluster-weighted estimate
+// lands near the monolithic truth, and the estimate is cached apart
+// from the exact result.
 func TestEnginePhaseSampling(t *testing.T) {
 	mono := NewEngine()
 	want, err := mono.RunMatrix([]Config{BaselineConfig()}, []string{"micro.branchy"})
@@ -216,14 +134,11 @@ func TestEnginePhaseSampling(t *testing.T) {
 		t.Fatalf("expected one run with segment metrics, got %+v", ms)
 	}
 	sm := ms[0].Segments
-	if sm.Mode != "phase" {
-		t.Fatalf("mode %q, want phase", sm.Mode)
-	}
-	if sm.Phases < 1 || sm.Phases > 3 || sm.Simulated != sm.Phases {
+	if sm.Phases < 1 || sm.Phases > 3 || sm.Simulated != sm.Phases || sm.Simulated >= sm.Segments {
 		t.Errorf("phase plan: %d phases, %d simulated of %d segments", sm.Phases, sm.Simulated, sm.Segments)
 	}
-	if sm.Exact {
-		t.Error("phase-sampled run marked exact")
+	if sm.Exact || sm.Warmup != 1<<13 {
+		t.Errorf("phase-sampled run misreported: %+v", sm)
 	}
 	trueIPC := want[0][0].IPC()
 	if sm.IPCMean < trueIPC*0.8 || sm.IPCMean > trueIPC*1.2 {
@@ -232,27 +147,14 @@ func TestEnginePhaseSampling(t *testing.T) {
 	if sm.EstimatedCycles <= 0 {
 		t.Errorf("estimated cycles %d", sm.EstimatedCycles)
 	}
-}
-
-// TestSegmentBench smoke-tests the benchmark harness on a small
-// workload: both sides run, the speedup is computed, and the estimate
-// is self-consistent.
-func TestSegmentBench(t *testing.T) {
-	res, err := SegmentBench("micro.branchy", 4, 2, 1<<13)
-	if err != nil {
+	// The estimate must not share the exact cache key in either
+	// direction: the monolithic run that follows simulates afresh.
+	eng.SetSegments(0)
+	if _, err := eng.RunMatrix([]Config{BaselineConfig()}, []string{"micro.branchy"}); err != nil {
 		t.Fatal(err)
 	}
-	if res.MonoCycles <= 0 || res.MonoIPC <= 0 {
-		t.Fatalf("monolithic side empty: %+v", res)
-	}
-	if res.SampledIPC <= 0 || res.Speedup <= 0 {
-		t.Fatalf("sampled side empty: %+v", res)
-	}
-	if res.Segments < 2 || res.Sample != 2 {
-		t.Errorf("plan not honoured: %+v", res)
-	}
-	if res.IPCErrorPct < -50 || res.IPCErrorPct > 50 {
-		t.Errorf("sampled IPC off by %.1f%%", res.IPCErrorPct)
+	if cs := eng.CacheStats(); cs.Misses != 2 {
+		t.Errorf("phase plan shared the exact key: %+v", cs)
 	}
 }
 
@@ -263,17 +165,14 @@ func TestSegmentBench(t *testing.T) {
 // here fails the test until it is classified.
 func TestSegKeySuffixCoversPlan(t *testing.T) {
 	setters := map[string]func(*Engine){
-		"k":        func(e *Engine) { e.SetSegments(5) },
-		"warmup":   func(e *Engine) { e.SetSegmentWarmup(1001) },
-		"sample":   func(e *Engine) { e.SetSegmentSample(3) },
-		"adaptive": func(e *Engine) { e.SetSegmentAdaptive(true) },
-		"phases":   func(e *Engine) { e.SetSegmentPhases(3) },
+		"k":      func(e *Engine) { e.SetSegments(5) },
+		"warmup": func(e *Engine) { e.SetSegmentWarmup(1001) },
+		"phases": func(e *Engine) { e.SetSegmentPhases(3) },
 	}
 	base := func() *Engine {
 		e := NewEngine()
 		e.SetSegments(4)
 		e.SetSegmentWarmup(1000)
-		e.SetSegmentSample(2)
 		return e
 	}
 	cfg := BaselineConfig()
@@ -293,43 +192,6 @@ func TestSegKeySuffixCoversPlan(t *testing.T) {
 		set(e)
 		if e.segKeySuffix(cfg) == baseSuffix {
 			t.Errorf("segPlan.%s: changing it did not change segKeySuffix", name)
-		}
-	}
-}
-
-// TestSetSegmentFlags pins the -warmup/-sample/-phases spellings cesweep
-// and cesweepd share: the accepted values and the plan each yields, and
-// the rejected ones with the flag named in the error.
-func TestSetSegmentFlags(t *testing.T) {
-	for _, tc := range []struct {
-		warmup, sample string
-		want           segPlan // on a fresh engine
-		err            string
-	}{
-		{warmup: "-1", sample: "1", want: segPlan{warmup: -1, sample: 1}},
-		{warmup: "0", sample: "4", want: segPlan{warmup: 0, sample: 4}},
-		{warmup: "65536", sample: "phase", want: segPlan{warmup: 65536, sample: 1, phases: 3}},
-		{warmup: "adaptive", sample: "2", want: segPlan{warmup: -1, sample: 2, adaptive: true}},
-		{warmup: "full", sample: "1", err: `-warmup: "full" is neither an instruction count nor 'adaptive'`},
-		{warmup: "", sample: "1", err: `-warmup: "" is neither an instruction count nor 'adaptive'`},
-		{warmup: "1.5", sample: "1", err: `-warmup: "1.5" is neither an instruction count nor 'adaptive'`},
-		{warmup: "-1", sample: "stride", err: `-sample: "stride" is neither a stride nor 'phase'`},
-		{warmup: "-1", sample: "", err: `-sample: "" is neither a stride nor 'phase'`},
-	} {
-		e := NewEngine()
-		err := e.SetSegmentFlags(tc.warmup, tc.sample, 3)
-		if tc.err != "" {
-			if err == nil || err.Error() != tc.err {
-				t.Errorf("(%q, %q): err = %v, want %q", tc.warmup, tc.sample, err, tc.err)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("(%q, %q): %v", tc.warmup, tc.sample, err)
-			continue
-		}
-		if got := e.segmentPlan(); got != tc.want {
-			t.Errorf("(%q, %q): plan %+v, want %+v", tc.warmup, tc.sample, got, tc.want)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/pipeline"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -18,47 +17,21 @@ import (
 // truth run.
 const streamBenchMaxCycles = 1 << 30
 
-// StreamModeResult is one sampling mode's row in the streaming
-// benchmark: how much of the trace it simulated, what that cost, and
-// how far its IPC estimate landed from the streamed-exact truth.
-type StreamModeResult struct {
-	// Mode is "fixed" (stride sampling, fixed warmup), "adaptive"
-	// (stride sampling, IPC-convergence warmup) or "phase" (one
-	// representative per behavior cluster, adaptive warmup).
-	Mode string `json:"mode"`
-	// Simulated is the number of segments the mode timed, and
-	// SimulatedSteps the measured (post-warmup) instructions across
-	// them. Modes are run at an equal segment budget so their errors
-	// are directly comparable.
-	Simulated      int    `json:"segments_simulated"`
-	SimulatedSteps uint64 `json:"simulated_steps"`
-	// Phases is the number of behavior clusters found (phase mode only).
-	Phases int `json:"phases,omitempty"`
+// streamBenchWarmup is the fixed per-segment warmup prefix, in
+// committed instructions, of StreamBench's phase-sampled estimate.
+const streamBenchWarmup = 1 << 15
 
-	WallSeconds  float64 `json:"wall_seconds"`
-	PeakRSSBytes int64   `json:"peak_rss_bytes"`
-
-	IPC         float64 `json:"ipc"`
-	IPCHalfCI95 float64 `json:"ipc_half_ci95"`
-	// IPCErrorPct is the signed error against the streamed-exact
-	// monolithic IPC, in percent.
-	IPCErrorPct float64 `json:"ipc_error_pct"`
-	// Speedup is exact wall seconds over this mode's wall seconds.
-	Speedup float64 `json:"speedup"`
-	// WarmupMeanSteps is the mean adaptive warmup spent per segment
-	// (adaptive and phase modes).
-	WarmupMeanSteps float64 `json:"warmup_mean_steps,omitempty"`
-}
-
-// StreamBenchResult is the streaming-simulation benchmark record: one
-// huge workload captured straight to disk, timed exactly once by a
-// monolithic streamed replay, then estimated by each sampling mode at
-// an equal simulated-segment budget.
+// StreamBenchResult is the sampled-simulation benchmark record: one
+// workload captured (straight to disk, for huge workloads), timed
+// exactly once by a monolithic replay, then estimated by phase
+// sampling, timing at most a budget of its segments.
 type StreamBenchResult struct {
 	Workload string `json:"workload"`
 	Config   string `json:"config"`
 	Steps    uint64 `json:"steps"`
 	Segments int    `json:"segments"`
+	// Warmup is the fixed per-segment warmup prefix of the estimate.
+	Warmup int64 `json:"warmup"`
 
 	// TraceDiskBytes/TraceResidentBytes decompose the captured trace's
 	// footprint; streamed captures keep everything on disk.
@@ -67,14 +40,26 @@ type StreamBenchResult struct {
 	CaptureSeconds     float64 `json:"capture_seconds"`
 	CapturePeakRSS     int64   `json:"capture_peak_rss_bytes"`
 
-	// The streamed-exact truth: one monolithic replay of the full trace
-	// through the disk-backed reader.
+	// The exact truth: one monolithic replay of the full trace.
 	ExactWallSeconds float64 `json:"exact_wall_seconds"`
 	ExactPeakRSS     int64   `json:"exact_peak_rss_bytes"`
 	ExactCycles      int64   `json:"exact_cycles"`
 	ExactIPC         float64 `json:"exact_ipc"`
 
-	Modes []StreamModeResult `json:"modes"`
+	// The phase-sampled estimate: Phases representatives timed
+	// (Simulated segments, SimulatedSteps measured instructions).
+	Phases             int     `json:"phases"`
+	Simulated          int     `json:"segments_simulated"`
+	SimulatedSteps     uint64  `json:"simulated_steps"`
+	SampledWallSeconds float64 `json:"sampled_wall_seconds"`
+	SampledPeakRSS     int64   `json:"sampled_peak_rss_bytes"`
+	SampledIPC         float64 `json:"sampled_ipc"`
+	IPCHalfCI95        float64 `json:"ipc_half_ci95"`
+	// IPCErrorPct is the sampled IPC's signed error against the exact
+	// IPC, in percent.
+	IPCErrorPct float64 `json:"ipc_error_pct"`
+	// Speedup is ExactWallSeconds / SampledWallSeconds.
+	Speedup float64 `json:"speedup"`
 }
 
 // peakRSSBytes reads the process's peak resident set (VmHWM) from
@@ -108,13 +93,14 @@ func resetPeakRSS() {
 	_ = os.WriteFile("/proc/self/clear_refs", []byte("5"), 0)
 }
 
-// StreamBench benchmarks streamed simulation of one workload under the
+// StreamBench benchmarks sampled simulation of one workload under the
 // baseline configuration. The trace is captured (or loaded) through dir
 // — with a directory the capture streams to disk in bounded memory,
-// which is the point on huge workloads — then the full trace is timed
-// once monolithically (the exact truth) and estimated by the three
-// sampling modes, each budgeted to simulate at most `budget` of the
-// trace's `segments` segments. dir == "" benchmarks the in-memory path.
+// which is the point on huge workloads; dir == "" benchmarks the
+// in-memory path. The full trace is then timed once monolithically
+// (the exact truth) and estimated by phase sampling with a fixed
+// warmup of streamBenchWarmup, timing at most `budget` of the trace's
+// `segments` segments.
 func StreamBench(workload, dir string, segments, budget int) (*StreamBenchResult, error) {
 	if segments < 2 {
 		return nil, fmt.Errorf("streambench: need at least 2 segments, got %d", segments)
@@ -135,16 +121,17 @@ func StreamBench(workload, dir string, segments, budget int) (*StreamBenchResult
 	if err != nil {
 		return nil, err
 	}
+	cfg := BaselineConfig()
 	res := &StreamBenchResult{
 		Workload:       workload,
-		Config:         BaselineConfig().Name,
+		Config:         cfg.Name,
 		Steps:          tr.Steps(),
+		Warmup:         streamBenchWarmup,
 		CaptureSeconds: time.Since(start).Seconds(),
 		CapturePeakRSS: peakRSSBytes(),
 	}
 	res.TraceDiskBytes, res.TraceResidentBytes = tr.Footprint()
 
-	cfg := BaselineConfig()
 	resetPeakRSS()
 	start = time.Now()
 	sim, err := pipeline.NewReplay(cfg, trace.NewReader(tr))
@@ -162,74 +149,26 @@ func StreamBench(workload, dir string, segments, budget int) (*StreamBenchResult
 
 	segs := tr.Segments(segments)
 	res.Segments = len(segs)
-	// The stride that spends the same segment budget as phase mode.
-	stride := (len(segs) + budget - 1) / budget
-	strided := make([]int, 0, budget)
-	for i := 0; i < len(segs); i += stride {
-		strided = append(strided, i)
+	resetPeakRSS()
+	start = time.Now()
+	pick, weights := phasePick(tr, segs, budget)
+	parts, _, err := runSegments(cfg, tr, segs, pick, streamBenchWarmup)
+	if err != nil {
+		return nil, fmt.Errorf("streambench: %w", err)
 	}
-
-	mode := func(name string, pick []int, weights []float64, opts pipeline.SegmentOpts) error {
-		resetPeakRSS()
-		start := time.Now()
-		parts, reports, err := runSegments(cfg, tr, segs, pick, opts)
-		if err != nil {
-			return fmt.Errorf("streambench %s: %w", name, err)
-		}
-		m := StreamModeResult{
-			Mode:         name,
-			Simulated:    len(parts),
-			WallSeconds:  time.Since(start).Seconds(),
-			PeakRSSBytes: peakRSSBytes(),
-		}
-		ipcs := make([]float64, len(parts))
-		for i, p := range parts {
-			ipcs[i] = p.IPC()
-			m.SimulatedSteps += p.Committed
-		}
-		if weights != nil {
-			m.IPC, m.IPCHalfCI95 = stats.WeightedMeanCI95(ipcs, weights)
-		} else {
-			m.IPC, m.IPCHalfCI95 = stats.MeanCI95(ipcs)
-		}
-		if opts.Adaptive {
-			var warm uint64
-			for _, r := range reports {
-				warm += r.WarmupSteps
-			}
-			if len(reports) > 0 {
-				m.WarmupMeanSteps = float64(warm) / float64(len(reports))
-			}
-		}
-		if res.ExactIPC > 0 {
-			m.IPCErrorPct = (m.IPC - res.ExactIPC) / res.ExactIPC * 100
-		}
-		if m.WallSeconds > 0 {
-			m.Speedup = res.ExactWallSeconds / m.WallSeconds
-		}
-		if name == "phase" {
-			m.Phases = len(pick)
-		}
-		res.Modes = append(res.Modes, m)
-		return nil
+	res.SampledWallSeconds = time.Since(start).Seconds()
+	res.SampledPeakRSS = peakRSSBytes()
+	res.Phases = len(pick)
+	res.Simulated = len(parts)
+	for _, p := range parts {
+		res.SimulatedSteps += p.Committed
 	}
-
-	if err := mode("fixed", strided, nil, pipeline.SegmentOpts{Warmup: 1 << 15}); err != nil {
-		return nil, err
+	res.SampledIPC, res.IPCHalfCI95, _ = phaseEstimate(parts, weights, tr.Steps())
+	if res.ExactIPC > 0 {
+		res.IPCErrorPct = (res.SampledIPC - res.ExactIPC) / res.ExactIPC * 100
 	}
-	if err := mode("adaptive", strided, nil, pipeline.SegmentOpts{Adaptive: true}); err != nil {
-		return nil, err
-	}
-	if phases := tr.SegmentPhases(segs, budget); phases != nil {
-		pick := make([]int, len(phases))
-		weights := make([]float64, len(phases))
-		for i, ph := range phases {
-			pick[i] = ph.Rep
-			weights[i] = ph.Weight
-		}
-		if err := mode("phase", pick, weights, pipeline.SegmentOpts{Adaptive: true}); err != nil {
-			return nil, err
-		}
+	if res.SampledWallSeconds > 0 {
+		res.Speedup = res.ExactWallSeconds / res.SampledWallSeconds
 	}
 	return res, nil
 }

@@ -2,44 +2,44 @@ package ce
 
 import "testing"
 
-// TestStreamBench smoke-tests the streaming benchmark harness at unit
-// scale: a disk-streamed capture, the monolithic exact truth, and all
-// three sampling modes at an equal segment budget, each within a sane
-// error band of the truth.
+// TestStreamBench smoke-tests the sampled-simulation benchmark at unit
+// scale, once on the in-memory path and once streamed through disk:
+// the monolithic exact truth and the phase-sampled estimate within its
+// segment budget and a sane error band of the truth.
 func TestStreamBench(t *testing.T) {
-	res, err := StreamBench("compress.big", t.TempDir(), 16, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Steps == 0 || res.ExactCycles <= 0 || res.ExactIPC <= 0 {
-		t.Fatalf("exact side empty: %+v", res)
-	}
-	if res.TraceDiskBytes == 0 || res.TraceResidentBytes != 0 {
-		t.Errorf("capture not streamed to disk: disk=%d resident=%d",
-			res.TraceDiskBytes, res.TraceResidentBytes)
-	}
-	if len(res.Modes) != 3 {
-		t.Fatalf("modes = %d, want fixed+adaptive+phase (%+v)", len(res.Modes), res.Modes)
-	}
-	for _, m := range res.Modes {
-		if m.IPC <= 0 || m.Simulated < 1 || m.Simulated > 4 || m.SimulatedSteps == 0 {
-			t.Errorf("%s: degenerate mode result: %+v", m.Mode, m)
+	for _, tc := range []struct {
+		name string
+		dir  string
+	}{
+		{"memory", ""},
+		{"disk", t.TempDir()},
+	} {
+		res, err := StreamBench("compress.big", tc.dir, 16, 4)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if m.IPCErrorPct < -50 || m.IPCErrorPct > 50 {
-			t.Errorf("%s: IPC off by %.1f%%", m.Mode, m.IPCErrorPct)
+		if res.Steps == 0 || res.ExactCycles <= 0 || res.ExactIPC <= 0 {
+			t.Fatalf("%s: exact side empty: %+v", tc.name, res)
 		}
-		if m.SimulatedSteps >= res.Steps {
+		if streamed := res.TraceDiskBytes > 0 && res.TraceResidentBytes == 0; streamed != (tc.dir != "") {
+			t.Errorf("%s: trace footprint disk=%d resident=%d", tc.name,
+				res.TraceDiskBytes, res.TraceResidentBytes)
+		}
+		if res.Segments != 16 || res.Warmup != streamBenchWarmup {
+			t.Errorf("%s: plan not honoured: %+v", tc.name, res)
+		}
+		if res.Phases < 1 || res.Phases > 4 || res.Simulated != res.Phases {
+			t.Errorf("%s: %d phases, %d segments simulated, want 1..4 and equal", tc.name, res.Phases, res.Simulated)
+		}
+		if res.SampledIPC <= 0 || res.SimulatedSteps == 0 || res.Speedup <= 0 {
+			t.Errorf("%s: degenerate sampled result: %+v", tc.name, res)
+		}
+		if res.SimulatedSteps >= res.Steps {
 			t.Errorf("%s: simulated %d of %d steps — sampling did not sample",
-				m.Mode, m.SimulatedSteps, res.Steps)
+				tc.name, res.SimulatedSteps, res.Steps)
 		}
-	}
-	ph := res.Modes[2]
-	if ph.Mode != "phase" || ph.Phases < 1 || ph.Phases > 4 {
-		t.Errorf("phase mode malformed: %+v", ph)
-	}
-	for _, m := range res.Modes[1:] {
-		if m.WarmupMeanSteps <= 0 {
-			t.Errorf("%s: adaptive warmup reported no steps: %+v", m.Mode, m)
+		if res.IPCErrorPct < -5 || res.IPCErrorPct > 5 {
+			t.Errorf("%s: sampled IPC off by %.2f%%", tc.name, res.IPCErrorPct)
 		}
 	}
 }

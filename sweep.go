@@ -90,11 +90,9 @@ type Engine struct {
 	// Segment plan (segmented.go): shard replay-driven runs into
 	// segments timed in parallel. Guarded by traceMu with the rest of
 	// the replay configuration.
-	segments    int
-	segWarmup   int64
-	segSample   int
-	segAdaptive bool
-	segPhases   int
+	segments  int
+	segWarmup int64
+	segPhases int
 }
 
 // NewEngine returns an Engine with an empty in-memory run cache.

@@ -484,11 +484,11 @@ func TestEngineRecordsDecodedExact(t *testing.T) {
 	}
 	var want uint64
 	for _, s := range tr.Segments(4) {
-		_, rep, err := pipeline.RunSegmentOpts(cfg, tr, s, pipeline.SegmentOpts{Warmup: warmup}, maxCycles)
+		_, decoded, err := pipeline.RunSegment(cfg, tr, s, warmup, maxCycles)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want += rep.RecordsDecoded
+		want += decoded
 	}
 	ts = seg.TraceStats()
 	if ts.RecordsDecoded != want {
