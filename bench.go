@@ -6,6 +6,7 @@ import (
 	"os"
 
 	"repro/internal/canonjson"
+	"repro/internal/errclass"
 	"repro/internal/verify"
 )
 
@@ -84,6 +85,7 @@ func WriteSweepBenchJSON(path string, res SweepBenchResult) error {
 
 // ReadSweepBenchJSON loads a BENCH_sweep.json previously written by
 // WriteSweepBenchJSON — the baseline side of `cesweep -bench-compare`.
+// Malformed contents fail with errclass.ErrCorrupt.
 func ReadSweepBenchJSON(path string) (SweepBenchResult, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -91,7 +93,7 @@ func ReadSweepBenchJSON(path string) (SweepBenchResult, error) {
 	}
 	var res SweepBenchResult
 	if err := json.Unmarshal(data, &res); err != nil {
-		return SweepBenchResult{}, fmt.Errorf("%s: %w", path, err)
+		return SweepBenchResult{}, errclass.Corrupt(fmt.Errorf("%s: %w", path, err))
 	}
 	return res, nil
 }

@@ -7,12 +7,15 @@ package ce
 // rows directly).
 
 import (
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/delaymodel"
 	"repro/internal/emu"
+	"repro/internal/errclass"
 	"repro/internal/pipeline"
 	"repro/internal/prog"
 	"repro/internal/vlsi"
@@ -408,4 +411,45 @@ func TestCompareSweepBenchLegacyBaseline(t *testing.T) {
 			t.Errorf("delta %q compares an entry this build does not emit", d.Name)
 		}
 	}
+}
+
+// FuzzReadSweepBenchJSON feeds arbitrary bytes to the bench baseline
+// reader. It must load a record or fail with errclass.ErrCorrupt, never
+// panic; a loaded record must survive the comparison gate and a write
+// and re-read unchanged.
+func FuzzReadSweepBenchJSON(f *testing.F) {
+	for _, seed := range []string{"BENCH_sweep.json", filepath.Join("testdata", "bench_sweep_legacy.json")} {
+		data, err := os.ReadFile(seed)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"segment": {"speedup": "fast"}}`))
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(dir, "in.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadSweepBenchJSON(path)
+		if err != nil {
+			if !errclass.IsCorrupt(err) {
+				t.Fatalf("unclassified read error: %v", err)
+			}
+			return
+		}
+		CompareSweepBench(got, got, 25)
+		out := filepath.Join(dir, "out.json")
+		if err := WriteSweepBenchJSON(out, got); err != nil {
+			t.Fatalf("accepted record does not write back: %v", err)
+		}
+		again, err := ReadSweepBenchJSON(out)
+		if err != nil {
+			t.Fatalf("written record does not read back: %v", err)
+		}
+		if !reflect.DeepEqual(again, got) {
+			t.Fatalf("round trip changed the record:\n  got  %+v\n  want %+v", again, got)
+		}
+	})
 }

@@ -32,19 +32,16 @@
 //	-trace-dir DIR      persist captured traces on disk across invocations
 //	-no-trace-replay    drive every simulation by lockstep execution
 //
-// Segment-parallel simulation shards each trace into K segments timed
-// independently across CPUs and stitches the results:
+// Phase sampling estimates each replay-driven run from a few timed
+// segments instead of the whole trace (SimPoint):
 //
 //	-segments K         cut each trace into K segments (0 = monolithic)
-//	-warmup N           per-segment warmup prefix in instructions;
-//	                    -1 (default) replays the full prefix, making the
-//	                    stitched result bit-identical to the monolithic
-//	                    run
-//	-phases K           cluster segments into at most K phases by their
-//	                    basic-block vectors and time one representative
-//	                    per phase, weighted by its share of the run
-//	                    (approximate, reported with error bars); 0
-//	                    (default) times every segment
+//	-phases k           cluster the segments into at most k phases by
+//	                    their basic-block vectors and time one
+//	                    representative per phase after a fixed
+//	                    32768-instruction warmup, weighted by its share
+//	                    of the run; the served result is the whole-run
+//	                    estimate (1 <= k <= K, required with -segments)
 //
 // Host-performance flags for working on the simulator itself:
 //
@@ -56,10 +53,8 @@
 //	                    huge workload W (e.g. compress.huge): capture the
 //	                    trace straight to -trace-dir, time it exactly once
 //	                    monolithically, then estimate it by phase sampling
-//	                    at most -phases of its segments after a fixed
-//	                    32768-instruction warmup; wall time, peak RSS and
-//	                    IPC error go to BENCH_sweep.json
-//	-stream-segments K  segment count for -stream-bench (default 64)
+//	                    with the plan given by -segments and -phases; wall
+//	                    time, peak RSS and IPC error go to BENCH_sweep.json
 //	-bench-compare F    compare this run's BENCH_sweep.json entries against
 //	                    the baseline at F and print per-entry deltas
 //	-bench-tolerance P  percent a gated ratio (segment speedup) may fall
@@ -101,15 +96,13 @@ var (
 	cacheDir   = flag.String("cache-dir", "", "persist simulation results as JSON under this directory")
 	traceDir   = flag.String("trace-dir", "", "persist captured execution traces under this directory")
 	noReplay   = flag.Bool("no-trace-replay", false, "drive every simulation by lockstep execution instead of shared trace replay")
-	segments   = flag.Int("segments", 0, "cut each trace into this many segments timed in parallel (0 = monolithic)")
-	segWarmup  = flag.Int64("warmup", -1, "per-segment warmup prefix in instructions (-1 = full prefix, exact stitching)")
-	segPhases  = flag.Int("phases", 0, "phase sampling: time one representative segment per behavior cluster, at most this many, weighted by cluster mass (0 = time every segment)")
+	segments   = flag.Int("segments", 0, "phase sampling: cut each trace into this many segments (0 = monolithic)")
+	segPhases  = flag.Int("phases", 0, "phase sampling: time one representative segment per behavior cluster, at most this many, weighted by cluster mass (1..-segments)")
 	benchJSON  = flag.String("bench-json", "", "benchmark the simulator per panel config and write results to this file")
 	benchWork  = flag.String("bench-workload", "compress", "workload for -bench-json")
 	benchCmp   = flag.String("bench-compare", "", "compare this invocation's BENCH_sweep.json against the baseline at this path and print per-entry deltas")
 	benchTol   = flag.Float64("bench-tolerance", 25, "percent a gated benchmark ratio may fall below the -bench-compare baseline before exiting nonzero; negative = warn only")
 	streamWork = flag.String("stream-bench", "", "benchmark streamed capture + sampled simulation on this (huge) workload and record it in BENCH_sweep.json")
-	streamSegs = flag.Int("stream-segments", 64, "segment count for -stream-bench (phase sampling times at most -phases of them)")
 	cpuprof    = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memprof    = flag.String("memprofile", "", "write a heap profile taken after the sweep to this file")
 )
@@ -182,9 +175,9 @@ func setupObservability() (func() error, error) {
 		}
 	}
 	eng.SetTraceReplay(!*noReplay)
-	eng.SetSegments(*segments)
-	eng.SetSegmentWarmup(*segWarmup)
-	eng.SetSegmentPhases(*segPhases)
+	if err := eng.SetPhaseSampling(*segments, *segPhases); err != nil {
+		return nil, err
+	}
 	for _, path := range []string{*metrics, *metricsDet} {
 		if path == "" {
 			continue
@@ -474,7 +467,7 @@ func run() (err error) {
 			sb.Segment = seg
 		}
 		if *streamWork != "" {
-			st, err := ce.StreamBench(*streamWork, *traceDir, *streamSegs, *segPhases)
+			st, err := ce.StreamBench(*streamWork, *traceDir, *segments, *segPhases)
 			if err != nil {
 				return err
 			}
@@ -562,5 +555,5 @@ func printSampledBench(name, path string, r *ce.StreamBenchResult) {
 		"exact", r.Steps, r.ExactWallSeconds, float64(r.ExactPeakRSS)/1e6, r.ExactIPC, "—")
 	fmt.Printf("  %-9s %10d %9.2f %9.0f %9.3f %+8.2f%%  (%d of %d segments, %.1fx)\n",
 		"phase", r.SimulatedSteps, r.SampledWallSeconds, float64(r.SampledPeakRSS)/1e6, r.SampledIPC, r.IPCErrorPct,
-		r.Simulated, r.Segments, r.Speedup)
+		r.Phases, r.Segments, r.Speedup)
 }

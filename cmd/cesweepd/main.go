@@ -51,9 +51,8 @@ var (
 	cacheMax        = flag.Int("cache-max", 4096, "max run results held in memory, LRU over the disk tier (0 = unbounded)")
 	noReplay        = flag.Bool("no-trace-replay", false, "drive every simulation by lockstep execution instead of trace replay")
 	pprofAddr       = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); empty = disabled. Never exposed on the serving port")
-	segments        = flag.Int("segments", 0, "cut each trace into this many segments timed in parallel (0 = monolithic)")
-	segWarmup       = flag.Int64("warmup", -1, "per-segment warmup prefix in instructions (-1 = full prefix, exact stitching)")
-	segPhases       = flag.Int("phases", 0, "phase sampling: time one representative segment per behavior cluster, at most this many (0 = time every segment)")
+	segments        = flag.Int("segments", 0, "phase sampling: cut each trace into this many segments (0 = monolithic)")
+	segPhases       = flag.Int("phases", 0, "phase sampling: time one representative segment per behavior cluster, at most this many (1..-segments)")
 	shutdownTimeout = flag.Duration("shutdown-timeout", 2*time.Minute, "max time to drain in-flight requests on SIGINT/SIGTERM")
 	quiet           = flag.Bool("quiet", false, "suppress per-request log lines")
 )
@@ -86,9 +85,9 @@ func run() error {
 	}
 	eng.SetCacheLimit(*cacheMax)
 	eng.SetTraceReplay(!*noReplay)
-	eng.SetSegments(*segments)
-	eng.SetSegmentWarmup(*segWarmup)
-	eng.SetSegmentPhases(*segPhases)
+	if err := eng.SetPhaseSampling(*segments, *segPhases); err != nil {
+		return err
+	}
 
 	var opts server.Options
 	if !*quiet {

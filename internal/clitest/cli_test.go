@@ -437,9 +437,9 @@ func TestCesweepStaleTraceFormat(t *testing.T) {
 	}
 }
 
-// TestCesweepSegmentedCorruptChunk: with segment-parallel replay, a
-// chunk corrupted mid-trace must be detected by a checksum at read
-// time, dropped and recaptured — and the deterministic metrics of the
+// TestCesweepSegmentedCorruptChunk: with phase-sampled replay, a chunk
+// corrupted mid-trace must be detected by a checksum at read time,
+// dropped and recaptured — and the deterministic metrics of the
 // damaged-then-recaptured run must be byte-identical to the clean
 // run's, proving no segment worker ever consumed torn data.
 func TestCesweepSegmentedCorruptChunk(t *testing.T) {
@@ -450,7 +450,7 @@ func TestCesweepSegmentedCorruptChunk(t *testing.T) {
 	traces := filepath.Join(dir, "traces")
 	clean := filepath.Join(dir, "clean.json")
 	damaged := filepath.Join(dir, "damaged.json")
-	mustRun(t, "cesweep", "-fig", "13", "-segments", "8", "-trace-dir", traces, "-metrics-det", clean)
+	mustRun(t, "cesweep", "-fig", "13", "-segments", "8", "-phases", "4", "-trace-dir", traces, "-metrics-det", clean)
 
 	files, err := filepath.Glob(filepath.Join(traces, "*.cetrace"))
 	if err != nil || len(files) == 0 {
@@ -468,7 +468,7 @@ func TestCesweepSegmentedCorruptChunk(t *testing.T) {
 	}
 	f.Close()
 
-	out := mustRun(t, "cesweep", "-fig", "13", "-segments", "8", "-v", "-trace-dir", traces, "-metrics-det", damaged)
+	out := mustRun(t, "cesweep", "-fig", "13", "-segments", "8", "-phases", "4", "-v", "-trace-dir", traces, "-metrics-det", damaged)
 	if !strings.Contains(out, "1 corrupt traces dropped") {
 		t.Errorf("corrupt chunk not counted:\n%s", out)
 	}

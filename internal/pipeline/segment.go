@@ -3,23 +3,18 @@ package pipeline
 // Segment runs: boot a Simulator from a trace boundary, discard a
 // warmup prefix, measure a window, and return the window's Stats delta.
 //
-// The exactness argument for full warmup (warmup < 0) is telescoping:
-// the run loop stops at the first cycle boundary on which the committed
-// count has crossed the target, so a full-warmup segment run is the
-// *identical* deterministic simulation as the monolithic run, merely
-// snapshotted at two extra points. Every Stats counter is cumulative
-// and monotone, so the per-segment deltas of consecutive segments share
-// their interior snapshots and sum — exactly, field for field, bucket
-// for bucket — to the monolithic totals. With finite warmup the
-// predictor, caches and window state are only approximately warm at the
-// measurement boundary and the stitched result is an estimate; the
-// sampled mode in the root package puts confidence intervals on it.
+// The predictor, caches and window state are only approximately warm at
+// the measurement boundary, so a segment's statistics estimate the
+// window's. WeightStats extrapolates a set of such windows, one
+// representative per phase, to a whole-run estimate.
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -59,13 +54,13 @@ func (s *Simulator) RunUntilCommitted(target uint64, maxCycles int64) (Stats, er
 
 // RunSegment simulates one trace segment under cfg with a fixed warmup:
 // replay starts at the segment's warm-start boundary (see
-// trace.Trace.WarmStart; warmup < 0 replays the full prefix), cycles up
-// to the segment start are discarded, and the returned Stats is the
-// delta over the measurement window [seg.Start, seg.End). It also
+// trace.Trace.WarmStart), cycles up to the segment start are discarded,
+// and the returned Stats is the delta over the measurement window
+// [seg.Start, seg.End). It also
 // returns how many records the segment's trace reader decoded, warmup
 // prefix included. Host telemetry covers the warmup leg too — that cost
 // is real work this segment run performed.
-func RunSegment(cfg Config, tr *trace.Trace, seg trace.Segment, warmup, maxCycles int64) (Stats, uint64, error) {
+func RunSegment(cfg Config, tr *trace.Trace, seg trace.Segment, warmup uint64, maxCycles int64) (Stats, uint64, error) {
 	start := tr.WarmStart(seg, warmup)
 	rd, err := trace.NewReaderAt(tr, start)
 	if err != nil {
@@ -146,47 +141,55 @@ func SubStats(end, warm Stats) (Stats, error) {
 	return d, firstErr
 }
 
-// StitchStats sums per-segment deltas into one whole-run Stats:
-// counters add, histograms merge, host telemetry accumulates. For
-// full-warmup segments of one trace the result is bit-identical to the
-// monolithic run (see the package comment for why); internal/verify
-// pins this.
-func StitchStats(parts []Stats) (Stats, error) {
-	if len(parts) == 0 {
-		return Stats{}, fmt.Errorf("stats: stitching zero segments")
+// WeightStats extrapolates phase representatives to a whole run of
+// steps instructions under cfg: representative i stands for the share
+// weights[i] of the run, so its counters and issue-histogram buckets
+// are scaled by weights[i]·steps / parts[i].Committed and summed. The
+// result's Cycles is each phase's instructions retired at its
+// representative's IPC, and its IPC the cycle-weighted (harmonic)
+// estimate of the whole run. Host telemetry sums unscaled: it is the
+// work the representatives actually cost.
+func WeightStats(cfg Config, parts []Stats, weights []float64, steps uint64) (Stats, error) {
+	if len(parts) == 0 || len(parts) != len(weights) {
+		return Stats{}, fmt.Errorf("stats: weighting %d representatives by %d weights", len(parts), len(weights))
 	}
 	total := Stats{
 		Config:         parts[0].Config,
 		Workload:       parts[0].Workload,
-		IssuedPerCycle: parts[0].IssuedPerCycle.Clone(),
+		IssuedPerCycle: stats.NewHistogram(cfg.IssueWidth),
 	}
 	for i, p := range parts {
 		if p.Config != total.Config || p.Workload != total.Workload {
-			return total, fmt.Errorf("stats: stitching %s/%s segment into a %s/%s run",
+			return total, fmt.Errorf("stats: weighting a %s/%s representative into a %s/%s run",
 				p.Config, p.Workload, total.Config, total.Workload)
 		}
-		total.Cycles += p.Cycles
-		total.Committed += p.Committed
-		total.EmuSteps += p.EmuSteps
-		total.CondBranches += p.CondBranches
-		total.Mispredicts += p.Mispredicts
-		total.InterClusterUops += p.InterClusterUops
-		total.ForwardedLoads += p.ForwardedLoads
-		total.SquashedUops += p.SquashedUops
-		total.SchedulerStalls += p.SchedulerStalls
-		total.PhysRegStalls += p.PhysRegStalls
-		total.ROBStalls += p.ROBStalls
-		total.Cache.Accesses += p.Cache.Accesses
-		total.Cache.Misses += p.Cache.Misses
-		total.Cache.Writebacks += p.Cache.Writebacks
-		total.ICache.Accesses += p.ICache.Accesses
-		total.ICache.Misses += p.ICache.Misses
-		total.ICache.Writebacks += p.ICache.Writebacks
+		if p.Committed == 0 {
+			return total, fmt.Errorf("stats: %s/%s representative %d committed nothing", p.Config, p.Workload, i)
+		}
+		f := weights[i] * float64(steps) / float64(p.Committed)
+		scale := func(n uint64) uint64 { return uint64(math.Round(float64(n) * f)) }
+		total.Cycles += int64(math.Round(float64(p.Cycles) * f))
+		total.Committed += scale(p.Committed)
+		total.EmuSteps += scale(p.EmuSteps)
+		total.CondBranches += scale(p.CondBranches)
+		total.Mispredicts += scale(p.Mispredicts)
+		total.InterClusterUops += scale(p.InterClusterUops)
+		total.ForwardedLoads += scale(p.ForwardedLoads)
+		total.SquashedUops += scale(p.SquashedUops)
+		total.SchedulerStalls += scale(p.SchedulerStalls)
+		total.PhysRegStalls += scale(p.PhysRegStalls)
+		total.ROBStalls += scale(p.ROBStalls)
+		total.Cache.Accesses += scale(p.Cache.Accesses)
+		total.Cache.Misses += scale(p.Cache.Misses)
+		total.Cache.Writebacks += scale(p.Cache.Writebacks)
+		total.ICache.Accesses += scale(p.ICache.Accesses)
+		total.ICache.Misses += scale(p.ICache.Misses)
+		total.ICache.Writebacks += scale(p.ICache.Writebacks)
+		for v := 0; v <= cfg.IssueWidth; v++ {
+			total.IssuedPerCycle.AddN(v, scale(p.IssuedPerCycle.Count(v)))
+		}
 		total.HostAllocs += p.HostAllocs
 		total.HostWallSeconds += p.HostWallSeconds
-		if i > 0 {
-			total.IssuedPerCycle.Merge(p.IssuedPerCycle)
-		}
 	}
 	return total, nil
 }

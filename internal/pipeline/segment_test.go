@@ -78,88 +78,63 @@ func TestRunUntilCommittedMatchesRun(t *testing.T) {
 	eqDeterministic(t, "run-until-committed", got, want)
 }
 
-// TestSegmentStitchingExact is the package-level exactness differential:
-// full-warmup segment runs stitched together must reproduce the
-// monolithic run bit for bit — every counter, every histogram bucket.
-func TestSegmentStitchingExact(t *testing.T) {
+// TestWeightStats pins the phase estimate's arithmetic: two
+// representatives standing for weights w of a run of steps instructions
+// are scaled by w·steps/Committed and summed, so Committed lands on
+// steps, Cycles on each phase's instructions retired at its
+// representative's IPC, and host telemetry sums unscaled.
+func TestWeightStats(t *testing.T) {
 	tr := captureWorkload(t, "micro.branchy")
-	for _, mk := range []struct {
-		name string
-		c    Config
-	}{
-		{"window", cfg("window", 1, 0, window64)},
-		{"fifos", cfg("fifos", 1, 0, fifos8x8)},
-	} {
-		c := mk.c
-		c.PerfectBPred = false
-		sim, err := NewReplay(c, trace.NewReader(tr))
-		if err != nil {
-			t.Fatal(err)
-		}
-		mono, err := sim.Run(50_000_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		segs := tr.Segments(4)
-		if len(segs) < 2 {
-			t.Fatalf("micro.branchy yielded %d segments, want ≥ 2", len(segs))
-		}
-		parts := make([]Stats, len(segs))
-		for i, seg := range segs {
-			parts[i], _, err = RunSegment(c, tr, seg, -1, 50_000_000)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if parts[i].Committed == 0 {
-				t.Fatalf("%s segment %d committed nothing", mk.name, i)
-			}
-		}
-		stitched, err := StitchStats(parts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eqDeterministic(t, mk.name+" stitched", stitched, mono)
-	}
-}
-
-// TestSegmentFiniteWarmupApproximates pins the sampled-mode contract:
-// finite warmup commits exactly the window instructions per segment and
-// lands near — not necessarily on — the monolithic cycle count.
-func TestSegmentFiniteWarmupApproximates(t *testing.T) {
-	tr := captureWorkload(t, "micro.branchy")
-	c := cfg("warm", 1, 0, window64)
+	c := cfg("weight", 1, 0, window64)
 	c.PerfectBPred = false
-	sim, err := NewReplay(c, trace.NewReader(tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mono, err := sim.Run(50_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
 	segs := tr.Segments(4)
-	var parts []Stats
-	for _, seg := range segs {
-		st, _, err := RunSegment(c, tr, seg, 1<<14, 50_000_000)
+	if len(segs) < 2 {
+		t.Fatalf("micro.branchy yielded %d segments, want ≥ 2", len(segs))
+	}
+	parts := make([]Stats, 2)
+	for i := range parts {
+		var err error
+		parts[i], _, err = RunSegment(c, tr, segs[i], 1<<13, 50_000_000)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parts = append(parts, st)
 	}
-	stitched, err := StitchStats(parts)
+	weights := []float64{0.25, 0.75}
+	steps := tr.Steps()
+	got, err := WeightStats(c, parts, weights, steps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Commit-width overshoot at the warmup horizon can shift a handful of
-	// instructions between warmup and window; the totals stay within one
-	// retire width per seam.
-	slack := uint64(len(segs) * c.RetireWidth)
-	if stitched.Committed < tr.Steps()-slack || stitched.Committed > tr.Steps()+slack {
-		t.Errorf("stitched committed %d, monolithic %d (slack %d)", stitched.Committed, tr.Steps(), slack)
+	if d := int64(got.Committed) - int64(steps); d < -1 || d > 1 {
+		t.Errorf("weighted committed %d, want the run's %d steps", got.Committed, steps)
 	}
-	lo := float64(mono.Cycles) * 0.9
-	hi := float64(mono.Cycles) * 1.1
-	if f := float64(stitched.Cycles); f < lo || f > hi {
-		t.Errorf("stitched cycles %d not within 10%% of monolithic %d", stitched.Cycles, mono.Cycles)
+	wantCycles := 0.0
+	for i, p := range parts {
+		wantCycles += weights[i] * float64(steps) / p.IPC()
+	}
+	if d := float64(got.Cycles) - wantCycles; d < -1 || d > 1 {
+		t.Errorf("weighted cycles %d, want %.1f", got.Cycles, wantCycles)
+	}
+	if d := int64(got.IssuedPerCycle.Total()) - got.Cycles; d < -int64(c.IssueWidth+1) || d > int64(c.IssueWidth+1) {
+		t.Errorf("issue histogram records %d cycles, weighted run has %d", got.IssuedPerCycle.Total(), got.Cycles)
+	}
+	if got.HostAllocs != parts[0].HostAllocs+parts[1].HostAllocs {
+		t.Errorf("host allocs %d scaled, want the unscaled sum", got.HostAllocs)
+	}
+	// A lone representative of the whole run, weighted by its own share,
+	// reproduces itself.
+	self, err := WeightStats(c, parts[:1], []float64{1}, parts[0].Committed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eqDeterministic(t, "self-weighted", self, parts[0])
+
+	if _, err := WeightStats(c, parts, weights[:1], steps); err == nil {
+		t.Error("mismatched weights accepted")
+	}
+	empty := parts[1]
+	empty.Committed = 0
+	if _, err := WeightStats(c, []Stats{parts[0], empty}, weights, steps); err == nil {
+		t.Error("a representative that committed nothing accepted")
 	}
 }

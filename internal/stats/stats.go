@@ -219,38 +219,16 @@ func (h *Histogram) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// MeanCI95 returns the sample mean and the half-width of its 95%
-// confidence interval (normal approximation, 1.96·s/√n with the unbiased
-// sample standard deviation). The half-width is 0 for fewer than two
-// samples — with one observation no spread is estimable, and the caller
-// should treat the interval as unknown rather than tight. Used by the
-// sampled (SMARTS-style) simulation mode to put error bars on IPC
-// estimated from a subset of trace segments.
-func MeanCI95(xs []float64) (mean, half float64) {
-	mean = Mean(xs)
-	if len(xs) < 2 {
-		return mean, 0
-	}
-	var ss float64
-	for _, x := range xs {
-		d := x - mean
-		ss += d * d
-	}
-	sd := math.Sqrt(ss / float64(len(xs)-1))
-	return mean, 1.96 * sd / math.Sqrt(float64(len(xs)))
-}
-
 // WeightedMeanCI95 returns the weighted mean of xs under the given
 // non-negative weights and the half-width of its 95% confidence
 // interval. The interval uses the effective sample size
 // n_eff = (Σw)²/Σw² — unequal weights carry less independent
 // information than their count suggests (n_eff equals len(xs) when all
 // weights match, and approaches 1 when one weight dominates) — with the
-// weighted unbiased variance and the normal 1.96 critical value, the
-// same approximation MeanCI95 makes. The half-width is 0 when fewer
-// than two samples carry weight. Used by the phase-clustered sampling
-// mode, where each representative segment's IPC stands in for a
-// different-sized share of the execution.
+// weighted unbiased variance and the normal 1.96 critical value. The
+// half-width is 0 when fewer than two samples carry weight. Used by the
+// phase-clustered sampling mode, where each representative segment's
+// IPC stands in for a different-sized share of the execution.
 func WeightedMeanCI95(xs, ws []float64) (mean, half float64) {
 	if len(xs) != len(ws) || len(xs) == 0 {
 		return 0, 0

@@ -285,23 +285,6 @@ func TestHistogramCloneSub(t *testing.T) {
 	}
 }
 
-func TestMeanCI95(t *testing.T) {
-	mean, half := MeanCI95([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if mean != 5 {
-		t.Errorf("mean = %g, want 5", mean)
-	}
-	// Sample sd of this classic set is ≈2.138; 1.96·sd/√8 ≈ 1.4815.
-	if math.Abs(half-1.4815) > 0.01 {
-		t.Errorf("half-width = %g, want ≈1.4815", half)
-	}
-	if _, h := MeanCI95([]float64{3}); h != 0 {
-		t.Errorf("single-sample half-width = %g, want 0", h)
-	}
-	if m, h := MeanCI95(nil); m != 0 || h != 0 {
-		t.Errorf("empty MeanCI95 = %g ± %g", m, h)
-	}
-}
-
 // TestHistogramJSONRoundTrip guards the encoding used by the on-disk
 // run cache.
 func TestHistogramJSONRoundTrip(t *testing.T) {

@@ -7,9 +7,10 @@ package trace
 // (step count, packed-stream offset, next PC) is a complete warm-start
 // point: a Reader opened there replays the identical record suffix the
 // monolithic run would have seen, with no register file or memory image
-// to restore. The segment scheduler in the root package fans a
-// workload's segments across workers and stitches the per-segment Stats
-// deltas; internal/verify pins that full-warmup stitching is exact.
+// to restore. The phase sampler in the root package times one
+// representative segment per phase (phase.go) from such a point, after a
+// fixed warmup, and weights the representatives into a whole-run
+// estimate.
 
 import (
 	"fmt"
@@ -105,15 +106,13 @@ func (t *Trace) Segments(k int) []Segment {
 
 // WarmStart returns the boundary at which to begin replaying seg so
 // that at least warmup dynamic instructions run (their cycles
-// discarded) before measurement starts at seg.Start. warmup < 0
-// selects the full prefix — replay from the very beginning, which makes
-// the segment run an exact stopped-early copy of the monolithic
-// simulation and the stitched statistics bit-identical to it.
-func (t *Trace) WarmStart(seg Segment, warmup int64) Boundary {
-	if warmup < 0 || uint64(warmup) >= seg.Start.Step {
+// discarded) before measurement starts at seg.Start. A warmup longer
+// than seg's prefix clamps to the trace start.
+func (t *Trace) WarmStart(seg Segment, warmup uint64) Boundary {
+	if warmup >= seg.Start.Step {
 		return t.startBoundary()
 	}
-	desired := seg.Start.Step - uint64(warmup)
+	desired := seg.Start.Step - warmup
 	i := sort.Search(len(t.bounds), func(i int) bool { return t.bounds[i].Step > desired })
 	if i == 0 {
 		return t.startBoundary()

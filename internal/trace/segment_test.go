@@ -111,9 +111,9 @@ func TestSegmentsPartition(t *testing.T) {
 	}
 }
 
-// TestWarmStart pins warm-start boundary selection: full warmup is the
-// trace start, zero warmup is the segment's own start, and a finite
-// warmup backs up far enough to cover at least the requested records.
+// TestWarmStart pins warm-start boundary selection: zero warmup is the
+// segment's own start, and a finite warmup backs up far enough to cover
+// at least the requested records.
 func TestWarmStart(t *testing.T) {
 	p := mustProgram(t, "compress")
 	tr, err := Capture(p, maxInsts)
@@ -125,15 +125,12 @@ func TestWarmStart(t *testing.T) {
 		t.Fatalf("want ≥3 segments, got %d", len(segs))
 	}
 	seg := segs[2]
-	if ws := tr.WarmStart(seg, -1); ws.Step != 0 {
-		t.Errorf("full warmup starts at step %d, want 0", ws.Step)
-	}
 	if ws := tr.WarmStart(seg, 0); ws != seg.Start {
 		t.Errorf("zero warmup starts at %+v, want the segment start %+v", ws, seg.Start)
 	}
-	w := int64(2 * boundaryInterval)
+	w := uint64(2 * boundaryInterval)
 	ws := tr.WarmStart(seg, w)
-	if ws.Step > seg.Start.Step-uint64(w) {
+	if ws.Step > seg.Start.Step-w {
 		t.Errorf("warmup %d covers only %d records", w, seg.Start.Step-ws.Step)
 	}
 	// A warmup longer than the prefix clamps to the start.

@@ -1,0 +1,119 @@
+package verify
+
+// Differential verification of the disk-backed trace path: a workload
+// captured straight to disk (the v3 chunked format) must agree with its
+// in-memory capture, and every replay-capable panel configuration must
+// produce identical statistics from both. Generated panel programs are
+// tiny, so this check runs on named workloads.
+
+import (
+	"fmt"
+
+	"repro/internal/pipeline"
+	"repro/internal/prog"
+	"repro/internal/trace"
+)
+
+// CheckStreamed captures the named workload twice, once in memory and
+// once streamed into dir, and requires the two traces to agree on every
+// execution property; then every replay-capable panel configuration
+// must produce identical monolithic statistics from both traces (the
+// streamed reader, seeking and verifying chunks from the file, is
+// byte-equivalent to the in-memory one). Wrong-path configurations are
+// skipped: they cannot replay.
+func CheckStreamed(workload, dir string) error {
+	w, err := prog.ByName(workload)
+	if err != nil {
+		return err
+	}
+	p, err := w.Program()
+	if err != nil {
+		return err
+	}
+	mem, err := trace.Capture(p, maxInsts)
+	if err != nil {
+		return fmt.Errorf("verify: %s: %w", workload, err)
+	}
+	disk, err := trace.CaptureToDir(p, maxInsts, dir)
+	if err != nil {
+		return fmt.Errorf("verify: %s (streamed): %w", workload, err)
+	}
+	if mem.Steps() != disk.Steps() {
+		return fmt.Errorf("verify: %s: streamed capture took %d steps, in-memory %d", workload, disk.Steps(), mem.Steps())
+	}
+	if mem.StateHash() != disk.StateHash() {
+		return fmt.Errorf("verify: %s: streamed capture's final state diverges from the in-memory capture's", workload)
+	}
+	for _, cfg := range Panel() {
+		if cfg.WrongPathExecution {
+			continue
+		}
+		bare := cfg
+		bare.CheckInvariants = false
+		bare.RecordTimeline = false
+		fromMem, err := replayMono(bare, mem)
+		if err != nil {
+			return fmt.Errorf("verify: %s on %s: %w", workload, bare.Name, err)
+		}
+		fromDisk, err := replayMono(bare, disk)
+		if err != nil {
+			return fmt.Errorf("verify: %s on %s (streamed): %w", workload, bare.Name, err)
+		}
+		if err := diffStats(fromDisk, fromMem); err != nil {
+			return fmt.Errorf("verify: %s on %s: streamed reader diverges from in-memory: %w", workload, bare.Name, err)
+		}
+	}
+	return nil
+}
+
+func replayMono(cfg pipeline.Config, tr *trace.Trace) (pipeline.Stats, error) {
+	sim, err := pipeline.NewReplay(cfg, trace.NewReader(tr))
+	if err != nil {
+		return pipeline.Stats{}, err
+	}
+	return sim.Run(maxCycles)
+}
+
+// diffStats reports the first deterministic statistic on which got
+// diverges from want (host telemetry is exempt — it measures the runs
+// themselves, which legitimately differ).
+func diffStats(got, want pipeline.Stats) error {
+	cmp := func(g, w uint64, what string) error {
+		if g != w {
+			return fmt.Errorf("%s = %d, monolithic %d", what, g, w)
+		}
+		return nil
+	}
+	if got.Cycles != want.Cycles {
+		return fmt.Errorf("cycles = %d, monolithic %d", got.Cycles, want.Cycles)
+	}
+	checks := []error{
+		cmp(got.Committed, want.Committed, "committed"),
+		cmp(got.EmuSteps, want.EmuSteps, "emu steps"),
+		cmp(got.CondBranches, want.CondBranches, "cond branches"),
+		cmp(got.Mispredicts, want.Mispredicts, "mispredicts"),
+		cmp(got.InterClusterUops, want.InterClusterUops, "inter-cluster uops"),
+		cmp(got.ForwardedLoads, want.ForwardedLoads, "forwarded loads"),
+		cmp(got.SquashedUops, want.SquashedUops, "squashed uops"),
+		cmp(got.SchedulerStalls, want.SchedulerStalls, "scheduler stalls"),
+		cmp(got.PhysRegStalls, want.PhysRegStalls, "physreg stalls"),
+		cmp(got.ROBStalls, want.ROBStalls, "rob stalls"),
+	}
+	for _, err := range checks {
+		if err != nil {
+			return err
+		}
+	}
+	if got.Cache != want.Cache || got.ICache != want.ICache {
+		return fmt.Errorf("cache stats %+v/%+v, monolithic %+v/%+v", got.Cache, got.ICache, want.Cache, want.ICache)
+	}
+	if g, w := got.IssuedPerCycle.Total(), want.IssuedPerCycle.Total(); g != w {
+		return fmt.Errorf("issue histogram records %d cycles, monolithic %d", g, w)
+	}
+	for v := 0; v <= 16; v++ {
+		if g, w := got.IssuedPerCycle.Count(v), want.IssuedPerCycle.Count(v); g != w {
+			return fmt.Errorf("issue histogram bucket %d = %d, monolithic %d", v, g, w)
+		}
+	}
+	return nil
+}

@@ -66,22 +66,11 @@ func TestDifferentialSeededCorpus(t *testing.T) {
 	}
 }
 
-// TestCheckSegmented pins the segment-parallel seam on a workload long
-// enough to cross warm-start boundaries: exact stitching equals the
-// monolithic run on every replay-capable panel configuration, and
-// sampled stitching stays inside its error bars.
-func TestCheckSegmented(t *testing.T) {
-	if err := CheckSegmented("micro.branchy", 4); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestCheckSegmentedStreamed re-proves the segmented seam through the
-// disk-backed trace path: streamed capture ≡ in-memory capture,
-// streamed monolithic replay ≡ in-memory replay per configuration, and
-// exact stitching over chunk-streaming segment readers ≡ both.
-func TestCheckSegmentedStreamed(t *testing.T) {
-	if err := CheckSegmentedStreamed("micro.branchy", 4, t.TempDir()); err != nil {
+// TestCheckStreamed pins the disk-backed trace path: streamed capture
+// ≡ in-memory capture, and streamed monolithic replay ≡ in-memory
+// replay per configuration.
+func TestCheckStreamed(t *testing.T) {
+	if err := CheckStreamed("micro.branchy", t.TempDir()); err != nil {
 		t.Error(err)
 	}
 }

@@ -1,184 +1,157 @@
 package ce
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
 
-// eqStats compares the deterministic Stats fields (host telemetry
-// legitimately differs between a monolithic run and a segmented one).
-func eqStats(t *testing.T, label string, got, want Stats) {
-	t.Helper()
-	g, w := got, want
-	g.HostAllocs, w.HostAllocs = 0, 0
-	g.HostWallSeconds, w.HostWallSeconds = 0, 0
-	gh, wh := g.IssuedPerCycle, w.IssuedPerCycle
-	g.IssuedPerCycle, w.IssuedPerCycle = nil, nil
-	if g != w {
-		t.Errorf("%s: stats diverge:\n  got  %+v\n  want %+v", label, g, w)
-	}
-	if gh.Total() != wh.Total() {
-		t.Errorf("%s: issue histogram records %d cycles, want %d", label, gh.Total(), wh.Total())
-	}
-	for v := 0; v <= 8; v++ {
-		if gh.Count(v) != wh.Count(v) {
-			t.Errorf("%s: issue histogram bucket %d = %d, want %d", label, v, gh.Count(v), wh.Count(v))
+// TestSetPhaseSampling pins the plan's range: (0, 0) is monolithic,
+// otherwise at least 2 segments and 1..segments phases. A rejected plan
+// leaves the engine's plan as it was.
+func TestSetPhaseSampling(t *testing.T) {
+	for _, tc := range []struct {
+		segments, phases int
+		ok               bool
+	}{
+		{0, 0, true},
+		{2, 1, true},
+		{16, 4, true},
+		{16, 16, true},
+		{1, 1, false},
+		{0, 4, false},
+		{-2, 1, false},
+		{16, 0, false},
+		{16, -1, false},
+		{4, 5, false},
+	} {
+		e := NewEngine()
+		if err := e.SetPhaseSampling(8, 2); err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestEngineSegmentedExactMatchesMonolithic is the engine-level
-// exactness differential: a matrix run under full-warmup segmentation
-// must reproduce the monolithic engine's results bit for bit, and its
-// runs must carry Exact segment metrics.
-func TestEngineSegmentedExactMatchesMonolithic(t *testing.T) {
-	cfgs := []Config{BaselineConfig(), DependenceConfig()}
-	ws := []string{"micro.branchy"}
-
-	mono := NewEngine()
-	want, err := mono.RunMatrix(cfgs, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg := NewEngine()
-	seg.SetSegments(4)
-	got, err := seg.RunMatrix(cfgs, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ci := range cfgs {
-		eqStats(t, cfgs[ci].Name, got[ci][0], want[ci][0])
-	}
-	ts := seg.TraceStats()
-	if ts.SegmentRuns != len(cfgs) {
-		t.Errorf("segment runs = %d, want %d", ts.SegmentRuns, len(cfgs))
-	}
-	if ts.SegmentsSimulated < 2*len(cfgs) {
-		t.Errorf("segments simulated = %d, want ≥ %d", ts.SegmentsSimulated, 2*len(cfgs))
-	}
-	for _, m := range seg.Metrics() {
-		if m.Segments == nil {
-			t.Fatalf("run %s/%s carries no segment metrics", m.Config, m.Workload)
+		err := e.SetPhaseSampling(tc.segments, tc.phases)
+		if (err == nil) != tc.ok {
+			t.Errorf("SetPhaseSampling(%d, %d) = %v, want ok=%v", tc.segments, tc.phases, err, tc.ok)
+			continue
 		}
-		if !m.Segments.Exact {
-			t.Errorf("full-warmup run %s/%s not marked exact", m.Config, m.Workload)
+		want := segPlan{k: 8, phases: 2}
+		if tc.ok {
+			want = segPlan{k: tc.segments, phases: tc.phases}
 		}
-		if m.Segments.Simulated != m.Segments.Segments {
-			t.Errorf("unsampled run simulated %d of %d segments", m.Segments.Simulated, m.Segments.Segments)
+		if got := e.segmentPlan(); got != want {
+			t.Errorf("SetPhaseSampling(%d, %d): plan %+v, want %+v", tc.segments, tc.phases, got, want)
 		}
-		if !m.Replayed {
-			t.Errorf("segmented run %s/%s not marked replayed", m.Config, m.Workload)
-		}
-	}
-}
-
-// TestEngineSegmentedSharesExactCacheKey pins the cache-key policy:
-// exact segmentation shares the monolithic key (the bits are
-// identical), while approximate plans are keyed separately in both
-// directions.
-func TestEngineSegmentedSharesExactCacheKey(t *testing.T) {
-	eng := NewEngine()
-	w := []string{"micro.branchy"}
-	if _, err := eng.RunMatrix([]Config{BaselineConfig()}, w); err != nil {
-		t.Fatal(err)
-	}
-	if cs := eng.CacheStats(); cs.Misses != 1 {
-		t.Fatalf("monolithic run: %+v", cs)
-	}
-	// Exact segmentation: same result, so the cache may (must) serve it.
-	eng.SetSegments(4)
-	if _, err := eng.RunMatrix([]Config{BaselineConfig()}, w); err != nil {
-		t.Fatal(err)
-	}
-	if cs := eng.CacheStats(); cs.Misses != 1 || cs.Saved() != 1 {
-		t.Errorf("exact segmented run did not share the monolithic key: %+v", cs)
-	}
-	// Finite warmup is an estimate: it must not be served the exact
-	// result, nor poison it for the monolithic run that follows.
-	eng.SetSegmentWarmup(1 << 14)
-	if _, err := eng.RunMatrix([]Config{BaselineConfig()}, w); err != nil {
-		t.Fatal(err)
-	}
-	if cs := eng.CacheStats(); cs.Misses != 2 {
-		t.Errorf("approximate plan shared the exact key: %+v", cs)
-	}
-	eng.SetSegments(0)
-	if _, err := eng.RunMatrix([]Config{BaselineConfig()}, w); err != nil {
-		t.Fatal(err)
-	}
-	if cs := eng.CacheStats(); cs.Misses != 2 || cs.Saved() != 2 {
-		t.Errorf("monolithic rerun after approximate plan: %+v", cs)
 	}
 }
 
 // TestEnginePhaseSampling exercises phase-clustered sampling end to
 // end: segments cluster by their basic-block vectors, one
-// representative per phase is timed, the cluster-weighted estimate
-// lands near the monolithic truth, and the estimate is cached apart
-// from the exact result.
+// representative per phase is timed, the served estimate lands near the
+// monolithic truth, and the estimate never shares the monolithic cache
+// key, in either direction.
 func TestEnginePhaseSampling(t *testing.T) {
-	mono := NewEngine()
-	want, err := mono.RunMatrix([]Config{BaselineConfig()}, []string{"micro.branchy"})
+	w := []string{"micro.branchy"}
+	eng := NewEngine()
+	want, err := eng.RunMatrix([]Config{BaselineConfig()}, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine()
-	eng.SetSegments(8)
-	eng.SetSegmentWarmup(1 << 13)
-	eng.SetSegmentPhases(3)
-	if _, err := eng.RunMatrix([]Config{BaselineConfig()}, []string{"micro.branchy"}); err != nil {
+	if err := eng.SetPhaseSampling(8, 3); err != nil {
 		t.Fatal(err)
+	}
+	eng.ResetMetrics()
+	got, err := eng.RunMatrix([]Config{BaselineConfig()}, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The estimate must not be served the monolithic result.
+	if cs := eng.CacheStats(); cs.Misses != 2 {
+		t.Errorf("phase plan shared the monolithic key: %+v", cs)
 	}
 	ms := eng.Metrics()
 	if len(ms) != 1 || ms[0].Segments == nil {
 		t.Fatalf("expected one run with segment metrics, got %+v", ms)
 	}
 	sm := ms[0].Segments
-	if sm.Phases < 1 || sm.Phases > 3 || sm.Simulated != sm.Phases || sm.Simulated >= sm.Segments {
-		t.Errorf("phase plan: %d phases, %d simulated of %d segments", sm.Phases, sm.Simulated, sm.Segments)
+	if sm.Phases < 1 || sm.Phases > 3 || sm.Phases >= sm.Segments {
+		t.Errorf("phase plan: %d phases of %d segments", sm.Phases, sm.Segments)
 	}
-	if sm.Exact || sm.Warmup != 1<<13 {
-		t.Errorf("phase-sampled run misreported: %+v", sm)
+	if !ms[0].Replayed {
+		t.Errorf("phase-sampled run not marked replayed")
+	}
+	if ts := eng.TraceStats(); ts.SegmentRuns != 1 || ts.SegmentsSimulated != sm.Phases {
+		t.Errorf("trace stats: %d segment runs, %d segments simulated, want 1 and %d", ts.SegmentRuns, ts.SegmentsSimulated, sm.Phases)
 	}
 	trueIPC := want[0][0].IPC()
-	if sm.IPCMean < trueIPC*0.8 || sm.IPCMean > trueIPC*1.2 {
-		t.Errorf("phase-weighted IPC %.3f not within 20%% of monolithic %.3f", sm.IPCMean, trueIPC)
+	if ipc := got[0][0].IPC(); ipc < trueIPC*0.8 || ipc > trueIPC*1.2 {
+		t.Errorf("served IPC %.3f not within 20%% of monolithic %.3f", ipc, trueIPC)
 	}
-	if sm.EstimatedCycles <= 0 {
-		t.Errorf("estimated cycles %d", sm.EstimatedCycles)
-	}
-	// The estimate must not share the exact cache key in either
-	// direction: the monolithic run that follows simulates afresh.
-	eng.SetSegments(0)
-	if _, err := eng.RunMatrix([]Config{BaselineConfig()}, []string{"micro.branchy"}); err != nil {
+	// Nor may the estimate poison the monolithic key: switching sampling
+	// off recalls the monolithic result.
+	if err := eng.SetPhaseSampling(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if cs := eng.CacheStats(); cs.Misses != 2 {
-		t.Errorf("phase plan shared the exact key: %+v", cs)
+	again, err := eng.RunMatrix([]Config{BaselineConfig()}, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs := eng.CacheStats(); cs.Misses != 2 || cs.Saved() != 1 {
+		t.Errorf("monolithic rerun after the phase plan: %+v", cs)
+	}
+	if again[0][0].Cycles != want[0][0].Cycles {
+		t.Errorf("monolithic rerun served %d cycles, want %d", again[0][0].Cycles, want[0][0].Cycles)
+	}
+}
+
+// TestPhaseSampledIPCServed pins that a phase-sampled run serves the
+// phase-weighted whole-run estimate, not the sum of its representatives:
+// on go at 4 phases of 16 segments the served IPC is within 1% of the
+// monolithic run's (the raw sum of the four timed windows is 3.4% low).
+func TestPhaseSampledIPCServed(t *testing.T) {
+	cfg := []Config{BaselineConfig()}
+	w := []string{"go"}
+	mono, err := NewEngine().RunMatrix(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine()
+	if err := eng.SetPhaseSampling(16, 4); err != nil {
+		t.Fatal(err)
+	}
+	got, err := eng.RunMatrix(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, served := mono[0][0].IPC(), got[0][0].IPC()
+	if e := (served - exact) / exact * 100; math.Abs(e) > 1 {
+		t.Errorf("served IPC %.4f is %+.2f%% off the monolithic %.4f", served, e, exact)
+	}
+	if m := eng.Metrics()[0]; m.IPC != served {
+		t.Errorf("run metrics report IPC %v, the served stats %v", m.IPC, served)
 	}
 }
 
 // TestSegKeySuffixCoversPlan changes every segPlan field in turn, through
-// the engine setter that feeds it, and requires segKeySuffix to change:
-// a plan field missing from the key would let one approximate plan's
-// estimate be served for another's. A segPlan field without a setter
-// here fails the test until it is classified.
+// SetPhaseSampling, and requires segKeySuffix to change: a plan field
+// missing from the key would let one plan's estimate be served for
+// another's. A segPlan field without a setter here fails the test until
+// it is classified.
 func TestSegKeySuffixCoversPlan(t *testing.T) {
-	setters := map[string]func(*Engine){
-		"k":      func(e *Engine) { e.SetSegments(5) },
-		"warmup": func(e *Engine) { e.SetSegmentWarmup(1001) },
-		"phases": func(e *Engine) { e.SetSegmentPhases(3) },
+	setters := map[string]func(*Engine) error{
+		"k":      func(e *Engine) error { return e.SetPhaseSampling(5, 2) },
+		"phases": func(e *Engine) error { return e.SetPhaseSampling(4, 3) },
 	}
 	base := func() *Engine {
 		e := NewEngine()
-		e.SetSegments(4)
-		e.SetSegmentWarmup(1000)
+		if err := e.SetPhaseSampling(4, 2); err != nil {
+			t.Fatal(err)
+		}
 		return e
 	}
 	cfg := BaselineConfig()
 	baseSuffix := base().segKeySuffix(cfg)
 	if baseSuffix == "" {
-		t.Fatal("approximate base plan shares the exact key")
+		t.Fatal("phase plan shares the monolithic key")
 	}
 	pt := reflect.TypeOf(segPlan{})
 	for i := 0; i < pt.NumField(); i++ {
@@ -189,7 +162,9 @@ func TestSegKeySuffixCoversPlan(t *testing.T) {
 			continue
 		}
 		e := base()
-		set(e)
+		if err := set(e); err != nil {
+			t.Fatal(err)
+		}
 		if e.segKeySuffix(cfg) == baseSuffix {
 			t.Errorf("segPlan.%s: changing it did not change segKeySuffix", name)
 		}

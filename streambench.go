@@ -17,10 +17,6 @@ import (
 // truth run.
 const streamBenchMaxCycles = 1 << 30
 
-// streamBenchWarmup is the fixed per-segment warmup prefix, in
-// committed instructions, of StreamBench's phase-sampled estimate.
-const streamBenchWarmup = 1 << 15
-
 // StreamBenchResult is the sampled-simulation benchmark record: one
 // workload captured (straight to disk, for huge workloads), timed
 // exactly once by a monolithic replay, then estimated by phase
@@ -46,10 +42,9 @@ type StreamBenchResult struct {
 	ExactCycles      int64   `json:"exact_cycles"`
 	ExactIPC         float64 `json:"exact_ipc"`
 
-	// The phase-sampled estimate: Phases representatives timed
-	// (Simulated segments, SimulatedSteps measured instructions).
+	// The phase-sampled estimate, as the engine serves it: Phases
+	// representatives timed, SimulatedSteps instructions measured.
 	Phases             int     `json:"phases"`
-	Simulated          int     `json:"segments_simulated"`
 	SimulatedSteps     uint64  `json:"simulated_steps"`
 	SampledWallSeconds float64 `json:"sampled_wall_seconds"`
 	SampledPeakRSS     int64   `json:"sampled_peak_rss_bytes"`
@@ -98,17 +93,17 @@ func resetPeakRSS() {
 // — with a directory the capture streams to disk in bounded memory,
 // which is the point on huge workloads; dir == "" benchmarks the
 // in-memory path. The full trace is then timed once monolithically
-// (the exact truth) and estimated by phase sampling with a fixed
-// warmup of streamBenchWarmup, timing at most `budget` of the trace's
-// `segments` segments.
+// (the exact truth) and estimated by the engine's phase sampler, timing
+// at most `budget` of the trace's `segments` segments, so SampledIPC is
+// bit for bit the IPC a phase-sampled run serves.
 func StreamBench(workload, dir string, segments, budget int) (*StreamBenchResult, error) {
-	if segments < 2 {
-		return nil, fmt.Errorf("streambench: need at least 2 segments, got %d", segments)
-	}
-	if budget < 1 || budget > segments {
-		return nil, fmt.Errorf("streambench: budget %d out of range [1, %d]", budget, segments)
+	if segments == 0 {
+		return nil, fmt.Errorf("streambench: need a segment count")
 	}
 	eng := NewEngine()
+	if err := eng.SetPhaseSampling(segments, budget); err != nil {
+		return nil, fmt.Errorf("streambench: %w", err)
+	}
 	if dir != "" {
 		if err := eng.SetTraceDir(dir); err != nil {
 			return nil, err
@@ -126,7 +121,7 @@ func StreamBench(workload, dir string, segments, budget int) (*StreamBenchResult
 		Workload:       workload,
 		Config:         cfg.Name,
 		Steps:          tr.Steps(),
-		Warmup:         streamBenchWarmup,
+		Warmup:         segWarmup,
 		CaptureSeconds: time.Since(start).Seconds(),
 		CapturePeakRSS: peakRSSBytes(),
 	}
@@ -147,23 +142,20 @@ func StreamBench(workload, dir string, segments, budget int) (*StreamBenchResult
 	res.ExactCycles = mono.Cycles
 	res.ExactIPC = mono.IPC()
 
-	segs := tr.Segments(segments)
-	res.Segments = len(segs)
 	resetPeakRSS()
 	start = time.Now()
-	pick, weights := phasePick(tr, segs, budget)
-	parts, _, err := runSegments(cfg, tr, segs, pick, streamBenchWarmup)
+	var attr simAttribution
+	est, err := eng.runSegmented(cfg, tr, eng.segmentPlan(), &attr)
 	if err != nil {
 		return nil, fmt.Errorf("streambench: %w", err)
 	}
 	res.SampledWallSeconds = time.Since(start).Seconds()
 	res.SampledPeakRSS = peakRSSBytes()
-	res.Phases = len(pick)
-	res.Simulated = len(parts)
-	for _, p := range parts {
-		res.SimulatedSteps += p.Committed
-	}
-	res.SampledIPC, res.IPCHalfCI95, _ = phaseEstimate(parts, weights, tr.Steps())
+	res.Segments = attr.segments.Segments
+	res.Phases = attr.segments.Phases
+	res.SimulatedSteps = eng.TraceStats().StepsReplayed
+	res.SampledIPC = est.IPC()
+	res.IPCHalfCI95 = attr.segments.IPCHalfCI95
 	if res.ExactIPC > 0 {
 		res.IPCErrorPct = (res.SampledIPC - res.ExactIPC) / res.ExactIPC * 100
 	}

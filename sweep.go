@@ -53,7 +53,7 @@ type RunMetrics struct {
 	// reported) by another run of the same workload. Also excluded from
 	// WallSeconds.
 	CaptureWaitSeconds float64 `json:"capture_wait_seconds,omitempty"`
-	// Segments describes the segment-parallel plan this run used, when
+	// Segments describes the phase-sampling plan this run used, when
 	// one was active (nil for monolithic and cached results).
 	Segments *SegmentMetrics `json:"segments,omitempty"`
 }
@@ -87,19 +87,14 @@ type Engine struct {
 	// traceWarned dedups per-workload diagnostics (warnOnce).
 	traceWarned map[string]bool
 
-	// Segment plan (segmented.go): shard replay-driven runs into
-	// segments timed in parallel. Guarded by traceMu with the rest of
-	// the replay configuration.
-	segments  int
-	segWarmup int64
-	segPhases int
+	// Phase-sampling plan (segmented.go) for replay-driven runs.
+	// Guarded by traceMu with the rest of the replay configuration.
+	plan segPlan
 }
 
 // NewEngine returns an Engine with an empty in-memory run cache.
-// Segment warmup defaults to the full prefix (-1): if segmentation is
-// enabled without choosing a warmup, stitching stays exact.
 func NewEngine() *Engine {
-	return &Engine{cache: runcache.New(), segWarmup: -1}
+	return &Engine{cache: runcache.New()}
 }
 
 // DefaultEngine is the process-wide engine behind the package-level
@@ -178,8 +173,8 @@ func (e *Engine) runOne(cfg Config, workload string) (Stats, RunMetrics, error) 
 		attr   simAttribution
 	)
 	if key, ok := cfg.Key(); ok {
-		// Approximate segment plans suffix the key so an estimate can
-		// never be recalled as (or instead of) an exact result.
+		// Phase-sampled plans suffix the key so an estimate can never be
+		// recalled as (or instead of) a whole-run result.
 		key += e.segKeySuffix(cfg)
 		st, cached, err = e.cache.Do(key+"\x00"+workload, func() (Stats, error) {
 			return e.runSim(cfg, workload, &attr)

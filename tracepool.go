@@ -52,8 +52,9 @@ type TraceStats struct {
 	// process's capture lease on the shared trace directory
 	// (Engine.SetSharedStore); each is also counted in DiskHits.
 	LeaseWaits int `json:"lease_waits,omitempty"`
-	// SegmentRuns counts replay runs conducted segment-parallel
-	// (segmented.go); SegmentsSimulated totals the segments they timed.
+	// SegmentRuns counts replay runs conducted phase-sampled
+	// (segmented.go); SegmentsSimulated totals the representative
+	// segments they timed.
 	SegmentRuns       int `json:"segment_runs,omitempty"`
 	SegmentsSimulated int `json:"segments_simulated,omitempty"`
 	// CaptureFailures counts replay-capable simulations that fell back to
@@ -370,7 +371,7 @@ type simAttribution struct {
 	// CaptureSeconds across a sweep's runs counts each capture once.
 	captureWait float64
 	replayed    bool
-	// segments is non-nil when the run was conducted segment-parallel.
+	// segments is non-nil when the run was conducted phase-sampled.
 	segments *SegmentMetrics
 }
 
@@ -430,11 +431,10 @@ func (e *Engine) runReplay(cfg Config, workload string, attr *simAttribution) (S
 			e.dropCorrupt(workload, tr)
 			return true
 		}
-		if plan := e.segmentPlan(); plan.k > 1 {
-			// Segment-parallel drive. Errors other than chunk corruption
+		if plan := e.segmentPlan(); plan.k > 0 {
+			// Phase-sampled drive. Errors other than chunk corruption
 			// surface rather than fall back: a failing segment run means a
-			// real defect (the seam is differentially verified), not a
-			// workload property.
+			// real defect, not a workload property.
 			st, err := e.runSegmented(cfg, tr, plan, attr)
 			if err != nil {
 				if retry(err) {

@@ -227,8 +227,9 @@ func TestEngineCaptureFailureCounted(t *testing.T) {
 // a trace whose on-disk chunk is flipped after capture fails its lazy
 // checksum at the next load, is dropped and invalidated, and the run
 // transparently recaptures and retries — correct results, one
-// CorruptDropped count, one recapture. The segmented variants route the
-// replay through parallel segment workers, so the corrupt chunk is
+// CorruptDropped count, one recapture — and the same result as a clean
+// run under the same plan. The segmented variants route the replay
+// through parallel phase-sampling workers, so the corrupt chunk is
 // observed (and the retry coordinated) across concurrent readers —
 // which the race detector checks for tearing. The load variant has a
 // fresh engine load the already rotten file from disk: the load
@@ -236,21 +237,30 @@ func TestEngineCaptureFailureCounted(t *testing.T) {
 // to read the bad chunk trips the checksum instead.
 func TestEngineCorruptTraceRecaptured(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		segments int
-		reload   bool
+		name             string
+		segments, phases int
+		reload           bool
 	}{
-		{"monolithic", 0, false},
-		{"segmented", 4, false},
-		{"segmented-load", 4, true},
+		{"monolithic", 0, 0, false},
+		{"segmented", 4, 2, false},
+		{"segmented-load", 4, 2, true},
 	} {
-		t.Run(tc.name, func(t *testing.T) { testCorruptTraceRecaptured(t, tc.segments, tc.reload) })
+		t.Run(tc.name, func(t *testing.T) {
+			testCorruptTraceRecaptured(t, func() *Engine {
+				e := NewEngine()
+				if err := e.SetPhaseSampling(tc.segments, tc.phases); err != nil {
+					t.Fatal(err)
+				}
+				return e
+			}, tc.reload)
+		})
 	}
 }
 
-func testCorruptTraceRecaptured(t *testing.T, segments int, reload bool) {
-	eng := NewEngine()
-	eng.SetSegments(segments)
+// testCorruptTraceRecaptured corrupts a pooled trace under engines
+// built by newEngine, which fixes the plan.
+func testCorruptTraceRecaptured(t *testing.T, newEngine func() *Engine, reload bool) {
+	eng := newEngine()
 	// Streaming replay re-reads (and re-verifies) chunks from disk on
 	// every run, so it observes the corruption this test injects after
 	// the first run.
@@ -283,8 +293,7 @@ func testCorruptTraceRecaptured(t *testing.T, segments int, reload bool) {
 	f.Close()
 	wantCaptures, wantDiskHits := 2, 0
 	if reload {
-		eng = NewEngine()
-		eng.SetSegments(segments)
+		eng = newEngine()
 		if err := eng.SetTraceDir(dir); err != nil {
 			t.Fatal(err)
 		}
@@ -293,9 +302,7 @@ func testCorruptTraceRecaptured(t *testing.T, segments int, reload bool) {
 
 	// A different configuration misses the run cache and replays the now
 	// rotten trace; the engine must drop it, recapture, and succeed.
-	lock := NewEngine()
-	lock.SetTraceReplay(false)
-	want, err := lock.RunMatrix([]Config{DependenceConfig()}, []string{"micro.branchy"})
+	want, err := newEngine().RunMatrix([]Config{DependenceConfig()}, []string{"micro.branchy"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,15 +342,17 @@ func testCorruptTraceRecaptured(t *testing.T, segments int, reload bool) {
 // TestEngineCorruptTraceCountedOnce: two configs replaying one trace
 // both trip over its corrupt chunk, but the pool drops (and counts) the
 // trace once — the second run finds the entry already evicted or
-// recaptured. Segmented replay has both configs' workers reading the
-// bad chunk at once; run under -race it also checks the concurrent drop
-// path.
+// recaptured. Phase-sampled replay has both configs' workers reading
+// the bad chunk at once; run under -race it also checks the concurrent
+// drop path. The results match a clean run under the same plan.
 func TestEngineCorruptTraceCountedOnce(t *testing.T) {
 	const workload = "micro.branchy"
 	cfgs := []Config{BaselineConfig(), DependenceConfig()}
-	lock := NewEngine()
-	lock.SetTraceReplay(false)
-	want, err := lock.RunMatrix(cfgs, []string{workload})
+	clean := NewEngine()
+	if err := clean.SetPhaseSampling(8, 4); err != nil {
+		t.Fatal(err)
+	}
+	want, err := clean.RunMatrix(cfgs, []string{workload})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +382,9 @@ func TestEngineCorruptTraceCountedOnce(t *testing.T) {
 	f.Close()
 
 	eng := NewEngine()
-	eng.SetSegments(8)
+	if err := eng.SetPhaseSampling(8, 4); err != nil {
+		t.Fatal(err)
+	}
 	if err := eng.SetTraceDir(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -456,9 +467,9 @@ func TestEngineSingleCaptureAttribution(t *testing.T) {
 }
 
 // TestEngineRecordsDecodedExact pins the decode counter: a monolithic
-// replay decodes exactly the records it replays, and a fixed-warmup
-// segmented run counts each segment reader's own decodes, warmup prefix
-// included.
+// replay decodes exactly the records it replays, and a phase-sampled
+// run counts each representative's reader's own decodes, warmup prefix
+// included, against the records it actually simulated.
 func TestEngineRecordsDecodedExact(t *testing.T) {
 	cfg := BaselineConfig()
 	const workload = "micro.branchy"
@@ -471,10 +482,10 @@ func TestEngineRecordsDecodedExact(t *testing.T) {
 		t.Errorf("monolithic: %d records decoded, want exactly the %d replayed", ts.RecordsDecoded, ts.StepsReplayed)
 	}
 
-	const warmup = 4096
 	seg := NewEngine()
-	seg.SetSegments(4)
-	seg.SetSegmentWarmup(warmup)
+	if err := seg.SetPhaseSampling(8, 2); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := seg.RunMatrix([]Config{cfg}, []string{workload}); err != nil {
 		t.Fatal(err)
 	}
@@ -482,17 +493,22 @@ func TestEngineRecordsDecodedExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want uint64
-	for _, s := range tr.Segments(4) {
-		_, decoded, err := pipeline.RunSegment(cfg, tr, s, warmup, maxCycles)
+	segs := tr.Segments(8)
+	var want, simulated uint64
+	for _, ph := range tr.SegmentPhases(segs, 2) {
+		st, decoded, err := pipeline.RunSegment(cfg, tr, segs[ph.Rep], segWarmup, maxCycles)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want += decoded
+		simulated += st.EmuSteps
 	}
 	ts = seg.TraceStats()
 	if ts.RecordsDecoded != want {
-		t.Errorf("segmented: %d records decoded, want the segment readers' %d", ts.RecordsDecoded, want)
+		t.Errorf("segmented: %d records decoded, want the representatives' readers' %d", ts.RecordsDecoded, want)
+	}
+	if ts.StepsReplayed != simulated {
+		t.Errorf("segmented: %d steps replayed, want the %d the representatives simulated", ts.StepsReplayed, simulated)
 	}
 	if ts.RecordsDecoded <= ts.StepsReplayed {
 		t.Errorf("segmented: %d records decoded, want more than the %d measured (warmup prefixes)", ts.RecordsDecoded, ts.StepsReplayed)
