@@ -211,8 +211,8 @@ func setupObservability() (func() error, error) {
 				"cesweep: traces: %d captured, %d loaded from disk; %d replay runs, %d lockstep runs; %d steps executed, %d replayed\n",
 				ts.Captures, ts.DiskHits, ts.ReplayRuns, ts.LockstepRuns, ts.StepsExecuted, ts.StepsReplayed)
 			fmt.Fprintf(os.Stderr,
-				"cesweep: trace bytes: %d on disk, %d resident; %d records decoded; %d capture failures, %d corrupt traces dropped\n",
-				ts.TraceDiskBytes, ts.TraceResidentBytes, ts.RecordsDecoded, ts.CaptureFailures, ts.CorruptDropped)
+				"cesweep: trace bytes: %d on disk; %d records decoded; %d capture failures, %d corrupt traces dropped\n",
+				ts.TraceDiskBytes, ts.RecordsDecoded, ts.CaptureFailures, ts.CorruptDropped)
 		}
 		if *metrics != "" {
 			dump := struct {
@@ -547,8 +547,8 @@ func run() (err error) {
 // printSampledBench prints one sampled-simulation benchmark record: the
 // trace's footprint, then the exact and phase-sampled legs side by side.
 func printSampledBench(name, path string, r *ce.StreamBenchResult) {
-	fmt.Printf("%s benchmark on %s (written to %s): %d steps, %.1f MB trace on disk (%.1f MB resident), capture %.1f s (peak RSS %.0f MB)\n",
-		name, r.Workload, path, r.Steps, float64(r.TraceDiskBytes)/1e6, float64(r.TraceResidentBytes)/1e6,
+	fmt.Printf("%s benchmark on %s (written to %s): %d steps, %.1f MB trace on disk, capture %.1f s (peak RSS %.0f MB)\n",
+		name, r.Workload, path, r.Steps, float64(r.TraceDiskBytes)/1e6,
 		r.CaptureSeconds, float64(r.CapturePeakRSS)/1e6)
 	fmt.Printf("  %-9s %10s %9s %9s %9s %9s\n", "mode", "insts", "wall s", "rss MB", "ipc", "err %")
 	fmt.Printf("  %-9s %10d %9.2f %9.0f %9.3f %9s\n",

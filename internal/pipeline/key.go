@@ -25,9 +25,6 @@ func (c *Config) buildPredictor() (bpred.Predictor, error) {
 	if c.PerfectBPred {
 		return nil, nil
 	}
-	if c.NewPredictor != nil {
-		return c.NewPredictor(), nil
-	}
 	switch c.Predictor {
 	case "", "gshare":
 		return bpred.NewGshare(12, 12), nil
@@ -65,13 +62,10 @@ func cacheKey(cc cache.Config) string {
 // renamed copies of one machine share a key. RecordTimeline and
 // CheckInvariants are excluded for the same reason (they change what is
 // recorded or asserted, not what happens).
-// Configurations using the opaque NewScheduler/NewPredictor closures
-// report ok=false and must be simulated directly.
+// Configurations using the opaque NewScheduler closure report ok=false
+// and must be simulated directly.
 func (c *Config) Key() (key string, ok bool) {
 	if c.NewScheduler != nil || c.Scheduler == nil {
-		return "", false
-	}
-	if c.NewPredictor != nil && !c.PerfectBPred {
 		return "", false
 	}
 	dcache := c.DCache

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bpred"
 	"repro/internal/cache"
 	"repro/internal/core"
 )
@@ -50,7 +49,7 @@ var keyNeutral = map[string]bool{"Name": true, "RecordTimeline": true, "CheckInv
 
 // keyClosures are the opaque builder fields; setting one makes Key
 // refuse, since a closure cannot be fingerprinted.
-var keyClosures = map[string]bool{"NewScheduler": true, "NewPredictor": true}
+var keyClosures = map[string]bool{"NewScheduler": true}
 
 // specLive classifies every leaf of core.SchedulerSpec under each kind:
 // true feeds Key, false is inert under that kind and Key ignores it. The
@@ -252,13 +251,8 @@ func TestKeyRefusesOpaqueConfigs(t *testing.T) {
 	if _, ok := c.Key(); ok {
 		t.Error("closure-built config reported a fingerprint")
 	}
-	d := specCfg("pred-closure", core.WindowSpec(64))
+	d := specCfg("named-predictor", core.WindowSpec(64))
 	d.PerfectBPred = false
-	d.NewPredictor = func() bpred.Predictor { return bpred.NewGshare(12, 12) }
-	if _, ok := d.Key(); ok {
-		t.Error("closure-predictor config reported a fingerprint")
-	}
-	d.NewPredictor = nil
 	d.Predictor = "gshare"
 	if _, ok := d.Key(); !ok {
 		t.Error("named-predictor config not fingerprintable")

@@ -140,10 +140,6 @@ type Config struct {
 	// paper's 4K-counter, 12-bit-history default, also chosen by ""),
 	// "bimodal" or "taken". Ignored under PerfectBPred.
 	Predictor string
-	// NewPredictor builds the direction predictor for a run; when set it
-	// takes precedence over Predictor and makes the configuration opaque
-	// to the run cache. Nil selects Predictor.
-	NewPredictor func() bpred.Predictor
 	// DCache is the data cache geometry; zero value selects the paper's
 	// baseline cache.
 	DCache cache.Config

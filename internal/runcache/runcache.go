@@ -125,8 +125,7 @@ func New() *Cache {
 // An empty dir disables persistence.
 //
 // Results memoized before SetDir are not lost to the disk tier: every
-// completed successful entry is backfilled to the new directory, the
-// same reconciliation the engine's trace pool performs on SetTraceDir.
+// completed successful entry is backfilled to the new directory.
 // (Before this, a daemon that warmed its cache and then gained a store
 // would serve those results from memory forever while the directory —
 // and every other process sharing it — silently missed them.)

@@ -1,12 +1,12 @@
 package trace
 
 // Chunked storage: the packed stream is cut into fixed-record-count
-// chunks, each independently checksummed, so a trace can live on disk
-// and be consumed one chunk at a time. A segment worker holds exactly
-// one chunk buffer however long the trace is — the whole stream never
-// needs to be resident. Chunks are sealed in capture order, which makes
-// the writer a pure append device (see Recorder) and the on-disk layout
-// streamable: header, chunk bytes, footer.
+// chunks, each independently checksummed, so a trace lives on disk and
+// is consumed one chunk at a time. A reader holds exactly one chunk
+// buffer however long the trace is — the whole stream is never
+// resident. Chunks are sealed in capture order, which makes the
+// Recorder a pure append device and the one writer of the on-disk
+// layout: header, chunk bytes, footer.
 
 import (
 	"crypto/sha256"
@@ -47,51 +47,16 @@ type chunkMeta struct {
 // importing this package.
 var ErrCorruptChunk = fmt.Errorf("trace: chunk checksum mismatch (corrupt or torn trace file): %w", errclass.ErrCorrupt)
 
-// chunkStore supplies chunk bytes on demand. Implementations are safe
-// for concurrent load calls: segment workers stream different chunks of
-// one shared trace.
-type chunkStore interface {
-	// load returns chunk i's packed bytes. dst, when non-nil, is a
-	// caller-owned buffer (cap ≥ packedLen) the store may decode into;
-	// memory-backed stores ignore it and return an interior slice.
-	load(i int, m chunkMeta, dst []byte) ([]byte, error)
-	// footprint reports the store's disk and resident byte counts.
-	footprint() (disk, resident int64)
-	close() error
-}
-
-// memStore keeps every chunk in memory — the store behind small
-// in-memory captures and Unmarshal. Checksums were verified when the
-// bytes entered the process, and in-process memory does not rot.
-type memStore struct {
-	chunks [][]byte
-}
-
-func (s *memStore) load(i int, m chunkMeta, dst []byte) ([]byte, error) {
-	if i < 0 || i >= len(s.chunks) {
-		return nil, errCorrupt
-	}
-	return s.chunks[i], nil
-}
-
-func (s *memStore) footprint() (int64, int64) {
-	var n int64
-	for _, c := range s.chunks {
-		n += int64(len(c))
-	}
-	return 0, n
-}
-
-func (s *memStore) close() error { return nil }
-
-// fileStore reads chunks from an open trace file via ReadAt (safe for
+// fileStore reads chunks from a trace file via ReadAt (safe for
 // concurrent readers; no shared cursor) and verifies each chunk's
-// checksum on every load — disk bytes, unlike process memory, can rot
-// or be torn, and a reader must fail loudly before decoding them.
+// checksum on every load — disk bytes can rot or be torn, and a reader
+// must fail loudly before decoding them. It is the only chunk store:
+// every trace, persisted or anonymous, is a v3 file. Segment workers
+// load different chunks of one shared trace concurrently.
 type fileStore struct {
-	f    *os.File
-	path string // for error messages; may outlive renames
-	size int64  // total file size (footprint)
+	r    io.ReaderAt // the open file; closed by close if it is an io.Closer
+	path string      // for error messages; may outlive renames
+	size int64       // total file size (Footprint)
 
 	closeOnce sync.Once
 	closeErr  error
@@ -100,6 +65,8 @@ type fileStore struct {
 // fileHeaderLen is the fixed prefix before chunk data: magic + progHash.
 const fileHeaderLen = 8 + 32
 
+// load reads chunk i's packed bytes into dst, a caller-owned buffer with
+// cap ≥ packedLen, and returns them once they pass their checksum.
 func (s *fileStore) load(i int, m chunkMeta, dst []byte) ([]byte, error) {
 	if uint64(len(dst)) < uint64(m.packedLen) {
 		// Callers size dst from the trace's own chunk table; a short
@@ -107,7 +74,7 @@ func (s *fileStore) load(i int, m chunkMeta, dst []byte) ([]byte, error) {
 		return nil, errCorrupt
 	}
 	dst = dst[:m.packedLen]
-	if _, err := s.f.ReadAt(dst, fileHeaderLen+int64(m.startPos)); err != nil {
+	if _, err := s.r.ReadAt(dst, fileHeaderLen+int64(m.startPos)); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return nil, fmt.Errorf("trace: %s: chunk %d truncated: %w", s.path, i, ErrCorruptChunk)
 		}
@@ -125,10 +92,12 @@ func (s *fileStore) load(i int, m chunkMeta, dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-func (s *fileStore) footprint() (int64, int64) { return s.size, 0 }
-
 func (s *fileStore) close() error {
-	s.closeOnce.Do(func() { s.closeErr = classify(s.f.Close()) })
+	s.closeOnce.Do(func() {
+		if c, ok := s.r.(io.Closer); ok {
+			s.closeErr = classify(c.Close())
+		}
+	})
 	return s.closeErr
 }
 

@@ -59,7 +59,8 @@ func classify(err error) error {
 //
 // The layout is append-only in capture order — header, then chunk bytes
 // as they seal, then everything known only at halt — so a capture
-// streams straight to disk with O(chunk) memory. Each chunk carries its
+// streams straight to disk with O(chunk) memory. The Recorder is the
+// layout's one writer and readFrom its one parser. Each chunk carries its
 // own checksum, verified when the chunk is *loaded*, so a reader can
 // consume a multi-gigabyte trace one chunk at a time without a
 // whole-file pass; the footer carries its own trailing checksum,
@@ -130,6 +131,13 @@ func appendFooter(buf []byte, t *Trace) []byte {
 	}
 	buf = append(buf, t.stateHash[:]...)
 	return buf
+}
+
+// appendTrailer appends the fixed suffix that authenticates footer.
+func appendTrailer(buf, footer []byte) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(footer)))
+	sum := sha256.Sum256(footer)
+	return append(buf, sum[:]...)
 }
 
 // cursor is a bounds-checked little-endian reader over the footer.
@@ -269,126 +277,8 @@ func checkMagic(magic []byte) error {
 	return fmt.Errorf("trace: bad magic (not a trace file, or an incompatible format version): %w", errclass.ErrCorrupt)
 }
 
-// writeTo streams the trace's canonical serialized form: header, every
-// chunk in order, footer, trailer. Chunks are loaded (and, for
-// file-backed traces, re-verified) one at a time, so serializing never
-// materializes the whole stream.
-func (t *Trace) writeTo(w io.Writer) error {
-	if _, err := w.Write(diskMagic[:]); err != nil {
-		return classify(err)
-	}
-	ph := ProgHash(t.prog)
-	if _, err := w.Write(ph[:]); err != nil {
-		return classify(err)
-	}
-	var scratch []byte
-	if t.maxChunk > 0 {
-		scratch = make([]byte, t.maxChunk)
-	}
-	for i, m := range t.chunks {
-		data, err := t.store.load(i, m, scratch)
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(data); err != nil {
-			return classify(err)
-		}
-	}
-	footer := appendFooter(nil, t)
-	if _, err := w.Write(footer); err != nil {
-		return classify(err)
-	}
-	var trailer [trailerLen]byte
-	binary.LittleEndian.PutUint64(trailer[:8], uint64(len(footer)))
-	sum := sha256.Sum256(footer)
-	copy(trailer[8:], sum[:])
-	_, err := w.Write(trailer[:])
-	return classify(err)
-}
-
-// Marshal serializes the trace into its canonical byte form.
-func (t *Trace) Marshal() []byte {
-	var buf bytes.Buffer
-	buf.Grow(fileHeaderLen + int(t.packedLen) + trailerLen + 64 + chunkMetaBytes*len(t.chunks) + boundaryBytes*len(t.bounds) + 4*(len(t.bbv.Counts)+len(t.output)))
-	if err := t.writeTo(&buf); err != nil {
-		// Serializing an in-memory trace cannot fail; a file-backed trace
-		// with rotten chunks has no canonical bytes to return.
-		return nil
-	}
-	return buf.Bytes()
-}
-
-// Unmarshal parses a serialized trace and binds it to p, rejecting
-// corrupt bytes and traces of any other program image. All chunk
-// checksums are verified eagerly — the bytes are already resident, so
-// there is no streaming win to defer them for.
-func Unmarshal(data []byte, p *isa.Program) (*Trace, error) {
-	if len(data) < fileHeaderLen+trailerLen {
-		return nil, fmt.Errorf("trace: file too short (%d bytes): %w", len(data), errclass.ErrCorrupt)
-	}
-	if err := checkMagic(data[:8]); err != nil {
-		return nil, err
-	}
-	if [32]byte(data[8:40]) != ProgHash(p) {
-		return nil, fmt.Errorf("trace: trace was captured from a different build of %s: %w", p.Name, errclass.ErrCorrupt)
-	}
-	trailer := data[len(data)-trailerLen:]
-	footerLen := binary.LittleEndian.Uint64(trailer[:8])
-	if footerLen > uint64(len(data)-fileHeaderLen-trailerLen) {
-		return nil, fmt.Errorf("trace: footer overruns the file: %w", errclass.ErrCorrupt)
-	}
-	footer := data[uint64(len(data))-trailerLen-footerLen : len(data)-trailerLen]
-	if sha256.Sum256(footer) != [32]byte(trailer[8:]) {
-		return nil, fmt.Errorf("trace: footer checksum mismatch (truncated or corrupt file): %w", errclass.ErrCorrupt)
-	}
-	t, err := parseFooter(footer, p)
-	if err != nil {
-		return nil, err
-	}
-	chunkData := data[fileHeaderLen : uint64(len(data))-trailerLen-footerLen]
-	if uint64(len(chunkData)) != t.packedLen {
-		return nil, fmt.Errorf("trace: packed stream is %d bytes, footer says %d: %w", len(chunkData), t.packedLen, errclass.ErrCorrupt)
-	}
-	ms := &memStore{chunks: make([][]byte, len(t.chunks))}
-	for i, m := range t.chunks {
-		c := chunkData[m.startPos : m.startPos+uint64(m.packedLen)]
-		if sha256.Sum256(c) != m.sum {
-			return nil, fmt.Errorf("trace: chunk %d: %w", i, ErrCorruptChunk)
-		}
-		ms.chunks[i] = c
-	}
-	t.store = ms
-	return t, nil
-}
-
 // EnsureDir creates dir (and any parents) for trace storage.
 func EnsureDir(dir string) error { return classify(os.MkdirAll(dir, 0o755)) }
-
-// WriteFile persists the trace under dir at its canonical path, via a
-// uniquely named temp file and rename so concurrent writers of the same
-// (byte-identical) trace cannot tear each other's files. Chunks stream
-// through one scratch buffer; the whole trace is never materialized.
-func (t *Trace) WriteFile(dir string) error {
-	tmp, err := os.CreateTemp(dir, "trace-*.tmp")
-	if err != nil {
-		return classify(err)
-	}
-	werr := t.writeTo(tmp)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		_ = os.Remove(tmp.Name())
-		if werr != nil {
-			return werr
-		}
-		return classify(cerr)
-	}
-	path := diskPath(dir, ProgHash(t.prog))
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		_ = os.Remove(tmp.Name())
-		return classify(err)
-	}
-	return nil
-}
 
 // ReadFile opens p's trace from dir without reading the packed stream:
 // only the header and footer are loaded and verified, and the returned
@@ -406,30 +296,34 @@ func ReadFile(dir string, p *isa.Program) (*Trace, error) {
 		// identifies the missing-file case callers dispatch on.
 		return nil, classify(err)
 	}
+	fi, serr := f.Stat()
+	if serr != nil {
+		_ = f.Close()
+		return nil, classify(serr)
+	}
 	// readFrom classifies every error it returns; keeping its result out
 	// of err also keeps the raw os.Open error from aliasing into it.
-	t, rerr := readFrom(f, path, p)
+	t, rerr := readFrom(f, fi.Size(), path, p)
 	if rerr != nil {
 		_ = f.Close()
 		_ = os.Remove(path)
 		return nil, rerr
 	}
+	t.path = path
 	return t, nil
 }
 
-// readFrom validates and indexes an open trace file, returning a
-// file-backed trace that owns f.
-func readFrom(f *os.File, path string, p *isa.Program) (*Trace, error) {
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, classify(err)
-	}
-	size := fi.Size()
+// readFrom is the one parser of the v3 layout: it validates the header
+// and footer of the size-byte trace file r and returns a trace that
+// streams its chunks from r, each verified against its checksum as it
+// loads. The trace owns r: Close closes it if it is an io.Closer. path
+// names the file in error messages.
+func readFrom(r io.ReaderAt, size int64, path string, p *isa.Program) (*Trace, error) {
 	if size < fileHeaderLen+trailerLen {
 		return nil, fmt.Errorf("trace: %s: file too short (%d bytes): %w", path, size, errclass.ErrCorrupt)
 	}
 	var header [fileHeaderLen]byte
-	if _, err := f.ReadAt(header[:], 0); err != nil {
+	if _, err := r.ReadAt(header[:], 0); err != nil {
 		return nil, classify(err)
 	}
 	if err := checkMagic(header[:8]); err != nil {
@@ -439,7 +333,7 @@ func readFrom(f *os.File, path string, p *isa.Program) (*Trace, error) {
 		return nil, fmt.Errorf("trace: %s: trace was captured from a different build of %s: %w", path, p.Name, errclass.ErrCorrupt)
 	}
 	var trailer [trailerLen]byte
-	if _, err := f.ReadAt(trailer[:], size-trailerLen); err != nil {
+	if _, err := r.ReadAt(trailer[:], size-trailerLen); err != nil {
 		return nil, classify(err)
 	}
 	footerLen := binary.LittleEndian.Uint64(trailer[:8])
@@ -447,7 +341,7 @@ func readFrom(f *os.File, path string, p *isa.Program) (*Trace, error) {
 		return nil, fmt.Errorf("trace: %s: footer overruns the file: %w", path, errclass.ErrCorrupt)
 	}
 	footer := make([]byte, footerLen)
-	if _, err := f.ReadAt(footer, size-trailerLen-int64(footerLen)); err != nil {
+	if _, err := r.ReadAt(footer, size-trailerLen-int64(footerLen)); err != nil {
 		return nil, classify(err)
 	}
 	if sha256.Sum256(footer) != [32]byte(trailer[8:]) {
@@ -460,7 +354,6 @@ func readFrom(f *os.File, path string, p *isa.Program) (*Trace, error) {
 	if got := uint64(size) - fileHeaderLen - trailerLen - footerLen; got != t.packedLen {
 		return nil, fmt.Errorf("trace: %s: packed stream is %d bytes, footer says %d: %w", path, got, t.packedLen, errclass.ErrCorrupt)
 	}
-	t.store = &fileStore{f: f, path: path, size: size}
-	t.path = path
+	t.store = &fileStore{r: r, path: path, size: size}
 	return t, nil
 }

@@ -1,7 +1,7 @@
 package trace
 
 import (
-	"crypto/sha256"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"testing"
@@ -9,6 +9,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/emu"
 	"repro/internal/errclass"
+	"repro/internal/isa"
 )
 
 // footerSeedSrc runs 70,000 instructions (two warm-start boundaries)
@@ -29,25 +30,50 @@ f:	addi $t2, $t1, 1
 	jr   $ra
 `
 
-// FuzzTraceFooter feeds arbitrary footers to the trace loader. The
-// footer checksum and trailer are rebuilt around each input, so a
-// mutation reaches parseFooter instead of stopping at the checksum. The
-// loader must accept the file or fail with errclass.ErrCorrupt; an
-// accepted trace must replay, from its start and from every stored
-// boundary (every point WarmStart can return), to its halt or to an
-// errclass.ErrCorrupt, and must cluster into phases. Nothing may panic
-// or fail unclassified. One seed carries no BBV profile (Dim = 0), which
-// the loader must reject.
+// FuzzTraceFooter feeds arbitrary trace files to readFrom, the one
+// parser ReadFile uses. An input is a footer, a header (magic and
+// program hash) and an edit of the seed trace's packed stream: cut
+// drops that many bytes off its end, and flipBits is XORed into the
+// byte at flipAt. The trailer is rebuilt around each footer, so a
+// mutation reaches parseFooter and the chunk checks instead of stopping
+// at the footer checksum. The parser must accept the file or fail with
+// errclass.ErrCorrupt; an accepted trace must replay, from its start and
+// from every stored boundary (every point WarmStart can return), to its
+// halt or to an errclass.ErrCorrupt, and must cluster into phases.
+// Nothing may panic or fail unclassified.
+//
+// The seeds cover each check of the layout: a valid file, a truncated
+// footer, a footer without a BBV profile, a stale format version,
+// another build's program hash, a stream one byte shorter than the
+// footer says, a last chunk cut short under a footer rewritten to match
+// (so only the decoder can notice), and a chunk whose bytes fail their
+// checksum.
 func FuzzTraceFooter(f *testing.F) {
 	tr := footerSeedTrace(f)
-	body, footer := splitFooter(tr.Marshal())
-	f.Add(footer)
-	f.Add(footer[:len(footer)/2])
-	tr.bbv = BBV{}
-	_, noProfile := splitFooter(tr.Marshal())
-	f.Add(noProfile)
-	f.Fuzz(func(t *testing.T, footer []byte) {
-		got, err := Unmarshal(withFooter(body, footer), tr.prog)
+	body, footer := splitFooter(fileBytes(f, tr))
+	header, stream := body[:fileHeaderLen], body[fileHeaderLen:]
+	f.Add(footer, header, uint32(0), uint32(0), byte(0))
+	f.Add(footer[:len(footer)/2], header, uint32(0), uint32(0), byte(0))
+	noProfile := *tr
+	noProfile.bbv = BBV{}
+	f.Add(appendFooter(nil, &noProfile), header, uint32(0), uint32(0), byte(0))
+	stale := append([]byte(nil), header...)
+	stale[7] = 2
+	f.Add(footer, stale, uint32(0), uint32(0), byte(0))
+	otherBuild := append([]byte(nil), header...)
+	otherBuild[8] ^= 1
+	f.Add(footer, otherBuild, uint32(0), uint32(0), byte(0))
+	f.Add(footer, header, uint32(1), uint32(0), byte(0))
+	short, cut := truncatedFooter(tr, body)
+	f.Add(short, header, cut, uint32(0), byte(0))
+	f.Add(footer, header, uint32(0), uint32(len(stream)/2), byte(0x40))
+	f.Fuzz(func(t *testing.T, footer, header []byte, cut, flipAt uint32, flipBits byte) {
+		n := len(stream) - int(min(cut, uint32(len(stream))))
+		file := append(append([]byte(nil), header...), stream[:n]...)
+		if n > 0 {
+			file[len(header)+int(flipAt%uint32(n))] ^= flipBits
+		}
+		got, err := parseBytes(withFooter(file, footer), tr.prog)
 		if err != nil {
 			if !errors.Is(err, errclass.ErrCorrupt) {
 				t.Fatalf("unclassified load error: %v", err)
@@ -81,12 +107,18 @@ func TestFooterRejectsPartialProfile(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := footerSeedTrace(t)
+			body, _ := splitFooter(fileBytes(t, tr))
 			tc.mutate(&tr.bbv)
-			if _, err := Unmarshal(tr.Marshal(), tr.prog); !errors.Is(err, errclass.ErrCorrupt) {
+			if _, err := parseBytes(withFooter(body, appendFooter(nil, tr)), tr.prog); !errors.Is(err, errclass.ErrCorrupt) {
 				t.Errorf("load error %v, want errclass.ErrCorrupt", err)
 			}
 		})
 	}
+}
+
+// parseBytes parses an in-memory trace file.
+func parseBytes(file []byte, p *isa.Program) (*Trace, error) {
+	return readFrom(bytes.NewReader(file), int64(len(file)), "(fuzz input)", p)
 }
 
 // footerSeedTrace captures footerSeedSrc.
@@ -100,6 +132,7 @@ func footerSeedTrace(tb testing.TB) *Trace {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	tb.Cleanup(func() { tr.Close() })
 	if tr.Boundaries() == 0 {
 		tb.Fatal("seed trace has no warm-start boundaries")
 	}
@@ -114,15 +147,10 @@ func splitFooter(data []byte) (body, footer []byte) {
 	return data[:footerAt], data[footerAt : len(data)-trailerLen]
 }
 
-// withFooter reassembles a serialized trace from body and footer,
-// rebuilding the trailer's length and checksum.
+// withFooter reassembles a trace file from body and footer, rebuilding
+// the trailer's length and checksum.
 func withFooter(body, footer []byte) []byte {
-	file := append(append([]byte(nil), body...), footer...)
-	var trailer [trailerLen]byte
-	binary.LittleEndian.PutUint64(trailer[:8], uint64(len(footer)))
-	sum := sha256.Sum256(footer)
-	copy(trailer[8:], sum[:])
-	return append(file, trailer[:]...)
+	return appendTrailer(append(append([]byte(nil), body...), footer...), footer)
 }
 
 // replayFrom steps a reader opened at b until the trace halts or reports

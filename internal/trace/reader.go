@@ -30,12 +30,12 @@ var errReleased = errors.New("trace: reader used after Release")
 //
 // A Reader is a cheap cursor over the shared immutable Trace; create one
 // per simulation and share the Trace across any number of goroutines.
-// The reader holds exactly one chunk at a time: for file-backed traces
-// that is one pooled buffer per reader (refilled from disk as the
-// cursor crosses chunk ends), so K parallel segment workers keep O(K)
-// chunks resident however large the trace is. Call Release when done
-// with a reader that may not have replayed to its trace's end, so its
-// buffer returns to the pool (a reader that halts releases itself).
+// The reader holds exactly one chunk at a time in one pooled buffer
+// (refilled from the trace's file as the cursor crosses chunk ends), so
+// K parallel segment workers keep O(K) chunks resident however large
+// the trace is. Call Release when done with a reader that may not have
+// replayed to its trace's end, so its buffer returns to the pool (a
+// reader that halts releases itself).
 type Reader struct {
 	t     *Trace
 	text  []isa.Inst
@@ -50,7 +50,7 @@ type Reader struct {
 	halted bool
 	err    error
 
-	buf *[]byte // pooled backing for file-backed loads (nil otherwise)
+	buf *[]byte // pooled backing for chunk loads (nil once released)
 }
 
 // NewReader returns a fresh cursor positioned at the start of t.
@@ -88,9 +88,8 @@ func (r *Reader) Output() []int32 { return r.t.Output() }
 func (r *Reader) StateHash() [32]byte { return r.t.StateHash() }
 
 // Release returns the reader's chunk buffer to the pool. It is safe to
-// call at any time, including on memory-backed readers (no-op) and more
-// than once; after Release the reader refuses further Steps unless it
-// had already halted.
+// call at any time and more than once; after Release the reader refuses
+// further Steps unless it had already halted.
 func (r *Reader) Release() {
 	if r.buf != nil {
 		releaseChunkBuf(r.buf)
@@ -103,21 +102,18 @@ func (r *Reader) Release() {
 }
 
 // load positions the reader inside chunk ci at global stream offset
-// globalPos, fetching the chunk's bytes through the trace's store.
+// globalPos, reading and verifying the chunk's bytes into the reader's
+// pooled buffer.
 func (r *Reader) load(ci int, globalPos uint64) error {
 	t := r.t
 	m := t.chunks[ci]
 	if globalPos < m.startPos || globalPos-m.startPos > uint64(m.packedLen) {
 		return errCorrupt
 	}
-	var dst []byte
-	if _, fileBacked := t.store.(*fileStore); fileBacked {
-		if r.buf == nil {
-			r.buf = grabChunkBuf(t.maxChunk)
-		}
-		dst = (*r.buf)[:cap(*r.buf)]
+	if r.buf == nil {
+		r.buf = grabChunkBuf(t.maxChunk)
 	}
-	data, err := t.store.load(ci, m, dst)
+	data, err := t.store.load(ci, m, (*r.buf)[:cap(*r.buf)])
 	if err != nil {
 		return err
 	}

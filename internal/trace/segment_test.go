@@ -139,18 +139,21 @@ func TestWarmStart(t *testing.T) {
 	}
 }
 
-// TestDiskRoundTripBounds pins that the v2 format round-trips the
-// boundary table byte-for-byte.
+// TestDiskRoundTripBounds pins that a trace file round-trips the
+// boundary table exactly.
 func TestDiskRoundTripBounds(t *testing.T) {
 	p := mustProgram(t, "micro.branchy")
-	tr, err := Capture(p, maxInsts)
+	dir := t.TempDir()
+	tr, err := CaptureToDir(p, maxInsts, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Unmarshal(tr.Marshal(), p)
+	defer tr.Close()
+	got, err := ReadFile(dir, p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer got.Close()
 	if got.Boundaries() != tr.Boundaries() {
 		t.Fatalf("round trip kept %d boundaries, want %d", got.Boundaries(), tr.Boundaries())
 	}

@@ -6,112 +6,74 @@ import (
 	"encoding/binary"
 	"errors"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/emu"
 )
 
-// TestCaptureToDirMatchesMemory pins that the streaming capture path
-// produces the same trace as the in-memory path: identical canonical
-// bytes, identical replay, and the file is already at its canonical
-// path with no separate WriteFile pass.
+// TestCaptureToDirMatchesMemory pins that the two capture paths make
+// one trace: Capture's anonymous file and CaptureToDir's canonical one
+// hold the same bytes, replay the same records and carry the same
+// boundaries and basic-block vectors, and two CaptureToDir runs into
+// different directories write byte-identical files.
 func TestCaptureToDirMatchesMemory(t *testing.T) {
 	p := mustProgram(t, "compress")
-	mem, err := Capture(p, maxInsts)
+	anon, err := Capture(p, maxInsts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	streamed, err := CaptureToDir(p, maxInsts, dir)
-	if err != nil {
-		t.Fatal(err)
+	defer anon.Close()
+	if anon.Path() != "" {
+		t.Fatalf("anonymous capture has canonical path %q, want none", anon.Path())
 	}
-	defer streamed.Close()
-	if streamed.Path() != DiskPath(dir, p) {
-		t.Fatalf("streamed capture at %q, want canonical %q", streamed.Path(), DiskPath(dir, p))
-	}
-	onDisk, err := os.ReadFile(streamed.Path())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(onDisk, mem.Marshal()) {
-		t.Fatal("streamed capture's file differs from the in-memory capture's canonical bytes")
-	}
-	disk, resident := streamed.Footprint()
-	if disk == 0 || resident != 0 {
-		t.Fatalf("streamed trace footprint disk=%d resident=%d, want all bytes on disk", disk, resident)
-	}
-	if d, r := mem.Footprint(); d != 0 || r == 0 {
-		t.Fatalf("memory trace footprint disk=%d resident=%d, want all bytes resident", d, r)
-	}
-	ref := emu.New(p)
-	rd := NewReader(streamed)
-	for !ref.Halted() {
-		want, err := ref.Step()
+	var files [2][]byte
+	var streamed *Trace
+	for i := range files {
+		dir := t.TempDir()
+		tr, err := CaptureToDir(p, maxInsts, dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := rd.Step()
-		if err != nil {
+		defer tr.Close()
+		if tr.Path() != DiskPath(dir, p) {
+			t.Fatalf("streamed capture at %q, want canonical %q", tr.Path(), DiskPath(dir, p))
+		}
+		if files[i], err = os.ReadFile(tr.Path()); err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
-			t.Fatalf("streamed trace diverges: %+v vs %+v", got, want)
+		if tr.Footprint() != int64(len(files[i])) {
+			t.Fatalf("footprint %d bytes, file %d", tr.Footprint(), len(files[i]))
+		}
+		streamed = tr
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Fatal("CaptureToDir wrote different bytes into two directories")
+	}
+	if !bytes.Equal(fileBytes(t, anon), files[0]) {
+		t.Fatal("Capture's anonymous file differs from CaptureToDir's")
+	}
+	ra, rs := NewReader(anon), NewReader(streamed)
+	for {
+		a, aerr := ra.Step()
+		s, serr := rs.Step()
+		if aerr != nil || serr != nil {
+			if !errors.Is(aerr, emu.ErrHalted) || !errors.Is(serr, emu.ErrHalted) {
+				t.Fatalf("replay ended with %v (anonymous) and %v (streamed)", aerr, serr)
+			}
+			break
+		}
+		if a != s {
+			t.Fatalf("streamed trace diverges: %+v vs %+v", s, a)
 		}
 	}
-	if streamed.Boundaries() != mem.Boundaries() || streamed.bbv.Intervals() != mem.bbv.Intervals() {
-		t.Fatal("streamed capture lost boundaries or the BBV profile")
+	if !slices.Equal(anon.bounds, streamed.bounds) {
+		t.Fatal("the two captures differ in their boundaries")
 	}
-}
-
-// TestMemoryCaptureSpills pins the bounded in-memory window: a capture
-// that outgrows memSpillBytes converts to an anonymous temp file and
-// still replays exactly.
-func TestMemoryCaptureSpills(t *testing.T) {
-	defer func(old int64) { memSpillBytes = old }(memSpillBytes)
-	memSpillBytes = 1 // force the spill on the first sealed chunk
-
-	p := mustProgram(t, "compress")
-	tr, err := Capture(p, maxInsts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	disk, resident := tr.Footprint()
-	if disk == 0 || resident != 0 {
-		t.Fatalf("spilled capture footprint disk=%d resident=%d, want all bytes in the spill file", disk, resident)
-	}
-	if tr.Path() != "" {
-		t.Fatalf("anonymous spill has canonical path %q, want none", tr.Path())
-	}
-	ref := emu.New(p)
-	rd := NewReader(tr)
-	for !ref.Halted() {
-		want, err := ref.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := rd.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("spilled trace diverges: %+v vs %+v", got, want)
-		}
-	}
-	// The spilled trace can still be persisted (SetTraceDir flush path).
-	dir := t.TempDir()
-	if err := tr.WriteFile(dir); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFile(dir, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer got.Close()
-	if got.Steps() != tr.Steps() || got.StateHash() != tr.StateHash() {
-		t.Fatal("persisted spill trace does not round-trip")
+	if anon.bbv.Dim != streamed.bbv.Dim || anon.bbv.Interval != streamed.bbv.Interval ||
+		!slices.Equal(anon.bbv.Counts, streamed.bbv.Counts) {
+		t.Fatal("the two captures differ in their BBV profiles")
 	}
 }
 

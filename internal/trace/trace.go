@@ -23,12 +23,14 @@
 // text and data segments, so a stale trace can never replay against a
 // recompiled program.
 //
-// The packed stream is chunked (chunk.go): capture seals and checksums
-// one chunk at a time, streaming sealed chunks straight to disk when a
-// trace directory is configured (CaptureToDir) or when an in-memory
-// capture outgrows its window (memSpillBytes), so peak capture memory
-// is O(chunk), not O(trace). Readers load one chunk at a time for the
-// same bound on the replay side.
+// Every trace is a file in one on-disk layout (disk.go), written by one
+// writer and read by one parser. The packed stream is chunked
+// (chunk.go): capture seals and checksums one chunk at a time and
+// streams it straight to the file — the canonical path under a trace
+// directory (CaptureToDir) or an anonymous, already-unlinked temp file
+// (Capture) — so peak capture memory is O(chunk), not O(trace). Readers
+// load and verify one chunk at a time for the same bound on the replay
+// side.
 //
 //ce:deterministic
 //ce:classify-errors
@@ -45,11 +47,6 @@ import (
 	"repro/internal/isa"
 )
 
-// memSpillBytes is the bounded window an in-memory capture may hold
-// before it spills sealed chunks to an anonymous temp file. It is a
-// variable so tests can force the spill path on small workloads.
-var memSpillBytes int64 = 64 << 20
-
 // Trace is one captured execution: the chunked packed dynamic stream
 // plus the final architectural results needed to verify a replayed run
 // without re-executing (output values and state digest).
@@ -62,7 +59,7 @@ type Trace struct {
 	chunkRecs uint64 // records per full chunk (chunkRecords at capture)
 	chunks    []chunkMeta
 	maxChunk  int // largest chunk's packed size (reader buffer bound)
-	store     chunkStore
+	store     *fileStore
 
 	// bounds are periodic warm-start points (every boundaryInterval
 	// records) captured during the one functional execution; see
@@ -76,9 +73,8 @@ type Trace struct {
 	output    []int32
 	stateHash [32]byte
 
-	// path is the canonical on-disk location for file-backed traces
-	// persisted under a trace directory ("" for in-memory and anonymous
-	// spill-backed traces).
+	// path is the canonical on-disk location of a trace persisted under a
+	// trace directory ("" for an anonymous capture).
 	path string
 }
 
@@ -95,17 +91,16 @@ func (t *Trace) PackedBytes() int { return int(t.packedLen) }
 // Chunks returns the number of chunks the packed stream is cut into.
 func (t *Trace) Chunks() int { return len(t.chunks) }
 
-// Footprint reports where the trace's bytes live: on disk (file-backed
-// traces; readers stream one chunk at a time) versus resident in this
-// process's memory.
-func (t *Trace) Footprint() (disk, resident int64) { return t.store.footprint() }
+// Footprint reports the size of the trace's file in bytes. Readers
+// stream it one chunk at a time, so none of it is held resident.
+func (t *Trace) Footprint() int64 { return t.store.size }
 
 // Path returns the trace's canonical on-disk path, or "" for traces not
 // persisted under a trace directory.
 func (t *Trace) Path() string { return t.path }
 
-// Close releases the trace's backing store (the open file handle of a
-// file-backed trace). Readers must not be used after Close.
+// Close releases the trace's open file; an anonymous capture's file
+// vanishes with it. Readers must not be used after Close.
 func (t *Trace) Close() error { return t.store.close() }
 
 // Invalidate closes the trace and removes its canonical file, if any —
@@ -173,9 +168,9 @@ func entryPC(p *isa.Program) uint32 {
 // the exact instruction count the recorder last saw.
 //
 // Packed bytes accumulate in one chunk buffer; every chunkRecords
-// records the chunk is sealed (checksummed) and either retained (memory
-// mode) or appended to the spill file (streaming mode), so the
-// recorder's working set is one chunk regardless of trace length.
+// records the chunk is sealed (checksummed) and appended to the spill
+// file, so the recorder's working set is one chunk regardless of trace
+// length.
 type Recorder struct {
 	m    *emu.Machine
 	prog *isa.Program
@@ -185,13 +180,9 @@ type Recorder struct {
 	sealedBytes uint64 // packed bytes sealed into previous chunks
 	chunks      []chunkMeta
 
-	// Memory mode: sealed chunks retained until Finish (or until the
-	// window overflows and startSpill converts to streaming mode).
-	mem      [][]byte
-	memBytes int64
-
-	// Streaming mode: sealed chunks appended to spill; spillDest is the
-	// canonical path the finished file is renamed to ("" = anonymous
+	// Sealed chunks append to spill, opened by SpillTo or, failing that,
+	// as an anonymous temp file when the first chunk seals. spillDest is
+	// the canonical path the finished file is renamed to ("" = anonymous
 	// temp backing, already unlinked).
 	spill     *os.File
 	spillName string // current file name ("" once anonymous/unlinked)
@@ -222,10 +213,10 @@ func NewRecorder(m *emu.Machine, p *isa.Program) (*Recorder, error) {
 	return &Recorder{m: m, prog: p, nextPC: entryPC(p)}, nil
 }
 
-// SpillTo switches the recorder to streaming mode before any chunk is
-// sealed: sealed chunks append to a temp file in dir, and Finish renames
-// it to the trace's canonical path. Capture memory stays O(chunk)
-// however long the execution runs.
+// SpillTo directs the recorder's file into dir before any chunk is
+// sealed: sealed chunks append to a temp file there, and Finish renames
+// it to the trace's canonical path. Without SpillTo the file is an
+// anonymous temp file. Capture memory stays O(chunk) either way.
 func (r *Recorder) SpillTo(dir string) error {
 	if r.spill != nil {
 		return fmt.Errorf("trace: recorder is already spilling to %s", r.spillName)
@@ -238,8 +229,7 @@ func (r *Recorder) SpillTo(dir string) error {
 }
 
 // startSpill opens the spill file (in dir, or anonymous when dir is "")
-// writes the stream header, flushes any already-sealed memory chunks,
-// and converts the recorder to streaming mode.
+// and writes the stream header.
 func (r *Recorder) startSpill(dir string) error {
 	pattern := "trace-*.tmp"
 	if dir == "" {
@@ -247,13 +237,13 @@ func (r *Recorder) startSpill(dir string) error {
 	}
 	f, err := os.CreateTemp(dir, pattern)
 	if err != nil {
-		return classify(err)
+		return r.spillFail(classify(err))
 	}
 	r.spill = f
 	r.spillName = f.Name()
 	if dir == "" {
-		// Anonymous window spill: unlink immediately so the backing file
-		// cannot outlive the process, whatever happens later.
+		// Anonymous capture: unlink immediately so the backing file cannot
+		// outlive the process, whatever happens later.
 		_ = os.Remove(r.spillName)
 		r.spillName = ""
 	}
@@ -264,12 +254,6 @@ func (r *Recorder) startSpill(dir string) error {
 	if _, err := f.Write(ph[:]); err != nil {
 		return r.spillFail(classify(err))
 	}
-	for _, c := range r.mem {
-		if _, err := f.Write(c); err != nil {
-			return r.spillFail(classify(err))
-		}
-	}
-	r.mem, r.memBytes = nil, 0
 	return nil
 }
 
@@ -349,9 +333,8 @@ func (r *Recorder) append(rec emu.Record) {
 	}
 }
 
-// sealChunk checksums the current chunk and moves it out of the working
-// set: retained in memory mode (spilling once the window overflows),
-// appended to the spill file in streaming mode.
+// sealChunk checksums the current chunk and appends it to the spill
+// file, opening an anonymous one if SpillTo did not name a directory.
 func (r *Recorder) sealChunk() {
 	m := chunkMeta{
 		startPos:  r.sealedBytes,
@@ -361,22 +344,14 @@ func (r *Recorder) sealChunk() {
 	r.chunks = append(r.chunks, m)
 	r.sealedBytes += uint64(len(r.chunk))
 	r.chunkStart = r.n
-	if r.spill != nil {
-		if _, err := r.spill.Write(r.chunk); err != nil {
-			_ = r.spillFail(classify(err))
-			return
-		}
-		r.chunk = r.chunk[:0]
+	if r.spill == nil && r.startSpill("") != nil {
 		return
 	}
-	r.mem = append(r.mem, r.chunk)
-	r.memBytes += int64(len(r.chunk))
-	r.chunk = nil
-	if r.memBytes > memSpillBytes {
-		if err := r.startSpill(""); err != nil {
-			r.err = err
-		}
+	if _, err := r.spill.Write(r.chunk); err != nil {
+		_ = r.spillFail(classify(err))
+		return
 	}
+	r.chunk = r.chunk[:0]
 }
 
 // Finish seals the capture into an immutable Trace. The machine must
@@ -420,10 +395,6 @@ func (r *Recorder) Finish() (*Trace, error) {
 			t.maxChunk = int(c.packedLen)
 		}
 	}
-	if r.spill == nil {
-		t.store = &memStore{chunks: r.mem}
-		return t, nil
-	}
 	return r.finishSpill(t)
 }
 
@@ -432,14 +403,7 @@ func (r *Recorder) Finish() (*Trace, error) {
 // requested, and hands the still-open handle to the trace's store.
 func (r *Recorder) finishSpill(t *Trace) (*Trace, error) {
 	footer := appendFooter(nil, t)
-	if _, err := r.spill.Write(footer); err != nil {
-		return nil, r.spillFail(classify(err))
-	}
-	var trailer [40]byte
-	binary.LittleEndian.PutUint64(trailer[:8], uint64(len(footer)))
-	sum := sha256.Sum256(footer)
-	copy(trailer[8:], sum[:])
-	if _, err := r.spill.Write(trailer[:]); err != nil {
+	if _, err := r.spill.Write(appendTrailer(footer, footer)); err != nil {
 		return nil, r.spillFail(classify(err))
 	}
 	path := r.spillName
@@ -450,8 +414,8 @@ func (r *Recorder) finishSpill(t *Trace) (*Trace, error) {
 		path = r.spillDest
 		t.path = path
 	}
-	size := int64(fileHeaderLen) + int64(t.packedLen) + int64(len(footer)) + int64(len(trailer))
-	t.store = &fileStore{f: r.spill, path: spillDisplayPath(path, r.prog), size: size}
+	size := int64(fileHeaderLen) + int64(t.packedLen) + int64(len(footer)) + trailerLen
+	t.store = &fileStore{r: r.spill, path: spillDisplayPath(path, r.prog), size: size}
 	return t, nil
 }
 
@@ -465,9 +429,9 @@ func spillDisplayPath(path string, p *isa.Program) string {
 
 // Capture executes p to completion on a fresh machine and returns its
 // trace. maxInsts is a runaway guard (0 means no limit). The trace is
-// memory-backed while it fits the spill window (memSpillBytes) and
-// silently converts to an anonymous temp file beyond it, so capture
-// memory stays bounded on workloads of any length.
+// backed by an anonymous temp file, unlinked as soon as it is created:
+// sealed chunks stream to it, so capture memory stays O(chunk) on
+// workloads of any length, and Close (or process exit) frees it.
 func Capture(p *isa.Program, maxInsts uint64) (*Trace, error) {
 	return capture(p, maxInsts, nil)
 }
@@ -476,8 +440,7 @@ func Capture(p *isa.Program, maxInsts uint64) (*Trace, error) {
 // directly into dir: sealed chunks append to a temp file that Finish
 // renames to the canonical DiskPath, and the returned trace reads its
 // chunks back from that file. Peak capture memory is O(chunk), and the
-// trace is already persisted — no separate WriteFile pass over the
-// whole stream.
+// trace is already persisted for later processes to ReadFile.
 func CaptureToDir(p *isa.Program, maxInsts uint64, dir string) (*Trace, error) {
 	return capture(p, maxInsts, func(r *Recorder) error { return r.SpillTo(dir) })
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"crypto/sha256"
 	"errors"
 	"os"
 	"path/filepath"
@@ -44,6 +45,7 @@ func TestReplayMatchesExecution(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: capture: %v", p.Name, err)
 		}
+		defer tr.Close()
 		m := emu.New(p)
 		r := NewReader(tr)
 		var steps uint64
@@ -116,19 +118,22 @@ func mustProgram(t *testing.T, name string) *isa.Program {
 }
 
 // TestReaderStepAllocFree guards the replay hot path: steady-state Step
-// must not allocate.
+// must not allocate, including the chunk refill from the trace's file
+// (ReadAt + checksum verify into the pooled buffer).
 func TestReaderStepAllocFree(t *testing.T) {
 	p := mustProgram(t, "compress.big")
 	tr, err := Capture(p, maxInsts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer tr.Close()
 	if tr.Chunks() < 2 {
 		t.Fatalf("compress.big packs into %d chunk(s); the alloc guard must cross a chunk boundary", tr.Chunks())
 	}
 	// Position the cursor so the measured window crosses a chunk
 	// boundary: the refill path must be allocation-free too.
 	r := NewReader(tr)
+	defer r.Release()
 	for r.step < chunkRecords-50_000 {
 		if _, err := r.Step(); err != nil {
 			t.Fatal(err)
@@ -144,13 +149,18 @@ func TestReaderStepAllocFree(t *testing.T) {
 	}
 }
 
-// TestFileReaderStepAllocFree repeats the hot-path guard for file-backed
-// traces: chunk refills from disk (ReadAt + checksum verify into the
-// pooled buffer) must not allocate either.
+// TestFileReaderStepAllocFree repeats the hot-path guard for a trace
+// written to its canonical path and reopened with ReadFile: chunk
+// refills from that file must not allocate either.
 func TestFileReaderStepAllocFree(t *testing.T) {
 	p := mustProgram(t, "compress.big")
 	dir := t.TempDir()
-	tr, err := CaptureToDir(p, maxInsts, dir)
+	captured, err := CaptureToDir(p, maxInsts, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	captured.Close()
+	tr, err := ReadFile(dir, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,6 +169,7 @@ func TestFileReaderStepAllocFree(t *testing.T) {
 		t.Fatalf("compress.big packs into %d chunk(s); the alloc guard must cross a chunk boundary", tr.Chunks())
 	}
 	r := NewReader(tr)
+	defer r.Release()
 	for r.step < chunkRecords-50_000 {
 		if _, err := r.Step(); err != nil {
 			t.Fatal(err)
@@ -172,7 +183,6 @@ func TestFileReaderStepAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("file-backed Reader.Step allocates %.1f times per call, want 0", allocs)
 	}
-	r.Release()
 }
 
 // TestRecorderRefusesSpeculation pins the checkpoint-interaction choice
@@ -287,17 +297,20 @@ func TestNewRecorderRejectsUsedMachine(t *testing.T) {
 	}
 }
 
-// TestDiskRoundTrip checks Marshal/Unmarshal and the file layer,
-// including the corrupt-file hardening the CLI relies on: bad bytes are
-// rejected AND the file is removed so a recapture can fill the slot.
+// TestDiskRoundTrip checks CaptureToDir and ReadFile, including the
+// corrupt-file hardening the CLI relies on: bad bytes are rejected AND
+// the file is removed so a recapture can fill the slot.
 func TestDiskRoundTrip(t *testing.T) {
 	p := mustProgram(t, "micro.stream")
-	tr, err := Capture(p, maxInsts)
+	dir := t.TempDir()
+	tr, err := CaptureToDir(p, maxInsts, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	if err := tr.WriteFile(dir); err != nil {
+	tr.Close()
+	path := DiskPath(dir, p)
+	a, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -323,18 +336,7 @@ func TestDiskRoundTrip(t *testing.T) {
 			t.Fatalf("loaded trace diverges: %+v vs %+v", rec, want)
 		}
 	}
-
-	// Marshal must be canonical: two captures serialize identically.
-	tr2, err := Capture(p, maxInsts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := tr.Marshal(), tr2.Marshal()
-	if string(a) != string(b) {
-		t.Fatal("Marshal is not canonical across captures")
-	}
-
-	path := DiskPath(dir, p)
+	got.Close()
 
 	// Truncation: checksum fails, file is deleted.
 	if err := os.WriteFile(path, a[:len(a)/2], 0o644); err != nil {
@@ -403,11 +405,16 @@ func TestDiskRoundTrip(t *testing.T) {
 	}
 
 	// A different program's trace in this program's slot: rejected.
-	other, err := Capture(mustProgram(t, "micro.chain"), maxInsts)
+	other, err := CaptureToDir(mustProgram(t, "micro.chain"), maxInsts, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, other.Marshal(), 0o644); err != nil {
+	other.Close()
+	otherBytes, err := os.ReadFile(other.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, otherBytes, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadFile(dir, p); err == nil {
@@ -429,36 +436,72 @@ func TestDiskRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReaderCorruptStream checks the reader's in-memory truncation guard
-// (the disk checksum normally catches this first).
+// TestReaderCorruptStream checks the decoder's own truncation guard. The
+// last chunk is cut short and the footer rewritten to match, so every
+// checksum in the file holds and only the decoder can notice: it must
+// run out of packed bytes before it runs out of records.
 func TestReaderCorruptStream(t *testing.T) {
 	p := mustProgram(t, "micro.branchy")
-	tr, err := Capture(p, maxInsts)
+	dir := t.TempDir()
+	tr, err := CaptureToDir(p, maxInsts, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Truncate the final chunk's bytes while keeping the step count: the
-	// reader must run out of packed bytes before it runs out of records.
-	last := tr.chunks[len(tr.chunks)-1]
-	cut := uint64(last.packedLen) / 2
-	chunks := append([]chunkMeta(nil), tr.chunks...)
-	chunks[len(chunks)-1].packedLen = uint32(cut)
-	store := tr.store.(*memStore)
-	mem := append([][]byte(nil), store.chunks...)
-	mem[len(mem)-1] = mem[len(mem)-1][:cut]
-	trunc := &Trace{
-		prog: tr.prog, entryPC: tr.entryPC, n: tr.n,
-		packedLen: tr.packedLen - uint64(last.packedLen) + cut,
-		chunkRecs: tr.chunkRecs, chunks: chunks,
-		store: &memStore{chunks: mem},
+	defer tr.Close()
+	data := fileBytes(t, tr)
+	footer, cut := truncatedFooter(tr, data)
+	if err := os.WriteFile(tr.Path(), withFooter(data[:fileHeaderLen+tr.packedLen-uint64(cut)], footer), 0o644); err != nil {
+		t.Fatal(err)
 	}
+	trunc, err := ReadFile(dir, p)
+	if err != nil {
+		t.Fatalf("ReadFile rejected a file whose checksums all hold: %v", err)
+	}
+	defer trunc.Close()
 	r := NewReader(trunc)
 	for {
-		if _, err := r.Step(); err != nil {
-			if errors.Is(err, emu.ErrHalted) {
-				t.Fatal("truncated stream replayed to completion")
+		_, err := r.Step()
+		if errors.Is(err, emu.ErrHalted) {
+			t.Fatal("truncated stream replayed to completion")
+		}
+		if err != nil {
+			if !errors.Is(err, errCorrupt) {
+				t.Fatalf("truncated stream surfaced as %v, want the decoder's errCorrupt", err)
 			}
 			break
 		}
 	}
+}
+
+// fileBytes reads tr's whole file.
+func fileBytes(tb testing.TB, tr *Trace) []byte {
+	tb.Helper()
+	data := make([]byte, tr.Footprint())
+	if _, err := tr.store.r.ReadAt(data, 0); err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// truncatedFooter returns the footer of tr, whose file begins with data
+// (header and packed stream), with its last chunk cut to half its bytes, and how many bytes the cut
+// removes from the packed stream. The footer's chunk length, chunk
+// checksum and stream length all match the shortened stream;
+// boundaries past the cut are dropped.
+func truncatedFooter(tr *Trace, data []byte) (footer []byte, cut uint32) {
+	short := *tr
+	short.chunks = append([]chunkMeta(nil), tr.chunks...)
+	last := &short.chunks[len(short.chunks)-1]
+	cut = last.packedLen - last.packedLen/2
+	last.packedLen -= cut
+	start := fileHeaderLen + last.startPos
+	last.sum = sha256.Sum256(data[start : start+uint64(last.packedLen)])
+	short.packedLen -= uint64(cut)
+	short.bounds = nil
+	for _, b := range tr.bounds {
+		if b.Pos <= short.packedLen {
+			short.bounds = append(short.bounds, b)
+		}
+	}
+	return appendFooter(nil, &short), cut
 }

@@ -1,10 +1,10 @@
 package verify
 
-// Differential verification of the disk-backed trace path: a workload
-// captured straight to disk (the v3 chunked format) must agree with its
-// in-memory capture, and every replay-capable panel configuration must
-// produce identical statistics from both. Generated panel programs are
-// tiny, so this check runs on named workloads.
+// Differential verification of the two capture paths: a workload
+// captured into a trace directory must agree with its anonymous
+// capture, and every replay-capable panel configuration must produce
+// identical statistics from both. Generated panel programs are tiny, so
+// this check runs on named workloads.
 
 import (
 	"fmt"
@@ -14,13 +14,11 @@ import (
 	"repro/internal/trace"
 )
 
-// CheckStreamed captures the named workload twice, once in memory and
-// once streamed into dir, and requires the two traces to agree on every
-// execution property; then every replay-capable panel configuration
-// must produce identical monolithic statistics from both traces (the
-// streamed reader, seeking and verifying chunks from the file, is
-// byte-equivalent to the in-memory one). Wrong-path configurations are
-// skipped: they cannot replay.
+// CheckStreamed captures the named workload twice, once into an
+// anonymous temp file and once into dir, and requires the two traces to
+// agree on every execution property; then every replay-capable panel
+// configuration must produce identical monolithic statistics from both
+// traces. Wrong-path configurations are skipped: they cannot replay.
 func CheckStreamed(workload, dir string) error {
 	w, err := prog.ByName(workload)
 	if err != nil {
@@ -30,19 +28,21 @@ func CheckStreamed(workload, dir string) error {
 	if err != nil {
 		return err
 	}
-	mem, err := trace.Capture(p, maxInsts)
+	anon, err := trace.Capture(p, maxInsts)
 	if err != nil {
 		return fmt.Errorf("verify: %s: %w", workload, err)
 	}
+	defer anon.Close()
 	disk, err := trace.CaptureToDir(p, maxInsts, dir)
 	if err != nil {
 		return fmt.Errorf("verify: %s (streamed): %w", workload, err)
 	}
-	if mem.Steps() != disk.Steps() {
-		return fmt.Errorf("verify: %s: streamed capture took %d steps, in-memory %d", workload, disk.Steps(), mem.Steps())
+	defer disk.Close()
+	if anon.Steps() != disk.Steps() {
+		return fmt.Errorf("verify: %s: streamed capture took %d steps, anonymous %d", workload, disk.Steps(), anon.Steps())
 	}
-	if mem.StateHash() != disk.StateHash() {
-		return fmt.Errorf("verify: %s: streamed capture's final state diverges from the in-memory capture's", workload)
+	if anon.StateHash() != disk.StateHash() {
+		return fmt.Errorf("verify: %s: streamed capture's final state diverges from the anonymous capture's", workload)
 	}
 	for _, cfg := range Panel() {
 		if cfg.WrongPathExecution {
@@ -51,7 +51,7 @@ func CheckStreamed(workload, dir string) error {
 		bare := cfg
 		bare.CheckInvariants = false
 		bare.RecordTimeline = false
-		fromMem, err := replayMono(bare, mem)
+		fromAnon, err := replayMono(bare, anon)
 		if err != nil {
 			return fmt.Errorf("verify: %s on %s: %w", workload, bare.Name, err)
 		}
@@ -59,8 +59,8 @@ func CheckStreamed(workload, dir string) error {
 		if err != nil {
 			return fmt.Errorf("verify: %s on %s (streamed): %w", workload, bare.Name, err)
 		}
-		if err := diffStats(fromDisk, fromMem); err != nil {
-			return fmt.Errorf("verify: %s on %s: streamed reader diverges from in-memory: %w", workload, bare.Name, err)
+		if err := diffStats(fromDisk, fromAnon); err != nil {
+			return fmt.Errorf("verify: %s on %s: streamed reader diverges from anonymous: %w", workload, bare.Name, err)
 		}
 	}
 	return nil

@@ -131,6 +131,7 @@ func Check(p *isa.Program, cfgs []pipeline.Config) error {
 	if err != nil {
 		return fmt.Errorf("verify: %s: %w", p.Name, err)
 	}
+	defer tr.Close()
 	for i := range cfgs {
 		if err := checkOne(p, cfgs[i], ref, tr); err != nil {
 			return err

@@ -1,6 +1,8 @@
 package verify
 
 import (
+	"os"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -66,11 +68,40 @@ func TestDifferentialSeededCorpus(t *testing.T) {
 	}
 }
 
-// TestCheckStreamed pins the disk-backed trace path: streamed capture
-// ≡ in-memory capture, and streamed monolithic replay ≡ in-memory
-// replay per configuration.
+// TestCheckStreamed pins the two capture paths: trace-directory
+// capture ≡ anonymous capture, and monolithic replay from each ≡ per
+// configuration.
 func TestCheckStreamed(t *testing.T) {
 	if err := CheckStreamed("micro.branchy", t.TempDir()); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCheckClosesTraces pins that Check releases the trace it captures:
+// every capture holds an open file, so a leak would cost FuzzDifferential
+// one descriptor per input.
+func TestCheckClosesTraces(t *testing.T) {
+	p, err := prog.Random(prog.RandomConfig{Seed: 1, Size: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	openFDs := func() int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("cannot count open descriptors: %v", err)
+		}
+		return len(fds)
+	}
+	// With the collector off, no finalizer can close a leaked file
+	// behind the test's back.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	before := openFDs()
+	for i := 0; i < 50; i++ {
+		if err := Check(p, Panel()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := openFDs(); after > before {
+		t.Errorf("50 Check calls left %d more open descriptors (%d → %d)", after-before, before, after)
 	}
 }

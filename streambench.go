@@ -29,12 +29,10 @@ type StreamBenchResult struct {
 	// Warmup is the fixed per-segment warmup prefix of the estimate.
 	Warmup int64 `json:"warmup"`
 
-	// TraceDiskBytes/TraceResidentBytes decompose the captured trace's
-	// footprint; streamed captures keep everything on disk.
-	TraceDiskBytes     int64   `json:"trace_disk_bytes"`
-	TraceResidentBytes int64   `json:"trace_resident_bytes"`
-	CaptureSeconds     float64 `json:"capture_seconds"`
-	CapturePeakRSS     int64   `json:"capture_peak_rss_bytes"`
+	// TraceDiskBytes is the captured trace's file size.
+	TraceDiskBytes int64   `json:"trace_disk_bytes"`
+	CaptureSeconds float64 `json:"capture_seconds"`
+	CapturePeakRSS int64   `json:"capture_peak_rss_bytes"`
 
 	// The exact truth: one monolithic replay of the full trace.
 	ExactWallSeconds float64 `json:"exact_wall_seconds"`
@@ -89,10 +87,10 @@ func resetPeakRSS() {
 }
 
 // StreamBench benchmarks sampled simulation of one workload under the
-// baseline configuration. The trace is captured (or loaded) through dir
-// — with a directory the capture streams to disk in bounded memory,
-// which is the point on huge workloads; dir == "" benchmarks the
-// in-memory path. The full trace is then timed once monolithically
+// baseline configuration. The trace is captured (or loaded) through dir;
+// dir == "" captures into an anonymous temp file. Either way the
+// capture streams to disk in bounded memory, which is the point on huge
+// workloads. The full trace is then timed once monolithically
 // (the exact truth) and estimated by the engine's phase sampler, timing
 // at most `budget` of the trace's `segments` segments, so SampledIPC is
 // bit for bit the IPC a phase-sampled run serves.
@@ -122,10 +120,10 @@ func StreamBench(workload, dir string, segments, budget int) (*StreamBenchResult
 		Config:         cfg.Name,
 		Steps:          tr.Steps(),
 		Warmup:         segWarmup,
+		TraceDiskBytes: tr.Footprint(),
 		CaptureSeconds: time.Since(start).Seconds(),
 		CapturePeakRSS: peakRSSBytes(),
 	}
-	res.TraceDiskBytes, res.TraceResidentBytes = tr.Footprint()
 
 	resetPeakRSS()
 	start = time.Now()

@@ -3,7 +3,8 @@ package ce
 import "testing"
 
 // TestStreamBench smoke-tests the sampled-simulation benchmark at unit
-// scale, once on the in-memory path and once streamed through disk:
+// scale, once captured into an anonymous temp file and once into a
+// trace directory:
 // the monolithic exact truth and the phase-sampled estimate within its
 // segment budget and a sane error band of the truth. The estimate must
 // be bit for bit the IPC an engine with the same plan serves.
@@ -12,7 +13,7 @@ func TestStreamBench(t *testing.T) {
 		name string
 		dir  string
 	}{
-		{"memory", ""},
+		{"anonymous", ""},
 		{"disk", t.TempDir()},
 	} {
 		res, err := StreamBench("compress.big", tc.dir, 16, 4)
@@ -22,9 +23,8 @@ func TestStreamBench(t *testing.T) {
 		if res.Steps == 0 || res.ExactCycles <= 0 || res.ExactIPC <= 0 {
 			t.Fatalf("%s: exact side empty: %+v", tc.name, res)
 		}
-		if streamed := res.TraceDiskBytes > 0 && res.TraceResidentBytes == 0; streamed != (tc.dir != "") {
-			t.Errorf("%s: trace footprint disk=%d resident=%d", tc.name,
-				res.TraceDiskBytes, res.TraceResidentBytes)
+		if res.TraceDiskBytes == 0 {
+			t.Errorf("%s: trace has no bytes on disk", tc.name)
 		}
 		if res.Segments != 16 || res.Warmup != segWarmup {
 			t.Errorf("%s: plan not honoured: %+v", tc.name, res)

@@ -68,12 +68,10 @@ type TraceStats struct {
 	// chunk failed its checksum; each was invalidated on disk and
 	// recaptured once before the run retried.
 	CorruptDropped int `json:"corrupt_dropped,omitempty"`
-	// TraceDiskBytes and TraceResidentBytes split the pooled traces'
-	// packed bytes by where they live — the streaming capture and
-	// disk-backed readers keep multi-gigabyte traces on disk with only
-	// O(readers) chunk buffers resident. Snapshot at query time.
-	TraceDiskBytes     int64 `json:"trace_disk_bytes"`
-	TraceResidentBytes int64 `json:"trace_resident_bytes"`
+	// TraceDiskBytes totals the pooled traces' file sizes. Every trace
+	// lives in a file, and readers hold only O(readers) chunk buffers
+	// resident. Snapshot at query time.
+	TraceDiskBytes int64 `json:"trace_disk_bytes"`
 	// RecordsDecoded totals the records every replay run's private trace
 	// reader decoded, segment warmup prefixes included, so it is at least
 	// StepsReplayed.
@@ -116,47 +114,23 @@ type traceEntry struct {
 // SetTraceDir persists captured traces under dir (created if absent) in
 // the canonical on-disk format, so later processes reload them instead
 // of re-executing workloads. Corrupt or truncated files are dropped and
-// recaptured.
-//
-// Calling SetTraceDir after traces are already pooled used to leave the
-// earlier captures in-memory only — never written anywhere — while the
-// pool kept serving them, so the directory silently missed exactly the
-// workloads that had run first. On a directory change the pool is now
-// reconciled: completed captures are flushed to the new directory, and
-// failed or still-in-flight slots are dropped so their next consumer
-// retries against the new directory.
+// recaptured. Setting the current directory again is a no-op; changing
+// it once the pool holds a trace is an error, since that trace lives in
+// an anonymous file or the old directory and would never reach the new
+// one. Set the directory on a fresh engine.
 func (e *Engine) SetTraceDir(dir string) error {
 	if err := trace.EnsureDir(dir); err != nil {
 		return err
 	}
 	e.traceMu.Lock()
+	defer e.traceMu.Unlock()
 	if dir == e.traceDir {
-		e.traceMu.Unlock()
 		return nil
 	}
+	if len(e.traces) > 0 {
+		return fmt.Errorf("ce: SetTraceDir(%q): the trace pool already holds %d trace(s); set the trace directory before the first run", dir, len(e.traces))
+	}
 	e.traceDir = dir
-	var flush []*trace.Trace
-	for w, ent := range e.traces {
-		select {
-		case <-ent.done:
-			if ent.err != nil || ent.tr == nil {
-				delete(e.traces, w)
-				continue
-			}
-			flush = append(flush, ent.tr)
-		default:
-			// In-flight capture racing the dir change: its waiters keep the
-			// entry pointer they already hold, but the pool forgets it so
-			// later callers capture (and persist) under the new directory.
-			delete(e.traces, w)
-		}
-	}
-	e.traceMu.Unlock()
-	for _, tr := range flush {
-		if err := tr.WriteFile(dir); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -178,7 +152,7 @@ func (e *Engine) TraceReplay() bool {
 }
 
 // TraceStats returns a snapshot of the engine's trace-pool counters,
-// including the pooled traces' current disk/resident byte split.
+// including the pooled traces' current file sizes.
 func (e *Engine) TraceStats() TraceStats {
 	e.traceMu.Lock()
 	defer e.traceMu.Unlock()
@@ -187,9 +161,7 @@ func (e *Engine) TraceStats() TraceStats {
 		select {
 		case <-ent.done:
 			if ent.err == nil && ent.tr != nil {
-				d, r := ent.tr.Footprint()
-				ts.TraceDiskBytes += d
-				ts.TraceResidentBytes += r
+				ts.TraceDiskBytes += ent.tr.Footprint()
 			}
 		default:
 		}
@@ -296,12 +268,12 @@ func (e *Engine) captureTrace(workload, dir string, shared bool) (*trace.Trace, 
 	runtime.ReadMemStats(&ms)
 	startAllocs := ms.Mallocs
 	start := time.Now()
+	// Either way the packed records stream to a file as they are
+	// produced, so peak capture memory stays O(chunk) however long the
+	// workload runs. Under a trace directory the file lands at its
+	// canonical path atomically at the end.
 	var tr *trace.Trace
 	if dir != "" {
-		// Stream the packed records to the trace directory as they are
-		// produced: peak capture memory stays O(chunk) however long the
-		// workload runs, and the file lands at its canonical path
-		// atomically at the end — no separate WriteFile pass.
 		tr, err = trace.CaptureToDir(p, maxCycles, dir)
 	} else {
 		tr, err = trace.Capture(p, maxCycles)
