@@ -53,10 +53,11 @@ type SweepBenchResult struct {
 	Stream *StreamBenchResult `json:"stream,omitempty"`
 }
 
-// SweepBench summarizes a finished sweep on eng, timed by the caller.
-func SweepBench(eng *Engine, wallSeconds float64) SweepBenchResult {
+// SweepBench summarizes a finished sweep on eng, timed by the caller;
+// runs are the metrics eng reported to its observer during the sweep.
+func SweepBench(eng *Engine, runs []RunMetrics, wallSeconds float64) SweepBenchResult {
 	sims := 0
-	for _, m := range eng.Metrics() {
+	for _, m := range runs {
 		if !m.Cached {
 			sims++
 		}

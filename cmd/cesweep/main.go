@@ -71,7 +71,9 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"repro"
@@ -159,6 +161,29 @@ func startProfiling(cpu, mem string) (stop func() error, err error) {
 	}, nil
 }
 
+// runLog collects every run the default engine reports, for
+// -metrics-json, -metrics-det and the sweep benchmark. The engine itself
+// keeps no log.
+type runLog struct {
+	mu   sync.Mutex
+	runs []ce.RunMetrics
+}
+
+var runs runLog
+
+func (l *runLog) add(m ce.RunMetrics) {
+	l.mu.Lock()
+	l.runs = append(l.runs, m)
+	l.mu.Unlock()
+}
+
+// all returns the runs so far, in completion order.
+func (l *runLog) all() []ce.RunMetrics {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return slices.Clone(l.runs)
+}
+
 // setupObservability wires the -v, -cache-dir and -metrics-json flags to
 // the default sweep engine; the returned function finishes the report
 // after the sweep.
@@ -189,17 +214,19 @@ func setupObservability() (func() error, error) {
 		}
 		f.Close()
 	}
-	if *verbose {
-		eng.SetObserver(func(m ce.RunMetrics) {
-			if m.Cached {
-				fmt.Fprintf(os.Stderr, "cesweep: %-28s %-12s cached (ipc %.2f)\n",
-					m.Config, m.Workload, m.IPC)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "cesweep: %-28s %-12s %9d cycles  ipc %.2f  %6.0f ms  %5.1f Mcyc/s\n",
-				m.Config, m.Workload, m.Cycles, m.IPC, m.WallSeconds*1000, m.MCyclesPerSec)
-		})
-	}
+	eng.SetObserver(func(m ce.RunMetrics) {
+		runs.add(m)
+		if !*verbose {
+			return
+		}
+		if m.Cached {
+			fmt.Fprintf(os.Stderr, "cesweep: %-28s %-12s cached (ipc %.2f)\n",
+				m.Config, m.Workload, m.IPC)
+			return
+		}
+		fmt.Fprintf(os.Stderr, "cesweep: %-28s %-12s %9d cycles  ipc %.2f  %6.0f ms  %5.1f Mcyc/s\n",
+			m.Config, m.Workload, m.Cycles, m.IPC, m.WallSeconds*1000, m.MCyclesPerSec)
+	})
 	finish := func() error {
 		cs := eng.CacheStats()
 		if *verbose {
@@ -219,7 +246,7 @@ func setupObservability() (func() error, error) {
 				Runs  []ce.RunMetrics `json:"runs"`
 				Cache ce.CacheStats   `json:"cache"`
 				Trace ce.TraceStats   `json:"trace"`
-			}{Runs: eng.Metrics(), Cache: cs, Trace: eng.TraceStats()}
+			}{Runs: runs.all(), Cache: cs, Trace: eng.TraceStats()}
 			data, err := canonjson.Marshal(dump)
 			if err != nil {
 				return err
@@ -254,9 +281,9 @@ func writeDetMetrics(path string, eng *ce.Engine) error {
 		EmuSteps  uint64  `json:"emu_steps"`
 		IPC       float64 `json:"ipc"`
 	}
-	runs := eng.Metrics()
-	det := make([]detRun, len(runs))
-	for i, m := range runs {
+	all := runs.all()
+	det := make([]detRun, len(all))
+	for i, m := range all {
 		det[i] = detRun{
 			Config:    m.Config,
 			Workload:  m.Workload,
@@ -458,7 +485,7 @@ func run() (err error) {
 		// instructions) for segmentation to pay, and the same benchmark
 		// streamed on a huge workload when requested.
 		ran = true
-		sb := ce.SweepBench(ce.DefaultEngine, sweepWall)
+		sb := ce.SweepBench(ce.DefaultEngine, runs.all(), sweepWall)
 		if sweepRan {
 			seg, err := ce.StreamBench("compress.big", "", 16, 4)
 			if err != nil {

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // SchedKind enumerates the scheduler organizations a SchedulerSpec can
 // describe.
@@ -82,19 +85,26 @@ func (s SchedulerSpec) Build(b Bounds) Scheduler {
 // The FIFO bank's display name is deliberately excluded: it labels
 // reports but never changes timing, so renamed copies of one geometry
 // share a fingerprint.
-func (s SchedulerSpec) Key() string {
+func (s SchedulerSpec) Key() string { return string(s.AppendKey(nil)) }
+
+// AppendKey appends Key's bytes to b, so pipeline.Config.Key builds a
+// whole configuration's key in one buffer.
+func (s SchedulerSpec) AppendKey(b []byte) []byte {
 	switch s.Kind {
 	case SchedCentralWindow:
-		return fmt.Sprintf("window/%d", s.Size)
+		return strconv.AppendInt(append(b, "window/"...), int64(s.Size), 10)
 	case SchedExecSteered:
-		return fmt.Sprintf("exec-steer/%d/%d", s.Size, s.Clusters)
+		b = strconv.AppendInt(append(b, "exec-steer/"...), int64(s.Size), 10)
+		return strconv.AppendInt(append(b, '/'), int64(s.Clusters), 10)
 	case SchedRandomSelect:
-		return fmt.Sprintf("random-select/%d", s.Size)
+		return strconv.AppendInt(append(b, "random-select/"...), int64(s.Size), 10)
 	case SchedFIFOBank:
-		return fmt.Sprintf("fifos/%dx%dx%d/any=%v/pol=%d",
-			s.FIFO.Clusters, s.FIFO.FIFOsPerCluster, s.FIFO.Depth,
-			s.FIFO.AnySlot, s.FIFO.Policy)
+		b = strconv.AppendInt(append(b, "fifos/"...), int64(s.FIFO.Clusters), 10)
+		b = strconv.AppendInt(append(b, 'x'), int64(s.FIFO.FIFOsPerCluster), 10)
+		b = strconv.AppendInt(append(b, 'x'), int64(s.FIFO.Depth), 10)
+		b = strconv.AppendBool(append(b, "/any="...), s.FIFO.AnySlot)
+		return strconv.AppendInt(append(b, "/pol="...), int64(s.FIFO.Policy), 10)
 	default:
-		panic(fmt.Sprintf("core: unknown scheduler kind %d", s.Kind))
+		panic("core: unknown scheduler kind " + strconv.Itoa(int(s.Kind)))
 	}
 }

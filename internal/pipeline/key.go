@@ -2,7 +2,7 @@ package pipeline
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/bpred"
 	"repro/internal/cache"
@@ -48,8 +48,21 @@ func (c *Config) predictorKey() string {
 	return c.Predictor
 }
 
-func cacheKey(cc cache.Config) string {
-	return fmt.Sprintf("%d/%d/%d/%d/%d", cc.SizeBytes, cc.Ways, cc.LineBytes, cc.HitCycles, cc.MissCycles)
+func appendInt(b []byte, tag string, v int) []byte {
+	return strconv.AppendInt(append(b, tag...), int64(v), 10)
+}
+
+func appendBool(b []byte, tag string, v bool) []byte {
+	return strconv.AppendBool(append(b, tag...), v)
+}
+
+// appendCacheKey appends the canonical identity of one cache geometry.
+func appendCacheKey(b []byte, tag string, cc cache.Config) []byte {
+	b = appendInt(b, tag, cc.SizeBytes)
+	b = appendInt(b, "/", cc.Ways)
+	b = appendInt(b, "/", cc.LineBytes)
+	b = appendInt(b, "/", cc.HitCycles)
+	return appendInt(b, "/", cc.MissCycles)
 }
 
 // Key returns a canonical structural fingerprint of every timing-relevant
@@ -64,6 +77,12 @@ func cacheKey(cc cache.Config) string {
 // recorded or asserted, not what happens).
 // Configurations using the opaque NewScheduler closure report ok=false
 // and must be simulated directly.
+//
+// The bytes are part of the on-disk format: the run cache names each
+// persisted entry by the sha256 of its key, so one changed byte orphans
+// every entry (the root package's TestConfigKeyGolden pins them). The key
+// is appended into one buffer without fmt, since a warm daemon builds
+// one for every request it answers.
 func (c *Config) Key() (key string, ok bool) {
 	if c.NewScheduler != nil || c.Scheduler == nil {
 		return "", false
@@ -72,23 +91,36 @@ func (c *Config) Key() (key string, ok bool) {
 	if dcache == (cache.Config{}) {
 		dcache = cache.Baseline()
 	}
-	icache := "none"
-	if c.ICache != nil {
-		icache = cacheKey(*c.ICache)
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "fw%d|dw%d|iw%d|rw%d|rob%d|pr%d|cl%d|fu%d|ls%d|xd%d|fe%d|fq%d",
-		c.FetchWidth, c.DecodeWidth, c.IssueWidth, c.RetireWidth,
-		c.MaxInFlight, c.PhysRegs, c.Clusters, c.FUsPerCluster,
-		c.LSPorts, c.InterClusterDelay, c.FrontEndDepth, c.FetchQueueSize)
-	fmt.Fprintf(&b, "|bp=%s|pws=%v|lbe%d|ring=%v|stf=%v|fbt=%v|wpe=%v",
-		c.predictorKey(), c.PipelinedWakeupSelect, c.LocalBypassExtra,
-		c.RingTopology, c.StoreForwarding, c.FetchBreakOnTaken,
-		c.WrongPathExecution)
+	b := make([]byte, 0, 224)
+	b = appendInt(b, "fw", c.FetchWidth)
+	b = appendInt(b, "|dw", c.DecodeWidth)
+	b = appendInt(b, "|iw", c.IssueWidth)
+	b = appendInt(b, "|rw", c.RetireWidth)
+	b = appendInt(b, "|rob", c.MaxInFlight)
+	b = appendInt(b, "|pr", c.PhysRegs)
+	b = appendInt(b, "|cl", c.Clusters)
+	b = appendInt(b, "|fu", c.FUsPerCluster)
+	b = appendInt(b, "|ls", c.LSPorts)
+	b = appendInt(b, "|xd", c.InterClusterDelay)
+	b = appendInt(b, "|fe", c.FrontEndDepth)
+	b = appendInt(b, "|fq", c.FetchQueueSize)
+	b = append(append(b, "|bp="...), c.predictorKey()...)
+	b = appendBool(b, "|pws=", c.PipelinedWakeupSelect)
+	b = appendInt(b, "|lbe", c.LocalBypassExtra)
+	b = appendBool(b, "|ring=", c.RingTopology)
+	b = appendBool(b, "|stf=", c.StoreForwarding)
+	b = appendBool(b, "|fbt=", c.FetchBreakOnTaken)
+	b = appendBool(b, "|wpe=", c.WrongPathExecution)
 	// NoCycleSkip is timing-neutral by construction (the differential
 	// harness asserts it), but it stays in the key so a skip-path
 	// regression could never be masked by a cache hit from the other path.
-	fmt.Fprintf(&b, "|ncs=%v", c.NoCycleSkip)
-	fmt.Fprintf(&b, "|sched=%s|dc=%s|ic=%s", c.Scheduler.Key(), cacheKey(dcache), icache)
-	return b.String(), true
+	b = appendBool(b, "|ncs=", c.NoCycleSkip)
+	b = c.Scheduler.AppendKey(append(b, "|sched="...))
+	b = appendCacheKey(b, "|dc=", dcache)
+	if c.ICache != nil {
+		b = appendCacheKey(b, "|ic=", *c.ICache)
+	} else {
+		b = append(b, "|ic=none"...)
+	}
+	return string(b), true
 }

@@ -1,11 +1,14 @@
 package runcache
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +16,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/canonjson"
+	"repro/internal/canonjson/canonjsontest"
 	"repro/internal/errclass"
 	"repro/internal/pipeline"
 	"repro/internal/stats"
@@ -652,4 +657,76 @@ func TestDoCorruptNotMemoized(t *testing.T) {
 	if calls != 2 {
 		t.Errorf("compute ran %d times, want 2 (corrupt error retried)", calls)
 	}
+}
+
+// TestDiskEntryMatchesOracle pins the bytes of a persisted entry to the
+// canonical encoder's reference: disk entries written before and after
+// a change to the encoder must not differ.
+func TestDiskEntryMatchesOracle(t *testing.T) {
+	canonjsontest.Check(t, "fakeStats", diskEntry{Key: "k\x00w", Stats: fakeStats(7)})
+	canonjsontest.Check(t, "zero", diskEntry{})
+	for seed := int64(0); seed < 100; seed++ {
+		var de diskEntry
+		canonjsontest.Fill(&de, rand.New(rand.NewSource(seed)))
+		canonjsontest.Check(t, "filled", de)
+	}
+}
+
+// FuzzLoadDisk writes arbitrary bytes as a key's entry file. Do must
+// serve the decoded entry when its key matches, and otherwise replace
+// the file with a freshly computed result.
+func FuzzLoadDisk(f *testing.F) {
+	const key = "fw8|sched=window/64\x00compress"
+	want := diskEntry{Key: key, Stats: fakeStats(42)}
+	seed, err := canonjson.Marshal(want)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var back diskEntry
+	if err := json.Unmarshal(seed, &back); err != nil || !reflect.DeepEqual(back, want) {
+		f.Fatalf("canonical entry does not round-trip: %+v, %v", back, err)
+	}
+	f.Add(seed)
+	f.Add(bytes.Replace(seed, []byte("window/64"), []byte("window/32"), 1))
+	f.Add(seed[:len(seed)/2])
+	f.Add([]byte(`{"key":"` + strings.ReplaceAll(key, "\x00", `\u0000`) + `","stats":{"IssuedPerCycle":[1,2,3],"Cycles":-1}}`))
+	f.Add([]byte(`{"key":null,"stats":[]}`))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := diskPath(dir, key)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var de diskEntry
+		usable := json.Unmarshal(data, &de) == nil && de.Key == key
+		c := New()
+		if err := c.SetDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		computed := false
+		st, hit, err := c.Do(key, func() (pipeline.Stats, error) {
+			computed = true
+			return fakeStats(9), nil
+		})
+		if err != nil {
+			t.Fatalf("Do: %v", err)
+		}
+		if usable {
+			if !hit || computed || !reflect.DeepEqual(st, de.Stats) {
+				t.Fatalf("usable entry not served: hit=%v computed=%v\n got %+v\nwant %+v", hit, computed, st, de.Stats)
+			}
+			return
+		}
+		if hit || !computed || st.Cycles != 9 {
+			t.Fatalf("unusable entry served: hit=%v computed=%v st=%+v", hit, computed, st)
+		}
+		rewritten, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("entry not rewritten: %v", err)
+		}
+		if fresh, _ := canonjson.Marshal(diskEntry{Key: key, Stats: fakeStats(9)}); !bytes.Equal(rewritten, fresh) {
+			t.Fatalf("unusable entry not replaced by the fresh result:\n%s", rewritten)
+		}
+	})
 }

@@ -275,6 +275,9 @@ func (s *Server) buildConfig(req *RunRequest) (ce.Config, error) {
 		if err != nil {
 			return ce.Config{}, err
 		}
+		if err := checkGeometry(spec, cfg.MaxInFlight); err != nil {
+			return ce.Config{}, err
+		}
 	}
 	if req.Predictor != "" {
 		var err error
@@ -284,6 +287,26 @@ func (s *Server) buildConfig(req *RunRequest) (ce.Config, error) {
 		}
 	}
 	return cfg, nil
+}
+
+// checkGeometry bounds a custom scheduler by the machine's in-flight
+// limit. A FIFO bank allocates mask words per FIFO, so an unbounded
+// request body would choose the daemon's allocation size. No design
+// point is lost: a window larger than the in-flight limit, or more
+// FIFOs or a deeper FIFO than it, can never be filled.
+func checkGeometry(spec core.SchedulerSpec, maxInFlight int) error {
+	if spec.Kind == core.SchedFIFOBank {
+		f := spec.FIFO
+		if f.FIFOsPerCluster > maxInFlight/f.Clusters || f.Depth > maxInFlight {
+			return fmt.Errorf("fifos scheduler: clusters × fifos_per_cluster (%d × %d) and depth (%d) must not exceed the machine's %d in-flight instructions",
+				f.Clusters, f.FIFOsPerCluster, f.Depth, maxInFlight)
+		}
+		return nil
+	}
+	if spec.Size > maxInFlight {
+		return fmt.Errorf("window size %d exceeds the machine's %d in-flight instructions", spec.Size, maxInFlight)
+	}
+	return nil
 }
 
 // resolve lowers the wire spec to the engine's serializable form and the
@@ -328,28 +351,37 @@ func (r *SchedulerSpec) resolve() (core.SchedulerSpec, int, error) {
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.runRequests.Add(1)
-	var req RunRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		http.Error(w, "malformed run request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if !s.workloads[req.Workload] {
-		http.Error(w, fmt.Sprintf("unknown workload %q", req.Workload), http.StatusBadRequest)
-		return
-	}
-	cfg, err := s.buildConfig(&req)
+	cfg, workload, err := s.decodeRunRequest(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	_, m, err := s.eng.RunOne(cfg, req.Workload)
+	_, m, err := s.eng.RunOne(cfg, workload)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	s.writeCanonJSON(w, m)
+}
+
+// decodeRunRequest reads a POST /run body and resolves it to the
+// configuration and workload to run. Every error it returns is the
+// client's, answered with 400.
+func (s *Server) decodeRunRequest(body io.Reader) (ce.Config, string, error) {
+	var req RunRequest
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return ce.Config{}, "", fmt.Errorf("malformed run request: %w", err)
+	}
+	if !s.workloads[req.Workload] {
+		return ce.Config{}, "", fmt.Errorf("unknown workload %q", req.Workload)
+	}
+	cfg, err := s.buildConfig(&req)
+	if err != nil {
+		return ce.Config{}, "", err
+	}
+	return cfg, req.Workload, nil
 }
 
 func (s *Server) writeCanonJSON(w http.ResponseWriter, v any) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,6 +12,8 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/canonjson/canonjsontest"
+	"repro/internal/core"
 )
 
 // newTestServer boots a fresh engine (no shared DefaultEngine state) and
@@ -344,5 +347,91 @@ func TestFlightGroupPanicPropagatesError(t *testing.T) {
 	data, err := g.do("p", func() ([]byte, error) { return []byte("ok"), nil })
 	if err != nil || string(data) != "ok" {
 		t.Fatalf("retry after panic = %q, %v", data, err)
+	}
+}
+
+// TestRunRejectsOversizedGeometry pins the in-flight bound on custom
+// schedulers: one past it on any axis is answered with 400, the bound
+// itself is accepted.
+func TestRunRejectsOversizedGeometry(t *testing.T) {
+	s, ts := newTestServer(t, nil)
+	for _, sched := range []string{
+		`{"kind":"window","size":129}`,
+		`{"kind":"random-select","size":129}`,
+		`{"kind":"exec-steer","size":129,"clusters":2}`,
+		`{"kind":"fifos","clusters":2,"fifos_per_cluster":65,"depth":8}`,
+		`{"kind":"fifos","fifos_per_cluster":129,"depth":1}`,
+		`{"kind":"fifos","fifos_per_cluster":8,"depth":129}`,
+	} {
+		code, body := postRun(t, ts.URL, `{"scheduler":`+sched+`,"workload":"micro.chain"}`)
+		if code != http.StatusBadRequest || !strings.Contains(string(body), "in-flight") {
+			t.Errorf("%s: %d %s, want 400 naming the in-flight bound", sched, code, body)
+		}
+	}
+	for _, sched := range []string{
+		`{"kind":"window","size":128}`,
+		`{"kind":"fifos","clusters":8,"fifos_per_cluster":16,"depth":128}`,
+	} {
+		if _, _, err := s.decodeRunRequest(strings.NewReader(`{"scheduler":` + sched + `,"workload":"micro.chain"}`)); err != nil {
+			t.Errorf("%s: %v, want accepted", sched, err)
+		}
+	}
+}
+
+// FuzzRunRequest feeds arbitrary POST /run bodies to the request
+// decoder. Each must give a runnable configuration inside the in-flight
+// bound, or an error; it must never panic.
+func FuzzRunRequest(f *testing.F) {
+	for _, body := range []string{
+		`{"config":"baseline","workload":"micro.chain"}`,
+		`{"config":"dependence","workload":"compress","predictor":"perfect"}`,
+		`{"scheduler":{"kind":"fifos","clusters":2,"fifos_per_cluster":4,"depth":8,"any_slot":true},"workload":"go"}`,
+		`{"scheduler":{"kind":"exec-steer","size":64,"clusters":4},"workload":"li"}`,
+		`{"scheduler":{"kind":"window","size":129},"workload":"li"}`,
+		`{"scheduler":{"kind":"fifos","clusters":2,"fifos_per_cluster":65,"depth":8},"workload":"li"}`,
+		`{"scheduler":{"kind":"window","size":9223372036854775807},"workload":"li"}`,
+		`{"scheduler":{"kind":"fifos","clusters":8,"fifos_per_cluster":2305843009213693952,"depth":1},"workload":"li"}`,
+		`{"scheduler":{"kind":"random-select","size":-1},"workload":"li"}`,
+		`{"config":"baseline","workload":"micro.chain"} trailing`,
+		`[]`,
+		``,
+	} {
+		f.Add([]byte(body))
+	}
+	s := New(ce.NewEngine(), Options{})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		cfg, workload, err := s.decodeRunRequest(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		if !s.workloads[workload] {
+			t.Fatalf("accepted unknown workload %q", workload)
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("accepted an invalid configuration: %v", err)
+		}
+		if _, ok := cfg.Key(); !ok {
+			t.Fatalf("accepted configuration %q has no run-cache key", cfg.Name)
+		}
+		sp, limit := cfg.Scheduler, cfg.MaxInFlight
+		if sp.Kind == core.SchedFIFOBank {
+			if f := sp.FIFO; f.Clusters < 1 || f.FIFOsPerCluster > limit/f.Clusters || f.Depth > limit {
+				t.Fatalf("accepted FIFO geometry %+v beyond the %d in-flight bound", f, limit)
+			}
+		} else if sp.Size > limit {
+			t.Fatalf("accepted window size %d beyond the %d in-flight bound", sp.Size, limit)
+		}
+	})
+}
+
+// TestMetricsMatchesOracle pins the GET /metrics bytes to the canonical
+// encoder's reference.
+func TestMetricsMatchesOracle(t *testing.T) {
+	s, _ := newTestServer(t, nil)
+	canonjsontest.Check(t, "snapshot", s.MetricsSnapshot())
+	for seed := int64(0); seed < 100; seed++ {
+		var m Metrics
+		canonjsontest.Fill(&m, rand.New(rand.NewSource(seed)))
+		canonjsontest.Check(t, "filled", m)
 	}
 }

@@ -59,7 +59,7 @@ func TestEnginePhaseSampling(t *testing.T) {
 	if err := eng.SetPhaseSampling(8, 3); err != nil {
 		t.Fatal(err)
 	}
-	eng.ResetMetrics()
+	runs := recordRuns(eng)
 	got, err := eng.RunMatrix([]Config{BaselineConfig()}, w)
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func TestEnginePhaseSampling(t *testing.T) {
 	if cs := eng.CacheStats(); cs.Misses != 2 {
 		t.Errorf("phase plan shared the monolithic key: %+v", cs)
 	}
-	ms := eng.Metrics()
+	ms := runs()
 	if len(ms) != 1 || ms[0].Segments == nil {
 		t.Fatalf("expected one run with segment metrics, got %+v", ms)
 	}
@@ -118,6 +118,7 @@ func TestPhaseSampledIPCServed(t *testing.T) {
 	if err := eng.SetPhaseSampling(16, 4); err != nil {
 		t.Fatal(err)
 	}
+	runs := recordRuns(eng)
 	got, err := eng.RunMatrix(cfg, w)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +127,7 @@ func TestPhaseSampledIPCServed(t *testing.T) {
 	if e := (served - exact) / exact * 100; math.Abs(e) > 1 {
 		t.Errorf("served IPC %.4f is %+.2f%% off the monolithic %.4f", served, e, exact)
 	}
-	if m := eng.Metrics()[0]; m.IPC != served {
+	if m := runs()[0]; m.IPC != served {
 		t.Errorf("run metrics report IPC %v, the served stats %v", m.IPC, served)
 	}
 }

@@ -9,7 +9,8 @@ import (
 )
 
 // RunMetrics records the observability data for one simulation run (or
-// cache hit) performed by an Engine.
+// cache hit) performed by an Engine. The engine keeps none: it hands each
+// to its observer (SetObserver) and to the caller of RunOne.
 type RunMetrics struct {
 	// Config is the configuration's display name, Workload the benchmark.
 	Config   string `json:"config"`
@@ -62,17 +63,17 @@ type RunMetrics struct {
 type CacheStats = runcache.Stats
 
 // Engine is the sweep orchestration layer: it runs (config, workload)
-// matrices through a shared content-addressed run cache and records
-// per-run metrics. Every figure, ablation and frontier evaluation routed
-// through one Engine shares one result pool, so duplicated design points
-// (the baseline appears in Figures 13, 15, 17, the speedup estimate and
-// the frontier) are simulated exactly once per process.
+// matrices through a shared content-addressed run cache and reports
+// per-run metrics to its observer. Every figure, ablation and frontier
+// evaluation routed through one Engine shares one result pool, so
+// duplicated design points (the baseline appears in Figures 13, 15, 17,
+// the speedup estimate and the frontier) are simulated exactly once per
+// process.
 type Engine struct {
 	cache *runcache.Cache
 
 	mu       sync.Mutex
 	observer func(RunMetrics)
-	runs     []RunMetrics
 
 	// Trace pool (tracepool.go): one shared execution trace per workload,
 	// captured single-flight, driving replay-capable simulations.
@@ -102,8 +103,11 @@ func NewEngine() *Engine {
 // runner in this package.
 var DefaultEngine = NewEngine()
 
-// SetObserver installs fn as the per-run progress callback (nil
-// disables). It is invoked after every run, including cache hits.
+// SetObserver installs fn as the per-run callback (nil disables). It is
+// invoked after every run, including cache hits, from the goroutine that
+// ran it, so fn must be safe for concurrent use. A caller that wants the
+// runs afterwards (cesweep's -metrics-json) collects them here: a
+// long-lived engine keeps no log that would grow with every request.
 func (e *Engine) SetObserver(fn func(RunMetrics)) {
 	e.mu.Lock()
 	e.observer = fn
@@ -139,23 +143,6 @@ func (e *Engine) SetSharedStore(on bool) {
 // CacheStats returns a snapshot of the engine's run-cache counters.
 func (e *Engine) CacheStats() CacheStats { return e.cache.Stats() }
 
-// Metrics returns a copy of every run metric recorded so far, in
-// completion order.
-func (e *Engine) Metrics() []RunMetrics {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]RunMetrics, len(e.runs))
-	copy(out, e.runs)
-	return out
-}
-
-// ResetMetrics clears the recorded run metrics (the cache is untouched).
-func (e *Engine) ResetMetrics() {
-	e.mu.Lock()
-	e.runs = nil
-	e.mu.Unlock()
-}
-
 // RunOne simulates (or recalls) a single (config, workload) pair through
 // the engine's cache and returns its stats alongside the recorded run
 // metrics — the single-request entry point cesweepd's POST /run uses.
@@ -163,7 +150,7 @@ func (e *Engine) RunOne(cfg Config, workload string) (Stats, RunMetrics, error) 
 	return e.runOne(cfg, workload)
 }
 
-// runOne simulates (or recalls) a single pair and records its metrics.
+// runOne simulates (or recalls) a single pair and reports its metrics.
 func (e *Engine) runOne(cfg Config, workload string) (Stats, RunMetrics, error) {
 	start := time.Now()
 	var (
@@ -215,7 +202,6 @@ func (e *Engine) runOne(cfg Config, workload string) (Stats, RunMetrics, error) 
 		m.MCyclesPerSec = float64(st.Cycles) / wall / 1e6
 	}
 	e.mu.Lock()
-	e.runs = append(e.runs, m)
 	obs := e.observer
 	e.mu.Unlock()
 	if obs != nil {

@@ -2,6 +2,7 @@ package ce
 
 import (
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -68,7 +69,7 @@ func TestEngineDuplicatesWithinOneMatrix(t *testing.T) {
 }
 
 // TestEngineObserverAndMetrics checks the observability seam: every run
-// (fresh or cached) is recorded and reported.
+// (fresh or cached) is reported to the observer.
 func TestEngineObserverAndMetrics(t *testing.T) {
 	eng := NewEngine()
 	var mu sync.Mutex
@@ -94,12 +95,24 @@ func TestEngineObserverAndMetrics(t *testing.T) {
 	if first.Cycles <= 0 || first.IPC <= 0 || first.WallSeconds <= 0 || first.MCyclesPerSec <= 0 {
 		t.Errorf("degenerate metrics for fresh run: %+v", first)
 	}
-	if got := eng.Metrics(); len(got) != 2 || got[0] != first {
-		t.Errorf("Metrics() = %+v", got)
-	}
-	eng.ResetMetrics()
-	if len(eng.Metrics()) != 0 {
-		t.Error("ResetMetrics left entries")
+}
+
+// recordRuns installs an observer on eng and returns a function giving
+// every run reported so far, in completion order.
+func recordRuns(eng *Engine) func() []RunMetrics {
+	var (
+		mu   sync.Mutex
+		runs []RunMetrics
+	)
+	eng.SetObserver(func(m RunMetrics) {
+		mu.Lock()
+		runs = append(runs, m)
+		mu.Unlock()
+	})
+	return func() []RunMetrics {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]RunMetrics(nil), runs...)
 	}
 }
 
@@ -239,5 +252,36 @@ func TestSpeedupEstimateReusesFigure15(t *testing.T) {
 	}
 	if served := after.Saved() - before.Saved(); served != uint64(2*len(Workloads())) {
 		t.Errorf("SpeedupEstimate served %d runs from cache, want %d", served, 2*len(Workloads()))
+	}
+}
+
+// TestRunOneKeepsNoLog pins that serving a cached cell retains nothing:
+// a daemon answers POST /run from the cache for as long as it lives, so
+// any per-run record the engine kept would grow its heap without bound.
+func TestRunOneKeepsNoLog(t *testing.T) {
+	eng := NewEngine()
+	cfg := BaselineConfig()
+	if _, _, err := eng.RunOne(cfg, "micro.chain"); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	// Twice: the first collection only moves sync.Pool contents to the
+	// victim cache, and their release later would hide growth.
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 10000; i++ {
+		if _, m, err := eng.RunOne(cfg, "micro.chain"); err != nil || !m.Cached {
+			t.Fatalf("run %d: cached %v, err %v", i, m.Cached, err)
+		}
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	// The engine must be live at the measurement, or whatever it holds
+	// would be collected with it.
+	runtime.KeepAlive(eng)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 256<<10 {
+		t.Errorf("10000 cached runs grew the heap by %d bytes, want < %d", grew, 256<<10)
 	}
 }

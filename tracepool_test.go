@@ -27,6 +27,7 @@ func TestEngineTracePoolEquivalence(t *testing.T) {
 	replayEng := NewEngine()
 	lockEng := NewEngine()
 	lockEng.SetTraceReplay(false)
+	replayRuns, lockRuns := recordRuns(replayEng), recordRuns(lockEng)
 
 	got, err := replayEng.RunMatrix(cfgs, workloads)
 	if err != nil {
@@ -71,7 +72,7 @@ func TestEngineTracePoolEquivalence(t *testing.T) {
 
 	// Per-run metrics: fresh runs are marked by drive mode, and capture
 	// time is reported separately from (not inside) the run's wall time.
-	for _, m := range replayEng.Metrics() {
+	for _, m := range replayRuns() {
 		if m.Cached {
 			continue
 		}
@@ -84,7 +85,7 @@ func TestEngineTracePoolEquivalence(t *testing.T) {
 				m.Config, m.Workload, m.WallSeconds, m.CaptureSeconds)
 		}
 	}
-	for _, m := range lockEng.Metrics() {
+	for _, m := range lockRuns() {
 		if !m.Cached && (m.Replayed || m.CaptureSeconds != 0) {
 			t.Errorf("%s/%s: lockstep run carries replay attribution: %+v", m.Config, m.Workload, m)
 		}
@@ -161,6 +162,7 @@ func TestEngineStreamingCapture(t *testing.T) {
 // silent.
 func TestEngineCaptureFailureCounted(t *testing.T) {
 	eng := NewEngine()
+	runs := recordRuns(eng)
 	dir := filepath.Join(t.TempDir(), "traces")
 	if err := eng.SetTraceDir(dir); err != nil {
 		t.Fatal(err)
@@ -190,7 +192,7 @@ func TestEngineCaptureFailureCounted(t *testing.T) {
 	if ts.CaptureFailures != 1 || ts.LockstepRuns != 1 || ts.ReplayRuns != 0 {
 		t.Errorf("fallback not accounted: %+v", ts)
 	}
-	for _, m := range eng.Metrics() {
+	for _, m := range runs() {
 		if m.Replayed {
 			t.Errorf("%s/%s marked replayed despite capture failure", m.Config, m.Workload)
 		}
@@ -415,6 +417,7 @@ func TestTraceStatsCheck(t *testing.T) {
 // counts each capture once instead of once per waiting run.
 func TestEngineSingleCaptureAttribution(t *testing.T) {
 	eng := NewEngine()
+	runs := recordRuns(eng)
 	cfgs := []Config{BaselineConfig(), DependenceConfig()}
 	if _, err := eng.RunMatrix(cfgs, []string{"micro.branchy"}); err != nil {
 		t.Fatal(err)
@@ -423,7 +426,7 @@ func TestEngineSingleCaptureAttribution(t *testing.T) {
 		t.Fatalf("Captures = %d, want 1", ts.Captures)
 	}
 	owners := 0
-	for _, m := range eng.Metrics() {
+	for _, m := range runs() {
 		if m.Cached {
 			continue
 		}
