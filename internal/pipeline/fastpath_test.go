@@ -49,22 +49,13 @@ func TestCycleSkipIsTimingNeutral(t *testing.T) {
 				noSkip.NoCycleSkip = true
 				a := runProgram(t, skip, p)
 				b := runProgram(t, noSkip, p)
-				a.Config, b.Config = "", ""
-				a.HostAllocs, b.HostAllocs = 0, 0
-				a.HostWallSeconds, b.HostWallSeconds = 0, 0
-				if a.Cycles != b.Cycles || a.Committed != b.Committed ||
-					a.Mispredicts != b.Mispredicts || a.SquashedUops != b.SquashedUops ||
-					a.SchedulerStalls != b.SchedulerStalls || a.ROBStalls != b.ROBStalls ||
-					a.PhysRegStalls != b.PhysRegStalls || a.Cache != b.Cache {
-					t.Errorf("%s seed %d wrongPath=%v: skip %+v != no-skip %+v",
-						base.Name, rc.Seed, wrongPath, a, b)
+				if err := DiffStats(a, b); err != nil {
+					t.Errorf("%s seed %d wrongPath=%v: skip diverges from no-skip: %v",
+						base.Name, rc.Seed, wrongPath, err)
 				}
 				if got, want := a.IssuedPerCycle.Total(), uint64(a.Cycles); got != want {
 					t.Errorf("%s seed %d: skipped cycles missing from issue histogram: %d recorded, %d cycles",
 						base.Name, rc.Seed, got, want)
-				}
-				if a.IssuedPerCycle.Mean() != b.IssuedPerCycle.Mean() {
-					t.Errorf("%s seed %d: issue histogram diverges with skipping", base.Name, rc.Seed)
 				}
 			}
 		}

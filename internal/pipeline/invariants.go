@@ -184,7 +184,7 @@ func (k *checker) onDone() {
 	if s.machine != nil && s.machine.Speculating() {
 		k.failf("run finished with a live emulator checkpoint")
 	}
-	if !s.src.Halted() {
+	if !s.sourceHalted() {
 		k.failf("run finished with the execution source not exhausted")
 	}
 }

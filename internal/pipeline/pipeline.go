@@ -166,7 +166,8 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// Stats aggregates one run.
+// Stats aggregates one run. A new simulated counter is a uint64 field
+// listed in counters as well; TestCountersCoverStats enforces that.
 type Stats struct {
 	Config    string
 	Workload  string
@@ -214,6 +215,60 @@ type Stats struct {
 	HostWallSeconds float64
 }
 
+// counter is one simulated uint64 counter of Stats: its name in
+// error messages, and where it lives.
+type counter struct {
+	name string
+	of   func(*Stats) *uint64
+}
+
+// counters lists every simulated uint64 counter of Stats, cache
+// counters included, once. SubStats, WeightStats and DiffStats loop over
+// it, so a counter added here is cut out of warmups, scaled into phase
+// estimates and compared by the verifiers with no further edit.
+// TestCountersCoverStats fails on a numeric Stats field that is neither
+// listed here nor simulated time (Cycles) or host telemetry.
+var counters = [...]counter{
+	{"committed", func(s *Stats) *uint64 { return &s.Committed }},
+	{"emu steps", func(s *Stats) *uint64 { return &s.EmuSteps }},
+	{"cond branches", func(s *Stats) *uint64 { return &s.CondBranches }},
+	{"mispredicts", func(s *Stats) *uint64 { return &s.Mispredicts }},
+	{"inter-cluster uops", func(s *Stats) *uint64 { return &s.InterClusterUops }},
+	{"forwarded loads", func(s *Stats) *uint64 { return &s.ForwardedLoads }},
+	{"squashed uops", func(s *Stats) *uint64 { return &s.SquashedUops }},
+	{"scheduler stalls", func(s *Stats) *uint64 { return &s.SchedulerStalls }},
+	{"physreg stalls", func(s *Stats) *uint64 { return &s.PhysRegStalls }},
+	{"rob stalls", func(s *Stats) *uint64 { return &s.ROBStalls }},
+	{"dcache accesses", func(s *Stats) *uint64 { return &s.Cache.Accesses }},
+	{"dcache misses", func(s *Stats) *uint64 { return &s.Cache.Misses }},
+	{"dcache writebacks", func(s *Stats) *uint64 { return &s.Cache.Writebacks }},
+	{"icache accesses", func(s *Stats) *uint64 { return &s.ICache.Accesses }},
+	{"icache misses", func(s *Stats) *uint64 { return &s.ICache.Misses }},
+	{"icache writebacks", func(s *Stats) *uint64 { return &s.ICache.Writebacks }},
+}
+
+// DiffStats reports the first simulated statistic on which got diverges
+// from want: cycles, then every counter, then every issue-histogram
+// bucket. Host telemetry is exempt — it measures the runs themselves,
+// which legitimately differ.
+func DiffStats(got, want Stats) error {
+	if got.Cycles != want.Cycles {
+		return fmt.Errorf("cycles = %d, want %d", got.Cycles, want.Cycles)
+	}
+	for _, c := range counters {
+		if g, w := *c.of(&got), *c.of(&want); g != w {
+			return fmt.Errorf("%s = %d, want %d", c.name, g, w)
+		}
+	}
+	gh, wh := got.IssuedPerCycle, want.IssuedPerCycle
+	for v := 0; v <= max(gh.Max(), wh.Max()); v++ {
+		if g, w := gh.Count(v), wh.Count(v); g != w {
+			return fmt.Errorf("issue histogram bucket %d = %d, want %d", v, g, w)
+		}
+	}
+	return nil
+}
+
 // IPC returns committed instructions per cycle.
 func (s Stats) IPC() float64 {
 	if s.Cycles == 0 {
@@ -250,14 +305,11 @@ const regWriteDelay = 2
 // Simulator times one program on one configuration.
 type Simulator struct {
 	cfg Config
-	// src streams the dynamic instructions fetch consumes; machine is the
-	// concrete emulator behind it in lockstep mode (nil under replay; see
-	// ExecSource), reader the concrete trace cursor in replay mode. The
-	// hot fetch loop calls whichever concrete source is set — hundreds of
-	// millions of per-instruction calls make interface dispatch measurable
-	// — and falls back to the interface for custom sources. Wrong-path
-	// execution requires machine.
-	src     ExecSource
+	// Exactly one of machine and reader feeds fetch: machine is the
+	// functional emulator in lockstep mode (New), reader the trace cursor
+	// in replay mode (NewReplay). Fetch calls the set one directly, as
+	// hundreds of millions of per-instruction calls make interface
+	// dispatch measurable. Wrong-path execution requires machine.
 	machine *emu.Machine
 	reader  *trace.Reader
 	sched   core.Scheduler
@@ -356,20 +408,16 @@ type TimelineEntry struct {
 	Commit   int64
 }
 
-// sourcePC dispatches the icache probe's PC query to the concrete
-// execution source. Fetch touches the source once per dynamic
-// instruction — hundreds of millions of times in a sweep — so the two
-// concrete sources are dispatched directly (here and inline in fetch for
-// Step, whose Record return is too large to route through an extra call
-// frame); the interface is the fallback for custom sources.
+// sourcePC returns the PC of the next instruction the source would
+// produce, for the icache probe. Fetch touches the source once per
+// dynamic instruction, so the two sources are dispatched directly (here
+// and inline in fetch for Step, whose Record return is too large to
+// route through an extra call frame).
 func (s *Simulator) sourcePC() uint32 {
 	if s.machine != nil {
 		return s.machine.PC()
 	}
-	if s.reader != nil {
-		return s.reader.PC()
-	}
-	return s.src.PC()
+	return s.reader.PC()
 }
 
 // sourceHalted mirrors sourcePC for the end-of-stream check.
@@ -377,28 +425,34 @@ func (s *Simulator) sourceHalted() bool {
 	if s.machine != nil {
 		return s.machine.Halted()
 	}
-	if s.reader != nil {
-		return s.reader.Halted()
-	}
-	return s.src.Halted()
+	return s.reader.Halted()
 }
 
 // New builds a simulator driven by lockstep functional execution of prog.
 func New(cfg Config, prog *isa.Program) (*Simulator, error) {
-	m := emu.New(prog)
-	return newSimulator(cfg, machineSource{m}, m)
+	return newSimulator(cfg, prog, emu.New(prog), nil)
+}
+
+// NewReplay builds a simulator driven by replay of a captured trace
+// instead of lockstep execution: r streams the same records the
+// machine would produce, without re-executing, so a sweep runs each
+// program once and times it under every configuration. Wrong-path
+// execution is refused: it must execute down mispredicted paths, which
+// only a live machine can do — a trace has exactly the architectural
+// path.
+func NewReplay(cfg Config, r *trace.Reader) (*Simulator, error) {
+	if cfg.WrongPathExecution {
+		return nil, fmt.Errorf("pipeline: %s: wrong-path execution cannot run from a replay source (it executes mispredicted paths; use New)", cfg.Name)
+	}
+	return newSimulator(cfg, r.Program(), nil, r)
 }
 
 // newSimulator is the shared constructor behind New and NewReplay;
-// machine is nil when src is not backed by a live emulator.
-func newSimulator(cfg Config, src ExecSource, machine *emu.Machine) (*Simulator, error) {
+// exactly one of machine and reader is non-nil.
+func newSimulator(cfg Config, prog *isa.Program, machine *emu.Machine, reader *trace.Reader) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.WrongPathExecution && machine == nil {
-		return nil, fmt.Errorf("pipeline: %s: wrong-path execution requires a lockstep machine", cfg.Name)
-	}
-	prog := src.Program()
 	if cfg.DCache == (cache.Config{}) {
 		cfg.DCache = cache.Baseline()
 	}
@@ -420,8 +474,8 @@ func newSimulator(cfg Config, src ExecSource, machine *emu.Machine) (*Simulator,
 	}
 	s := &Simulator{
 		cfg:          cfg,
-		src:          src,
 		machine:      machine,
+		reader:       reader,
 		sched:        sched,
 		pred:         pred,
 		dcache:       dc,
@@ -435,9 +489,6 @@ func newSimulator(cfg Config, src ExecSource, machine *emu.Machine) (*Simulator,
 			return nil, err
 		}
 		s.icache = ic
-	}
-	if r, ok := src.(*trace.Reader); ok {
-		s.reader = r
 	}
 	s.nPhys = cfg.PhysRegs
 	s.nClus = cfg.Clusters
@@ -1047,10 +1098,8 @@ func (s *Simulator) fetch() error {
 		var err error
 		if s.machine != nil {
 			u.Rec, err = s.machine.Step()
-		} else if s.reader != nil {
-			err = s.reader.Next(&u.Rec)
 		} else {
-			u.Rec, err = s.src.Step()
+			err = s.reader.Next(&u.Rec)
 		}
 		if err != nil {
 			s.pool.Put(u)
@@ -1127,11 +1176,21 @@ func (s *Simulator) Machine() *emu.Machine { return s.machine }
 
 // Output returns the program output produced by the execution source
 // (complete once the run has finished).
-func (s *Simulator) Output() []int32 { return s.src.Output() }
+func (s *Simulator) Output() []int32 {
+	if s.machine != nil {
+		return s.machine.Output
+	}
+	return s.reader.Output()
+}
 
 // StateHash returns the final architectural digest of the executed (or
 // replayed) program.
-func (s *Simulator) StateHash() [32]byte { return s.src.StateHash() }
+func (s *Simulator) StateHash() [32]byte {
+	if s.machine != nil {
+		return s.machine.StateHash()
+	}
+	return s.reader.StateHash()
+}
 
 // Scheduler exposes the scheduler (for diagnostics).
 func (s *Simulator) Scheduler() core.Scheduler { return s.sched }

@@ -50,13 +50,8 @@ func TestReplayMatchesLockstep(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", c.Name, name, err)
 			}
-			exec.HostAllocs, replay.HostAllocs = 0, 0
-			exec.HostWallSeconds, replay.HostWallSeconds = 0, 0
-			if replay.Cycles != exec.Cycles || replay.Committed != exec.Committed ||
-				replay.EmuSteps != exec.EmuSteps || replay.Mispredicts != exec.Mispredicts ||
-				replay.Cache != exec.Cache || replay.ICache != exec.ICache ||
-				replay.ForwardedLoads != exec.ForwardedLoads {
-				t.Errorf("%s/%s: replay %+v != lockstep %+v", c.Name, name, replay, exec)
+			if err := DiffStats(replay, exec); err != nil {
+				t.Errorf("%s/%s: replay diverges from lockstep: %v", c.Name, name, err)
 			}
 			if sim.StateHash() != tr.StateHash() {
 				t.Errorf("%s/%s: replay simulator state hash diverges", c.Name, name)

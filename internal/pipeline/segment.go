@@ -94,7 +94,7 @@ func RunSegment(cfg Config, tr *trace.Trace, seg trace.Segment, warmup uint64, m
 	return delta, rd.Decoded(), nil
 }
 
-// SubStats returns end minus warm, field by field: the statistics of
+// SubStats returns end minus warm, counter by counter: the statistics of
 // the window between two snapshots of one run. Every counter of end
 // must be at least warm's (snapshots of a single run are monotone);
 // a violation reports which counter went backwards instead of wrapping.
@@ -114,22 +114,9 @@ func SubStats(end, warm Stats) (Stats, error) {
 		return d, fmt.Errorf("stats: cycles went backwards between snapshots (%d then %d)", warm.Cycles, end.Cycles)
 	}
 	d.Cycles = end.Cycles - warm.Cycles
-	d.Committed = sub(end.Committed, warm.Committed, "committed")
-	d.EmuSteps = sub(end.EmuSteps, warm.EmuSteps, "emu steps")
-	d.CondBranches = sub(end.CondBranches, warm.CondBranches, "cond branches")
-	d.Mispredicts = sub(end.Mispredicts, warm.Mispredicts, "mispredicts")
-	d.InterClusterUops = sub(end.InterClusterUops, warm.InterClusterUops, "inter-cluster uops")
-	d.ForwardedLoads = sub(end.ForwardedLoads, warm.ForwardedLoads, "forwarded loads")
-	d.SquashedUops = sub(end.SquashedUops, warm.SquashedUops, "squashed uops")
-	d.SchedulerStalls = sub(end.SchedulerStalls, warm.SchedulerStalls, "scheduler stalls")
-	d.PhysRegStalls = sub(end.PhysRegStalls, warm.PhysRegStalls, "physreg stalls")
-	d.ROBStalls = sub(end.ROBStalls, warm.ROBStalls, "rob stalls")
-	d.Cache.Accesses = sub(end.Cache.Accesses, warm.Cache.Accesses, "dcache accesses")
-	d.Cache.Misses = sub(end.Cache.Misses, warm.Cache.Misses, "dcache misses")
-	d.Cache.Writebacks = sub(end.Cache.Writebacks, warm.Cache.Writebacks, "dcache writebacks")
-	d.ICache.Accesses = sub(end.ICache.Accesses, warm.ICache.Accesses, "icache accesses")
-	d.ICache.Misses = sub(end.ICache.Misses, warm.ICache.Misses, "icache misses")
-	d.ICache.Writebacks = sub(end.ICache.Writebacks, warm.ICache.Writebacks, "icache writebacks")
+	for _, c := range counters {
+		*c.of(&d) = sub(*c.of(&end), *c.of(&warm), c.name)
+	}
 	d.IssuedPerCycle = end.IssuedPerCycle.Clone()
 	if err := d.IssuedPerCycle.SubCounts(warm.IssuedPerCycle); err != nil {
 		return d, err
@@ -169,22 +156,9 @@ func WeightStats(cfg Config, parts []Stats, weights []float64, steps uint64) (St
 		f := weights[i] * float64(steps) / float64(p.Committed)
 		scale := func(n uint64) uint64 { return uint64(math.Round(float64(n) * f)) }
 		total.Cycles += int64(math.Round(float64(p.Cycles) * f))
-		total.Committed += scale(p.Committed)
-		total.EmuSteps += scale(p.EmuSteps)
-		total.CondBranches += scale(p.CondBranches)
-		total.Mispredicts += scale(p.Mispredicts)
-		total.InterClusterUops += scale(p.InterClusterUops)
-		total.ForwardedLoads += scale(p.ForwardedLoads)
-		total.SquashedUops += scale(p.SquashedUops)
-		total.SchedulerStalls += scale(p.SchedulerStalls)
-		total.PhysRegStalls += scale(p.PhysRegStalls)
-		total.ROBStalls += scale(p.ROBStalls)
-		total.Cache.Accesses += scale(p.Cache.Accesses)
-		total.Cache.Misses += scale(p.Cache.Misses)
-		total.Cache.Writebacks += scale(p.Cache.Writebacks)
-		total.ICache.Accesses += scale(p.ICache.Accesses)
-		total.ICache.Misses += scale(p.ICache.Misses)
-		total.ICache.Writebacks += scale(p.ICache.Writebacks)
+		for _, c := range counters {
+			*c.of(&total) += scale(*c.of(&p))
+		}
 		for v := 0; v <= cfg.IssueWidth; v++ {
 			total.IssuedPerCycle.AddN(v, scale(p.IssuedPerCycle.Count(v)))
 		}

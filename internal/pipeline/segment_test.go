@@ -24,28 +24,6 @@ func captureWorkload(t *testing.T, name string) *trace.Trace {
 	return tr
 }
 
-// eqDeterministic compares every deterministic Stats field (host
-// telemetry legitimately differs between runs).
-func eqDeterministic(t *testing.T, label string, got, want Stats) {
-	t.Helper()
-	g, w := got, want
-	g.HostAllocs, w.HostAllocs = 0, 0
-	g.HostWallSeconds, w.HostWallSeconds = 0, 0
-	gh, wh := g.IssuedPerCycle, w.IssuedPerCycle
-	g.IssuedPerCycle, w.IssuedPerCycle = nil, nil
-	if g != w {
-		t.Errorf("%s: stats diverge:\n  got  %+v\n  want %+v", label, g, w)
-	}
-	if gh.Total() != wh.Total() {
-		t.Errorf("%s: issue histogram records %d cycles, want %d", label, gh.Total(), wh.Total())
-	}
-	for v := 0; v <= 8; v++ {
-		if gh.Count(v) != wh.Count(v) {
-			t.Errorf("%s: issue histogram bucket %d = %d, want %d", label, v, gh.Count(v), wh.Count(v))
-		}
-	}
-}
-
 // TestRunUntilCommittedMatchesRun pins that the commit-horizon loop with
 // the final target is the same run as Run: the warm-start seam may not
 // perturb the simulation it snapshots.
@@ -75,7 +53,9 @@ func TestRunUntilCommittedMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eqDeterministic(t, "run-until-committed", got, want)
+	if err := DiffStats(got, want); err != nil {
+		t.Errorf("run-until-committed diverges from Run: %v", err)
+	}
 }
 
 // TestWeightStats pins the phase estimate's arithmetic: two
@@ -127,7 +107,22 @@ func TestWeightStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eqDeterministic(t, "self-weighted", self, parts[0])
+	if err := DiffStats(self, parts[0]); err != nil {
+		t.Errorf("self-weighted representative diverges from itself: %v", err)
+	}
+
+	// A synthetic representative whose counters all differ, weighted to
+	// three times its own length, triples every table counter.
+	syn := numbered(1)
+	tripled, err := WeightStats(c, []Stats{syn}, []float64{1}, 3*syn.Committed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ct := range counters {
+		if got, want := *ct.of(&tripled), 3*uint64(i+1); got != want {
+			t.Errorf("weighted %s = %d, want %d", ct.name, got, want)
+		}
+	}
 
 	if _, err := WeightStats(c, parts, weights[:1], steps); err == nil {
 		t.Error("mismatched weights accepted")

@@ -23,6 +23,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -373,6 +374,9 @@ func (s *Server) decodeRunRequest(body io.Reader) (ce.Config, string, error) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		return ce.Config{}, "", fmt.Errorf("malformed run request: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return ce.Config{}, "", errors.New("malformed run request: data after the JSON object")
 	}
 	if !s.workloads[req.Workload] {
 		return ce.Config{}, "", fmt.Errorf("unknown workload %q", req.Workload)

@@ -145,7 +145,7 @@ func TestRunCustomSchedulerMatchesStock(t *testing.T) {
 }
 
 func TestRunRejectsBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, nil)
+	s, ts := newTestServer(t, nil)
 	cases := []struct {
 		name, body string
 		wantSub    string
@@ -161,6 +161,9 @@ func TestRunRejectsBadRequests(t *testing.T) {
 		{"fifos without depth", `{"scheduler":{"kind":"fifos","fifos_per_cluster":4},"workload":"micro.chain"}`, "depth > 0"},
 		{"uneven clusters", `{"scheduler":{"kind":"fifos","clusters":3,"fifos_per_cluster":2,"depth":8},"workload":"micro.chain"}`, "clusters"},
 		{"unknown predictor", `{"config":"baseline","workload":"micro.chain","predictor":"oracle"}`, "predictor"},
+		{"trailing garbage", `{"config":"baseline","workload":"micro.chain"} {"bogus": garbage`, "after the JSON object"},
+		{"second object", `{"config":"baseline","workload":"micro.chain"}{"config":"dependence","workload":"micro.chain"}`, "after the JSON object"},
+		{"stray brace", `{"config":"baseline","workload":"micro.chain"}}`, "after the JSON object"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -172,6 +175,10 @@ func TestRunRejectsBadRequests(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", body, tc.wantSub)
 			}
 		})
+	}
+	// Whitespace after the object is not data.
+	if _, _, err := s.decodeRunRequest(strings.NewReader("{\"config\":\"baseline\",\"workload\":\"micro.chain\"}\n\t ")); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
 	}
 }
 
@@ -380,7 +387,8 @@ func TestRunRejectsOversizedGeometry(t *testing.T) {
 
 // FuzzRunRequest feeds arbitrary POST /run bodies to the request
 // decoder. Each must give a runnable configuration inside the in-flight
-// bound, or an error; it must never panic.
+// bound, or an error; it must never panic, and it must reject a body
+// that is more than one JSON value (the "trailing" seed).
 func FuzzRunRequest(f *testing.F) {
 	for _, body := range []string{
 		`{"config":"baseline","workload":"micro.chain"}`,
@@ -403,6 +411,9 @@ func FuzzRunRequest(f *testing.F) {
 		cfg, workload, err := s.decodeRunRequest(bytes.NewReader(body))
 		if err != nil {
 			return
+		}
+		if !json.Valid(body) {
+			t.Fatalf("accepted a body that is not one JSON value: %q", body)
 		}
 		if !s.workloads[workload] {
 			t.Fatalf("accepted unknown workload %q", workload)

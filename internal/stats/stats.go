@@ -143,12 +143,22 @@ func (h *Histogram) SubCounts(o *Histogram) error {
 	return nil
 }
 
-// Count returns the samples recorded in bucket v.
+// Count returns the samples recorded in bucket v (0 for a nil
+// histogram).
 func (h *Histogram) Count(v int) uint64 {
-	if v < 0 || v >= len(h.buckets) {
+	if h == nil || v < 0 || v >= len(h.buckets) {
 		return 0
 	}
 	return h.buckets[v]
+}
+
+// Max returns the highest bucket, which clamps larger samples (-1 for a
+// nil histogram).
+func (h *Histogram) Max() int {
+	if h == nil {
+		return -1
+	}
+	return len(h.buckets) - 1
 }
 
 // Total returns the number of samples.
@@ -217,48 +227,6 @@ func (h *Histogram) UnmarshalJSON(data []byte) error {
 		h.total += n
 	}
 	return nil
-}
-
-// WeightedMeanCI95 returns the weighted mean of xs under the given
-// non-negative weights and the half-width of its 95% confidence
-// interval. The interval uses the effective sample size
-// n_eff = (Σw)²/Σw² — unequal weights carry less independent
-// information than their count suggests (n_eff equals len(xs) when all
-// weights match, and approaches 1 when one weight dominates) — with the
-// weighted unbiased variance and the normal 1.96 critical value. The
-// half-width is 0 when fewer than two samples carry weight. Used by the
-// phase-clustered sampling mode, where each representative segment's
-// IPC stands in for a different-sized share of the execution.
-func WeightedMeanCI95(xs, ws []float64) (mean, half float64) {
-	if len(xs) != len(ws) || len(xs) == 0 {
-		return 0, 0
-	}
-	var sw, sw2 float64
-	for _, w := range ws {
-		if w < 0 {
-			return 0, 0
-		}
-		sw += w
-		sw2 += w * w
-	}
-	if sw == 0 {
-		return 0, 0
-	}
-	for i, x := range xs {
-		mean += ws[i] * x
-	}
-	mean /= sw
-	neff := sw * sw / sw2
-	if neff < 2 {
-		return mean, 0
-	}
-	var ss float64
-	for i, x := range xs {
-		d := x - mean
-		ss += ws[i] * d * d
-	}
-	variance := ss / sw * neff / (neff - 1)
-	return mean, 1.96 * math.Sqrt(variance/neff)
 }
 
 // Median of a float slice (0 for empty).

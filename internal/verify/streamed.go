@@ -59,7 +59,7 @@ func CheckStreamed(workload, dir string) error {
 		if err != nil {
 			return fmt.Errorf("verify: %s on %s (streamed): %w", workload, bare.Name, err)
 		}
-		if err := diffStats(fromDisk, fromAnon); err != nil {
+		if err := pipeline.DiffStats(fromDisk, fromAnon); err != nil {
 			return fmt.Errorf("verify: %s on %s: streamed reader diverges from anonymous: %w", workload, bare.Name, err)
 		}
 	}
@@ -72,48 +72,4 @@ func replayMono(cfg pipeline.Config, tr *trace.Trace) (pipeline.Stats, error) {
 		return pipeline.Stats{}, err
 	}
 	return sim.Run(maxCycles)
-}
-
-// diffStats reports the first deterministic statistic on which got
-// diverges from want (host telemetry is exempt — it measures the runs
-// themselves, which legitimately differ).
-func diffStats(got, want pipeline.Stats) error {
-	cmp := func(g, w uint64, what string) error {
-		if g != w {
-			return fmt.Errorf("%s = %d, monolithic %d", what, g, w)
-		}
-		return nil
-	}
-	if got.Cycles != want.Cycles {
-		return fmt.Errorf("cycles = %d, monolithic %d", got.Cycles, want.Cycles)
-	}
-	checks := []error{
-		cmp(got.Committed, want.Committed, "committed"),
-		cmp(got.EmuSteps, want.EmuSteps, "emu steps"),
-		cmp(got.CondBranches, want.CondBranches, "cond branches"),
-		cmp(got.Mispredicts, want.Mispredicts, "mispredicts"),
-		cmp(got.InterClusterUops, want.InterClusterUops, "inter-cluster uops"),
-		cmp(got.ForwardedLoads, want.ForwardedLoads, "forwarded loads"),
-		cmp(got.SquashedUops, want.SquashedUops, "squashed uops"),
-		cmp(got.SchedulerStalls, want.SchedulerStalls, "scheduler stalls"),
-		cmp(got.PhysRegStalls, want.PhysRegStalls, "physreg stalls"),
-		cmp(got.ROBStalls, want.ROBStalls, "rob stalls"),
-	}
-	for _, err := range checks {
-		if err != nil {
-			return err
-		}
-	}
-	if got.Cache != want.Cache || got.ICache != want.ICache {
-		return fmt.Errorf("cache stats %+v/%+v, monolithic %+v/%+v", got.Cache, got.ICache, want.Cache, want.ICache)
-	}
-	if g, w := got.IssuedPerCycle.Total(), want.IssuedPerCycle.Total(); g != w {
-		return fmt.Errorf("issue histogram records %d cycles, monolithic %d", g, w)
-	}
-	for v := 0; v <= 16; v++ {
-		if g, w := got.IssuedPerCycle.Count(v), want.IssuedPerCycle.Count(v); g != w {
-			return fmt.Errorf("issue histogram bucket %d = %d, monolithic %d", v, g, w)
-		}
-	}
-	return nil
 }

@@ -203,37 +203,8 @@ func checkFastPath(p *isa.Program, cfg pipeline.Config, inst pipeline.Stats, ref
 	if err != nil {
 		return fail("%v", err)
 	}
-	if st.Cycles != inst.Cycles {
-		return fail("cycle count %d, instrumented run %d", st.Cycles, inst.Cycles)
-	}
-	if st.Committed != inst.Committed {
-		return fail("committed %d, instrumented run %d", st.Committed, inst.Committed)
-	}
-	if st.Mispredicts != inst.Mispredicts || st.CondBranches != inst.CondBranches {
-		return fail("branches %d/%d mispredicted, instrumented run %d/%d",
-			st.Mispredicts, st.CondBranches, inst.Mispredicts, inst.CondBranches)
-	}
-	if st.SquashedUops != inst.SquashedUops || st.ForwardedLoads != inst.ForwardedLoads ||
-		st.InterClusterUops != inst.InterClusterUops {
-		return fail("squashed/forwarded/intercluster %d/%d/%d, instrumented run %d/%d/%d",
-			st.SquashedUops, st.ForwardedLoads, st.InterClusterUops,
-			inst.SquashedUops, inst.ForwardedLoads, inst.InterClusterUops)
-	}
-	if st.SchedulerStalls != inst.SchedulerStalls || st.PhysRegStalls != inst.PhysRegStalls ||
-		st.ROBStalls != inst.ROBStalls {
-		return fail("stalls sched/physreg/rob %d/%d/%d, instrumented run %d/%d/%d",
-			st.SchedulerStalls, st.PhysRegStalls, st.ROBStalls,
-			inst.SchedulerStalls, inst.PhysRegStalls, inst.ROBStalls)
-	}
-	if st.Cache != inst.Cache || st.ICache != inst.ICache {
-		return fail("cache stats %+v/%+v, instrumented run %+v/%+v",
-			st.Cache, st.ICache, inst.Cache, inst.ICache)
-	}
-	if got, want := st.IssuedPerCycle.Total(), inst.IssuedPerCycle.Total(); got != want {
-		return fail("issue histogram records %d cycles, instrumented run %d", got, want)
-	}
-	if got, want := st.IssuedPerCycle.Mean(), inst.IssuedPerCycle.Mean(); got != want {
-		return fail("issue histogram mean %v, instrumented run %v", got, want)
+	if err := pipeline.DiffStats(st, inst); err != nil {
+		return fail("diverges from the instrumented run: %v", err)
 	}
 	if sim.StateHash() != ref.hash {
 		return fail("final architectural state diverges")
@@ -267,48 +238,10 @@ func checkReplay(p *isa.Program, bare pipeline.Config, exec pipeline.Stats, ref 
 	if err != nil {
 		return fail("%v", err)
 	}
-	if err := compareDriven(fail, st, exec); err != nil {
-		return err
+	if err := pipeline.DiffStats(st, exec); err != nil {
+		return fail("diverges from the execution-driven run: %v", err)
 	}
 	return checkFinalState(fail, sim, ref)
-}
-
-// compareDriven asserts every simulated statistic of a source-driven run
-// matches the execution-driven run. Host-performance telemetry
-// legitimately differs between runs; all simulated metrics must not.
-func compareDriven(fail func(string, ...any) error, st, exec pipeline.Stats) error {
-	st.HostAllocs, st.HostWallSeconds = exec.HostAllocs, exec.HostWallSeconds
-	if st.Cycles != exec.Cycles || st.Committed != exec.Committed || st.EmuSteps != exec.EmuSteps {
-		return fail("cycles/committed/steps %d/%d/%d, execution-driven %d/%d/%d",
-			st.Cycles, st.Committed, st.EmuSteps, exec.Cycles, exec.Committed, exec.EmuSteps)
-	}
-	if st.Mispredicts != exec.Mispredicts || st.CondBranches != exec.CondBranches {
-		return fail("branches %d/%d mispredicted, execution-driven %d/%d",
-			st.Mispredicts, st.CondBranches, exec.Mispredicts, exec.CondBranches)
-	}
-	if st.SquashedUops != exec.SquashedUops || st.ForwardedLoads != exec.ForwardedLoads ||
-		st.InterClusterUops != exec.InterClusterUops {
-		return fail("squashed/forwarded/intercluster %d/%d/%d, execution-driven %d/%d/%d",
-			st.SquashedUops, st.ForwardedLoads, st.InterClusterUops,
-			exec.SquashedUops, exec.ForwardedLoads, exec.InterClusterUops)
-	}
-	if st.SchedulerStalls != exec.SchedulerStalls || st.PhysRegStalls != exec.PhysRegStalls ||
-		st.ROBStalls != exec.ROBStalls {
-		return fail("stalls sched/physreg/rob %d/%d/%d, execution-driven %d/%d/%d",
-			st.SchedulerStalls, st.PhysRegStalls, st.ROBStalls,
-			exec.SchedulerStalls, exec.PhysRegStalls, exec.ROBStalls)
-	}
-	if st.Cache != exec.Cache || st.ICache != exec.ICache {
-		return fail("cache stats %+v/%+v, execution-driven %+v/%+v",
-			st.Cache, st.ICache, exec.Cache, exec.ICache)
-	}
-	if got, want := st.IssuedPerCycle.Total(), exec.IssuedPerCycle.Total(); got != want {
-		return fail("issue histogram records %d cycles, execution-driven %d", got, want)
-	}
-	if got, want := st.IssuedPerCycle.Mean(), exec.IssuedPerCycle.Mean(); got != want {
-		return fail("issue histogram mean %v, execution-driven %v", got, want)
-	}
-	return nil
 }
 
 // checkFinalState asserts a replay-driven simulator's final

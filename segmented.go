@@ -17,7 +17,6 @@ import (
 	"sync"
 
 	"repro/internal/pipeline"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -26,16 +25,12 @@ import (
 // window opens.
 const segWarmup = 1 << 15
 
-// SegmentMetrics describes how a phase-sampled run was conducted and
-// how tight its estimate is.
+// SegmentMetrics describes how a phase-sampled run was conducted.
 type SegmentMetrics struct {
 	// Segments is how many segments the trace was cut into; Phases is
 	// how many behavior clusters were timed, one representative each.
 	Segments int `json:"segments"`
 	Phases   int `json:"phases"`
-	// IPCHalfCI95 is the half-width of the 95% confidence interval of
-	// the phase-weighted mean of the representatives' IPCs.
-	IPCHalfCI95 float64 `json:"ipc_half_ci95"`
 }
 
 // SetPhaseSampling selects phase-sampled simulation for this engine's
@@ -173,14 +168,11 @@ func (e *Engine) runSegmented(cfg Config, tr *trace.Trace, plan segPlan, attr *s
 	if err != nil {
 		return Stats{}, err
 	}
-	ipcs := make([]float64, len(parts))
 	var simulated uint64
-	for i, p := range parts {
-		ipcs[i] = p.IPC()
+	for _, p := range parts {
 		simulated += p.EmuSteps
 	}
-	_, half := stats.WeightedMeanCI95(ipcs, weights)
-	attr.segments = &SegmentMetrics{Segments: len(segs), Phases: len(parts), IPCHalfCI95: half}
+	attr.segments = &SegmentMetrics{Segments: len(segs), Phases: len(parts)}
 	e.traceMu.Lock()
 	e.tstats.ReplayRuns++
 	e.tstats.SegmentRuns++

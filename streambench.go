@@ -47,7 +47,6 @@ type StreamBenchResult struct {
 	SampledWallSeconds float64 `json:"sampled_wall_seconds"`
 	SampledPeakRSS     int64   `json:"sampled_peak_rss_bytes"`
 	SampledIPC         float64 `json:"sampled_ipc"`
-	IPCHalfCI95        float64 `json:"ipc_half_ci95"`
 	// IPCErrorPct is the sampled IPC's signed error against the exact
 	// IPC, in percent.
 	IPCErrorPct float64 `json:"ipc_error_pct"`
@@ -153,7 +152,6 @@ func StreamBench(workload, dir string, segments, budget int) (*StreamBenchResult
 	res.Phases = attr.segments.Phases
 	res.SimulatedSteps = eng.TraceStats().StepsReplayed
 	res.SampledIPC = est.IPC()
-	res.IPCHalfCI95 = attr.segments.IPCHalfCI95
 	if res.ExactIPC > 0 {
 		res.IPCErrorPct = (res.SampledIPC - res.ExactIPC) / res.ExactIPC * 100
 	}

@@ -39,17 +39,9 @@ func TestEngineTracePoolEquivalence(t *testing.T) {
 	}
 	for i := range cfgs {
 		for j := range workloads {
-			a, b := got[i][j], want[i][j]
-			if a.IssuedPerCycle.Total() != b.IssuedPerCycle.Total() ||
-				a.IssuedPerCycle.Mean() != b.IssuedPerCycle.Mean() {
-				t.Errorf("%s/%s: issue histograms diverge", cfgs[i].Name, workloads[j])
-			}
-			a.HostAllocs, b.HostAllocs = 0, 0
-			a.HostWallSeconds, b.HostWallSeconds = 0, 0
-			a.IssuedPerCycle, b.IssuedPerCycle = nil, nil
-			if a != b {
-				t.Errorf("%s/%s: replay-driven stats diverge from lockstep:\n  %+v\n  %+v",
-					cfgs[i].Name, workloads[j], a, b)
+			if err := pipeline.DiffStats(got[i][j], want[i][j]); err != nil {
+				t.Errorf("%s/%s: replay-driven stats diverge from lockstep: %v",
+					cfgs[i].Name, workloads[j], err)
 			}
 		}
 	}
