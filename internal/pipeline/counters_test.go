@@ -81,9 +81,9 @@ func TestSubStatsEveryCounter(t *testing.T) {
 	}
 }
 
-// TestDiffStats checks that DiffStats names cycles, each counter and an
-// issue-histogram bucket shift that keeps the total and the mean, and
-// that it ignores host telemetry.
+// TestDiffStats checks that DiffStats names the labels, cycles, each
+// counter and an issue-histogram bucket shift that keeps the total and
+// the mean, and that it ignores host telemetry.
 func TestDiffStats(t *testing.T) {
 	a := numbered(1)
 	a.IssuedPerCycle.AddN(2, 2)
@@ -91,6 +91,16 @@ func TestDiffStats(t *testing.T) {
 	b.HostAllocs, b.HostWallSeconds = 7, 1.5
 	if err := DiffStats(b, a); err != nil {
 		t.Errorf("host telemetry compared: %v", err)
+	}
+	b = a
+	b.Config = "other"
+	if err := DiffStats(b, a); err == nil || !strings.HasPrefix(err.Error(), "config") {
+		t.Errorf("config label differs: err = %v", err)
+	}
+	b = a
+	b.Workload = "other"
+	if err := DiffStats(b, a); err == nil || !strings.HasPrefix(err.Error(), "workload") {
+		t.Errorf("workload label differs: err = %v", err)
 	}
 	b = a
 	b.Cycles++

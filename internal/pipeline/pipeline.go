@@ -247,11 +247,17 @@ var counters = [...]counter{
 	{"icache writebacks", func(s *Stats) *uint64 { return &s.ICache.Writebacks }},
 }
 
-// DiffStats reports the first simulated statistic on which got diverges
-// from want: cycles, then every counter, then every issue-histogram
-// bucket. Host telemetry is exempt — it measures the runs themselves,
-// which legitimately differ.
+// DiffStats reports the first statistic on which got diverges from
+// want: the configuration and workload labels, cycles, every counter,
+// then every issue-histogram bucket. Host telemetry is exempt — it
+// measures the runs themselves, which legitimately differ.
 func DiffStats(got, want Stats) error {
+	if got.Config != want.Config {
+		return fmt.Errorf("config = %q, want %q", got.Config, want.Config)
+	}
+	if got.Workload != want.Workload {
+		return fmt.Errorf("workload = %q, want %q", got.Workload, want.Workload)
+	}
 	if got.Cycles != want.Cycles {
 		return fmt.Errorf("cycles = %d, want %d", got.Cycles, want.Cycles)
 	}

@@ -375,8 +375,14 @@ func (s *Server) decodeRunRequest(body io.Reader) (ce.Config, string, error) {
 	if err := dec.Decode(&req); err != nil {
 		return ce.Config{}, "", fmt.Errorf("malformed run request: %w", err)
 	}
-	if _, err := dec.Token(); err != io.EOF {
+	// A token or a syntax error after the object is client data; any
+	// other error is the body's read failing.
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+	case err == nil, errors.As(err, new(*json.SyntaxError)):
 		return ce.Config{}, "", errors.New("malformed run request: data after the JSON object")
+	default:
+		return ce.Config{}, "", fmt.Errorf("malformed run request: %w", err)
 	}
 	if !s.workloads[req.Workload] {
 		return ce.Config{}, "", fmt.Errorf("unknown workload %q", req.Workload)

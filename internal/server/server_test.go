@@ -3,13 +3,16 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 
 	"repro"
 	"repro/internal/canonjson/canonjsontest"
@@ -179,6 +182,13 @@ func TestRunRejectsBadRequests(t *testing.T) {
 	// Whitespace after the object is not data.
 	if _, _, err := s.decodeRunRequest(strings.NewReader("{\"config\":\"baseline\",\"workload\":\"micro.chain\"}\n\t ")); err != nil {
 		t.Errorf("trailing whitespace rejected: %v", err)
+	}
+	// A body that breaks after the object reports the read error, not
+	// trailing data.
+	broken := errors.New("connection reset")
+	body := io.MultiReader(strings.NewReader(`{"config":"baseline","workload":"micro.chain"} `), iotest.ErrReader(broken))
+	if _, _, err := s.decodeRunRequest(body); !errors.Is(err, broken) || strings.Contains(err.Error(), "after the JSON object") {
+		t.Errorf("read error after the object: err = %v, want it wrapped", err)
 	}
 }
 
