@@ -2,6 +2,7 @@ package ce
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -97,6 +98,13 @@ func TestFigure13Band(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkFigure13Band(t, cmp)
+}
+
+// checkFigure13Band asserts TestFigure13Band's claims on one rendering
+// of Figure 13.
+func checkFigure13Band(t *testing.T, cmp *IPCComparison) {
+	t.Helper()
 	for wi, w := range cmp.Workloads {
 		base := cmp.Results[0][wi].IPC()
 		dep := cmp.Results[1][wi].IPC()
@@ -122,6 +130,13 @@ func TestFigure15Band(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkFigure15Band(t, cmp)
+}
+
+// checkFigure15Band asserts TestFigure15Band's claims on one rendering
+// of Figure 15.
+func checkFigure15Band(t *testing.T, cmp *IPCComparison) {
+	t.Helper()
 	for wi, w := range cmp.Workloads {
 		base := cmp.Results[0][wi].IPC()
 		dep := cmp.Results[1][wi].IPC()
@@ -135,6 +150,46 @@ func TestFigure15Band(t *testing.T) {
 		if f := cmp.Results[1][wi].InterClusterFrequency(); f <= 0 || f > 0.30 {
 			t.Errorf("%s: inter-cluster bypass frequency %.1f%% outside (0, 30%%]", w, f*100)
 		}
+	}
+}
+
+// TestSampledFigureBands gates phase sampling on the paper's own
+// claims: Figures 13 and 15 rendered under SetPhaseSampling(16, 4) must
+// pass the same band checks as exact replay, and every workload's
+// sampled degradation must lie within one percentage point of the exact
+// one.
+func TestSampledFigureBands(t *testing.T) {
+	for _, fig := range []struct {
+		name  string
+		run   func(*Engine) (*IPCComparison, error)
+		check func(*testing.T, *IPCComparison)
+	}{
+		{"figure13", (*Engine).Figure13, checkFigure13Band},
+		{"figure15", (*Engine).Figure15, checkFigure15Band},
+	} {
+		t.Run(fig.name, func(t *testing.T) {
+			exact, err := fig.run(DefaultEngine)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := NewEngine()
+			if err := eng.SetPhaseSampling(16, 4); err != nil {
+				t.Fatal(err)
+			}
+			sampled, err := fig.run(eng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fig.check(t, sampled)
+			want, got := exact.Degradation(1), sampled.Degradation(1)
+			for wi, w := range exact.Workloads {
+				t.Logf("%s: degradation exact %.2f%%, sampled %.2f%%", w, want[wi]*100, got[wi]*100)
+				if d := math.Abs(got[wi] - want[wi]); d > 0.01 {
+					t.Errorf("%s: sampled degradation %.2f%% is %.2f points from exact %.2f%%, want ≤ 1",
+						w, got[wi]*100, d*100, want[wi]*100)
+				}
+			}
+		})
 	}
 }
 

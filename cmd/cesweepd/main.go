@@ -15,11 +15,12 @@
 //	curl -s localhost:8080/frontier
 //	curl -s localhost:8080/metrics
 //
-// Several daemons may share one -cache-dir/-trace-dir: the store is
-// operated under the cross-process lease protocol (internal/lease), so a
-// design point requested on N daemons simultaneously is simulated by
-// exactly one of them and read from disk by the rest. -cache-max bounds
-// the warm in-memory tier; evicted results reload from the directory.
+// Several daemons may share one -cache-dir/-trace-dir. Entries are
+// content-addressed and land by temp-file-plus-rename, so sharing is
+// correct without coordination: a design point requested on two daemons
+// at once may be simulated by both, and the second write replaces the
+// first with identical bytes. -cache-max bounds the warm in-memory tier;
+// evicted results reload from the directory.
 //
 // On SIGINT/SIGTERM the daemon stops accepting connections, lets
 // in-flight simulations finish (up to -shutdown-timeout), writes a final
@@ -76,12 +77,6 @@ func run() error {
 		if err := eng.SetTraceDir(*traceDir); err != nil {
 			return err
 		}
-	}
-	// The lease protocol only matters when a directory is shared, but it
-	// is harmless (and self-testing) on a private one; enable it whenever
-	// any on-disk store is configured.
-	if *cacheDir != "" || *traceDir != "" {
-		eng.SetSharedStore(true)
 	}
 	eng.SetCacheLimit(*cacheMax)
 	eng.SetTraceReplay(!*noReplay)

@@ -3,8 +3,8 @@ package clitest
 // End-to-end tests of cesweepd: boot the real binary, talk to it over
 // HTTP, and exercise exactly the lifecycle properties a long-lived
 // server depends on — request coalescing, corrupt-store recovery,
-// graceful shutdown draining, and the cross-process lease protocol that
-// lets two daemons share one store without duplicating work.
+// graceful shutdown draining, restart after a crash, and two daemons
+// sharing one store.
 
 import (
 	"bufio"
@@ -21,6 +21,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	ce "repro"
 )
 
 // daemon is one running cesweepd under test.
@@ -328,8 +330,9 @@ func TestDaemonGracefulShutdown(t *testing.T) {
 }
 
 // TestTwoDaemonsShareStore: two daemons over one -cache-dir/-trace-dir,
-// hit with the same design point simultaneously, must simulate it once
-// between them — the cross-process lease protocol end to end.
+// hit with the same design point simultaneously, may both simulate it,
+// but they must serve the same result and leave the store clean: entries
+// are content-addressed and land by temp-file-plus-rename.
 func TestTwoDaemonsShareStore(t *testing.T) {
 	dir := t.TempDir()
 	cacheDir := filepath.Join(dir, "runs")
@@ -337,46 +340,179 @@ func TestTwoDaemonsShareStore(t *testing.T) {
 	d1 := startDaemon(t, "-cache-dir", cacheDir, "-trace-dir", traceDir)
 	d2 := startDaemon(t, "-cache-dir", cacheDir, "-trace-dir", traceDir)
 
+	type result struct {
+		IPC    float64 `json:"ipc"`
+		Cycles int64   `json:"cycles"`
+	}
 	req := `{"config":"baseline","workload":"micro.stream"}`
-	var wg sync.WaitGroup
-	errs := make(chan error, 2)
-	for _, d := range []*daemon{d1, d2} {
+	var (
+		wg      sync.WaitGroup
+		results [2]result
+		errs    [2]error
+	)
+	for i, d := range []*daemon{d1, d2} {
 		wg.Add(1)
-		go func(d *daemon) {
+		go func() {
 			defer wg.Done()
 			code, body, err := d.postRun(req)
 			if err != nil || code != http.StatusOK {
-				errs <- fmt.Errorf("POST to %s = %d, %v: %s", d.url, code, err, body)
+				errs[i] = fmt.Errorf("POST to %s = %d, %v: %s", d.url, code, err, body)
+				return
 			}
-		}(d)
+			errs[i] = json.Unmarshal(body, &results[i])
+		}()
 	}
 	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-
-	var misses, diskHits int64
-	for _, d := range []*daemon{d1, d2} {
-		m, err := d.metrics()
+	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
 		}
-		misses += counter(t, m, "cache", "misses")
-		diskHits += counter(t, m, "cache", "disk_hits")
 	}
-	if misses != 1 {
-		t.Fatalf("two daemons simulated the same point %d times, want 1 (disk hits %d)", misses, diskHits)
+	if results[0] != results[1] || results[0].Cycles <= 0 {
+		t.Fatalf("daemons sharing a store disagree: %+v vs %+v", results[0], results[1])
 	}
-	if diskHits != 1 {
-		t.Fatalf("losing daemon did not read the winner's result from disk (disk hits %d)", diskHits)
+
+	var misses, diskHits uint64
+	for _, d := range []*daemon{d1, d2} {
+		cs, _ := daemonStats(t, d)
+		misses += cs.Misses
+		diskHits += cs.DiskHits
 	}
-	// No lease files may survive the race.
-	locks, err := filepath.Glob(filepath.Join(cacheDir, "*.lock"))
-	if err != nil {
+	if misses < 1 || misses+diskHits != 2 {
+		t.Fatalf("two lookups resolved as %d misses + %d disk hits, want 2 with at least 1 miss", misses, diskHits)
+	}
+	for _, dir := range []string{cacheDir, traceDir} {
+		for _, pat := range []string{"*.tmp", "*.lock"} {
+			if left, _ := filepath.Glob(filepath.Join(dir, pat)); len(left) != 0 {
+				t.Errorf("%s left behind: %v", pat, left)
+			}
+		}
+	}
+}
+
+// TestDaemonCrashRestart: a daemon SIGKILLed while answering a cold
+// GET /figure/13 leaves a store that a restarted daemon loads cleanly.
+// Its figure is byte-identical to one rendered on a clean store, its
+// counters pass the trace-pool and run-cache invariants, and no temp
+// file — the killed process's or a planted orphan — is ever loaded:
+// only renamed entries are read, so a temp file is never parsed,
+// removed or promoted.
+func TestDaemonCrashRestart(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three figure-13 sweeps in -short mode")
+	}
+	dir := t.TempDir()
+	cacheDir := filepath.Join(dir, "runs")
+	traceDir := filepath.Join(dir, "traces")
+	args := []string{"-cache-dir", cacheDir, "-trace-dir", traceDir}
+
+	d := startDaemon(t, args...)
+	got := make(chan error, 1)
+	go func() {
+		code, body, err := d.get("/figure/13")
+		if err == nil {
+			err = fmt.Errorf("GET /figure/13 completed (%d, %d bytes) before the kill", code, len(body))
+		}
+		got <- err
+	}()
+	// Kill once the sweep has persisted its first result: the store then
+	// holds some finished entries and is missing the rest.
+	deadline := time.Now().Add(time.Minute)
+	for {
+		if entries, _ := filepath.Glob(filepath.Join(cacheDir, "*.json")); len(entries) > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no cache entry written within a minute; stderr:\n%s", d.stderrText())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if err := d.cmd.Process.Signal(syscall.SIGKILL); err != nil {
 		t.Fatal(err)
 	}
-	if len(locks) != 0 {
-		t.Fatalf("stale lease files left behind: %v", locks)
+	<-d.exited
+	if err := <-got; strings.Contains(err.Error(), "before the kill") {
+		t.Fatal(err)
 	}
+
+	// Orphans a writer killed between create and rename would leave.
+	orphans := map[string][]byte{
+		filepath.Join(cacheDir, "entry-orphan.tmp"): []byte(`{"key":`),
+		filepath.Join(traceDir, "trace-orphan.tmp"): []byte("CETR torn"),
+	}
+	for path, data := range orphans {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var tmps []string
+	for _, dir := range []string{cacheDir, traceDir} {
+		found, _ := filepath.Glob(filepath.Join(dir, "*.tmp"))
+		tmps = append(tmps, found...)
+	}
+	t.Logf("%d temp files in the store after the kill, %d planted", len(tmps), len(orphans))
+	before := make(map[string][]byte, len(tmps))
+	for _, path := range tmps {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[path] = data
+	}
+
+	restarted := startDaemon(t, args...)
+	fig := mustGetFigure(t, restarted, 13)
+	fresh := t.TempDir()
+	clean := mustGetFigure(t, startDaemon(t, "-cache-dir", filepath.Join(fresh, "runs"),
+		"-trace-dir", filepath.Join(fresh, "traces")), 13)
+	if !bytes.Equal(fig, clean) {
+		t.Fatalf("figure 13 after a crash differs from a clean store's:\n%s\nvs\n%s", fig, clean)
+	}
+	cs, ts := daemonStats(t, restarted)
+	if cs.DiskHits == 0 {
+		t.Errorf("restarted daemon loaded none of the killed daemon's results")
+	}
+	if ts.CorruptDropped != 0 {
+		t.Errorf("restarted daemon dropped %d corrupt traces; the killed writer left a torn file in place", ts.CorruptDropped)
+	}
+	for path, data := range before {
+		now, err := os.ReadFile(path)
+		if err != nil || !bytes.Equal(now, data) {
+			t.Errorf("temp file %s was touched by the restarted daemon (err %v)", filepath.Base(path), err)
+		}
+	}
+}
+
+// mustGetFigure fetches GET /figure/n and fails the test on any error.
+func mustGetFigure(t *testing.T, d *daemon, n int) []byte {
+	t.Helper()
+	code, body, err := d.get(fmt.Sprintf("/figure/%d", n))
+	if err != nil || code != http.StatusOK {
+		t.Fatalf("GET /figure/%d = %d, %v: %s", n, code, err, body)
+	}
+	return body
+}
+
+// daemonStats returns a daemon's GET /metrics cache and trace counters
+// after asserting ce.CacheStats.Check and ce.TraceStats.Check on them.
+func daemonStats(t *testing.T, d *daemon) (ce.CacheStats, ce.TraceStats) {
+	t.Helper()
+	code, body, err := d.get("/metrics")
+	if err != nil || code != http.StatusOK {
+		t.Fatalf("GET /metrics = %d, %v: %s", code, err, body)
+	}
+	var m struct {
+		Cache ce.CacheStats `json:"cache"`
+		Trace ce.TraceStats `json:"trace"`
+	}
+	if err := json.Unmarshal(body, &m); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Cache.Check(); err != nil {
+		t.Errorf("%s: %v", d.url, err)
+	}
+	if err := m.Trace.Check(); err != nil {
+		t.Errorf("%s: %v", d.url, err)
+	}
+	return m.Cache, m.Trace
 }

@@ -13,8 +13,8 @@
 // is deterministic: the same inputs fail the same way every time, and
 // memoizing the failure is both safe and desirable.
 //
-// The package is a leaf (stdlib only) so that runcache, lease, trace and
-// the server can all share one vocabulary without import cycles.
+// The package is a leaf (stdlib only) so that runcache, trace and the
+// server can all share one vocabulary without import cycles.
 package errclass
 
 import (

@@ -1,11 +1,11 @@
 // Package errlint statically enforces the error-classification contract
-// on the persistence boundary (internal/runcache, internal/lease,
-// internal/trace): an error that originates in the environment — file
-// and network I/O, syscalls — must not escape a //ce:classify-errors
-// package raw. It must be wrapped (%w) into a classified sentinel
-// (errclass.ErrTransient / errclass.ErrCorrupt, or any package-level
-// Err* sentinel that itself classifies), or passed through a classifier
-// function, or hatched with //ce:err-ok <reason>.
+// on the persistence boundary (internal/runcache, internal/trace): an
+// error that originates in the environment — file and network I/O,
+// syscalls — must not escape a //ce:classify-errors package raw. It
+// must be wrapped (%w) into a classified sentinel (errclass.ErrTransient
+// / errclass.ErrCorrupt, or any package-level Err* sentinel that itself
+// classifies), or passed through a classifier function, or hatched with
+// //ce:err-ok <reason>.
 //
 // The contract exists because runcache.Do memoizes deterministic errors
 // forever — correct for simulator validation failures, disastrous for a

@@ -1,6 +1,6 @@
 // Package locklint statically enforces the lock-discipline contract on
-// the concurrent subsystems (internal/server, internal/runcache,
-// internal/lease): critical sections must stay short and must not leak.
+// the concurrent subsystems (internal/server, internal/runcache):
+// critical sections must stay short and must not leak.
 //
 // Two rules:
 //

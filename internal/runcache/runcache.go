@@ -9,9 +9,13 @@
 // shares) the result. With a directory configured, results also persist
 // as JSON, so repeated sweep invocations skip simulation entirely. The
 // in-memory tier can be bounded (SetLimit) into a warm LRU over the disk
-// tier, and SetShared extends single-flight across processes sharing one
-// directory via a lock-file lease protocol (internal/lease), which is
-// what lets N cesweepd daemons on one store deduplicate work.
+// tier.
+//
+// Single-flight holds within one process. Processes sharing a directory
+// stay correct without coordinating: entries are content-addressed,
+// written as canonical bytes to a temp file and renamed into place, so
+// at worst two processes compute the same entry and the second rename
+// replaces it with identical bytes.
 //
 //ce:classify-errors
 package runcache
@@ -25,11 +29,9 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"repro/internal/canonjson"
 	"repro/internal/errclass"
-	"repro/internal/lease"
 	"repro/internal/pipeline"
 )
 
@@ -42,19 +44,14 @@ type Stats struct {
 	// Coalesced are lookups that joined an in-flight computation of the
 	// same key (single-flight duplicates).
 	Coalesced uint64 `json:"coalesced"`
-	// DiskHits are lookups served from the persistence directory
-	// (including results another process computed under a lease while we
-	// waited; see LeaseWaits).
+	// DiskHits are lookups served from the persistence directory,
+	// including results another process sharing it wrote.
 	DiskHits uint64 `json:"disk_hits"`
 	// Misses are lookups that ran the simulator.
 	Misses uint64 `json:"misses"`
 	// Uncacheable are runs bypassing the cache because their
 	// configuration has no fingerprint (opaque factory closures).
 	Uncacheable uint64 `json:"uncacheable"`
-	// LeaseWaits are lookups that found another process holding the
-	// key's lease and obtained the result by waiting for it to appear on
-	// disk — cross-process coalescing. Each is also counted in DiskHits.
-	LeaseWaits uint64 `json:"lease_waits,omitempty"`
 	// Evictions are completed entries dropped from the bounded in-memory
 	// tier; with a directory configured they remain recallable from disk.
 	Evictions uint64 `json:"evictions,omitempty"`
@@ -72,14 +69,10 @@ func (s Stats) Saved() uint64 {
 
 // Check reports the first violated counting invariant: each event is
 // counted once, so no counter can exceed the events it is a subset of.
-// A lease wait ends in a disk hit, and an entry reaches the warm LRU
-// only by completing after a disk hit or a miss, so it is evicted at
-// most once per such lookup.
+// An entry reaches the warm LRU only by completing after a disk hit or a
+// miss, so it is evicted at most once per such lookup.
 func (s Stats) Check() error {
-	switch {
-	case s.LeaseWaits > s.DiskHits:
-		return fmt.Errorf("cache stats: %d lease waits exceed %d disk hits", s.LeaseWaits, s.DiskHits)
-	case s.Evictions > s.Misses+s.DiskHits:
+	if s.Evictions > s.Misses+s.DiskHits {
 		return fmt.Errorf("cache stats: %d evictions exceed %d misses + %d disk hits", s.Evictions, s.Misses, s.DiskHits)
 	}
 	return nil
@@ -104,21 +97,12 @@ type Cache struct {
 	lru   *list.List
 	limit int
 	dir   string
-	// shared enables the cross-process lease protocol on the directory.
-	shared    bool
-	leaseTTL  time.Duration
-	leasePoll time.Duration
-	stats     Stats
+	stats Stats
 }
 
 // New returns an empty in-memory cache.
 func New() *Cache {
-	return &Cache{
-		entries:   make(map[string]*entry),
-		lru:       list.New(),
-		leaseTTL:  lease.DefaultTTL,
-		leasePoll: 20 * time.Millisecond,
-	}
+	return &Cache{entries: make(map[string]*entry), lru: list.New()}
 }
 
 // SetDir enables on-disk persistence under dir (created if missing).
@@ -164,18 +148,6 @@ func (c *Cache) SetDir(dir string) error {
 		c.saveDisk(dir, e.key, e.st)
 	}
 	return nil
-}
-
-// SetShared toggles the cross-process lease protocol (default off).
-// With sharing on and a directory configured, a miss acquires the key's
-// lock-file lease before simulating; processes that lose the race wait
-// for the winner's result to appear on disk instead of duplicating the
-// simulation. Crashed holders are recovered by staleness takeover
-// (lease.DefaultTTL).
-func (c *Cache) SetShared(on bool) {
-	c.mu.Lock()
-	c.shared = on
-	c.mu.Unlock()
 }
 
 // SetLimit bounds the in-memory tier to at most n completed entries,
@@ -267,10 +239,9 @@ func IsTransient(err error) bool {
 }
 
 // Do returns the memoized result for key, computing it at most once per
-// process — and, with SetShared, at most once across every process
-// sharing the directory. hit reports whether the result was served
-// without invoking compute (including joining another goroutine's or
-// process's in-flight computation).
+// process. hit reports whether the result was served without invoking
+// compute (including joining another goroutine's in-flight computation
+// or reading an entry another process wrote).
 //
 // Deterministic errors are memoized: a deterministic simulator fails the
 // same way every time, and callers must see the failure rather than a
@@ -302,7 +273,7 @@ func (c *Cache) Do(key string, compute func() (pipeline.Stats, error)) (st pipel
 	}
 	e := &entry{key: key, done: make(chan struct{})}
 	c.entries[key] = e
-	dir, shared := c.dir, c.shared
+	dir := c.dir
 	c.mu.Unlock()
 
 	if dir != "" {
@@ -312,22 +283,6 @@ func (c *Cache) Do(key string, compute func() (pipeline.Stats, error)) (st pipel
 			c.mu.Unlock()
 			c.complete(e, st, nil)
 			return st, true, nil
-		}
-		if shared {
-			held, st, ok, waited := c.acquireOrAwait(dir, key)
-			if ok {
-				c.mu.Lock()
-				c.stats.DiskHits++
-				if waited {
-					c.stats.LeaseWaits++
-				}
-				c.mu.Unlock()
-				c.complete(e, st, nil)
-				return st, true, nil
-			}
-			if held != nil {
-				defer held.Release()
-			}
 		}
 	}
 	c.mu.Lock()
@@ -350,48 +305,11 @@ func (c *Cache) Do(key string, compute func() (pipeline.Stats, error)) (st pipel
 	}
 	if err == nil && dir != "" {
 		// Persistence is best-effort: a read-only directory degrades to
-		// in-memory memoization rather than failing the sweep. The write
-		// lands before the lease (if any) is released, so a waiting
-		// process's next poll finds it.
+		// in-memory memoization rather than failing the sweep.
 		c.saveDisk(dir, key, st)
 	}
 	c.complete(e, st, err)
 	return st, false, err
-}
-
-// acquireOrAwait is the cross-process arm of Do. It either acquires the
-// key's lease (returning held != nil, ok == false: the caller computes)
-// or waits out another process's computation and returns its result from
-// disk (ok == true). If the directory cannot host lock files at all it
-// returns (nil, _, false, _): the caller computes leaseless, trading
-// possible duplicated work for availability.
-func (c *Cache) acquireOrAwait(dir, key string) (held *lease.Lease, st pipeline.Stats, ok, waited bool) {
-	c.mu.Lock()
-	ttl, poll := c.leaseTTL, c.leasePoll
-	c.mu.Unlock()
-	lockPath := diskPath(dir, key) + ".lock"
-	for {
-		if l, acquired := lease.TryAcquire(lockPath, ttl); acquired {
-			// The previous holder may have finished between our last disk
-			// probe and this acquisition; re-check before simulating.
-			if st, found := c.loadDisk(dir, key); found {
-				l.Release()
-				return nil, st, true, waited
-			}
-			return l, pipeline.Stats{}, false, waited
-		}
-		if _, err := os.Stat(lockPath); err != nil {
-			// Acquisition failed yet no lock exists: the directory is
-			// unwritable (read-only store, permission change). Degrade to
-			// computing without cross-process exclusion.
-			return nil, pipeline.Stats{}, false, waited
-		}
-		waited = true
-		time.Sleep(poll)
-		if st, found := c.loadDisk(dir, key); found {
-			return nil, st, true, waited
-		}
-	}
 }
 
 // RecordUncacheable notes one run that bypassed the cache.

@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"syscall"
 	"testing"
-	"time"
 
 	"repro/internal/canonjson"
 	"repro/internal/canonjson/canonjsontest"
@@ -37,7 +36,7 @@ func checkStats(t *testing.T, caches ...*Cache) {
 // TestStatsCheck pins the invariant table itself: a clean snapshot
 // passes and each over-count is named.
 func TestStatsCheck(t *testing.T) {
-	ok := Stats{Hits: 5, Coalesced: 2, DiskHits: 3, Misses: 4, LeaseWaits: 2, Evictions: 7}
+	ok := Stats{Hits: 5, Coalesced: 2, DiskHits: 3, Misses: 4, Evictions: 7}
 	if err := ok.Check(); err != nil {
 		t.Fatalf("consistent stats rejected: %v", err)
 	}
@@ -46,9 +45,8 @@ func TestStatsCheck(t *testing.T) {
 		bad  func(*Stats)
 		want string
 	}{
-		{"lease", func(s *Stats) { s.LeaseWaits = 4 }, "lease"},
 		{"evictions", func(s *Stats) { s.Evictions = 8 }, "evictions"},
-		{"evictions without disk", func(s *Stats) { s.DiskHits, s.LeaseWaits, s.Evictions = 0, 0, 5 }, "evictions"},
+		{"evictions without disk", func(s *Stats) { s.DiskHits, s.Evictions = 0, 5 }, "evictions"},
 	} {
 		s := ok
 		tc.bad(&s)
@@ -338,9 +336,10 @@ func TestDoPanicUnblocksWaiters(t *testing.T) {
 }
 
 // TestDoTransientErrorsRetry: a transient (environmental) failure is
-// delivered but not memoized, so the key recovers on retry — in a
-// long-lived server a momentary ENOSPC must not brick a key until
-// restart. Deterministic errors stay memoized (TestDoMemoizesErrors).
+// delivered but not memoized, in memory or on disk, so the key recovers
+// on retry — in a long-lived server a momentary ENOSPC must not brick a
+// key until restart. Deterministic errors stay memoized
+// (TestDoMemoizesErrors).
 func TestDoTransientErrorsRetry(t *testing.T) {
 	for name, transientErr := range map[string]error{
 		"marked":        Transient(errors.New("store unavailable")),
@@ -349,6 +348,14 @@ func TestDoTransientErrorsRetry(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			c := New()
+			dir := t.TempDir()
+			if err := c.SetDir(dir); err != nil {
+				t.Fatal(err)
+			}
+			entries := func() []string {
+				names, _ := filepath.Glob(filepath.Join(dir, "*"))
+				return names
+			}
 			var calls int32
 			fail := true
 			compute := func() (pipeline.Stats, error) {
@@ -364,6 +371,9 @@ func TestDoTransientErrorsRetry(t *testing.T) {
 			if c.Len() != 0 {
 				t.Fatalf("transient failure left %d memoized entries", c.Len())
 			}
+			if left := entries(); len(left) != 0 {
+				t.Fatalf("transient failure left files in the store: %v", left)
+			}
 			fail = false
 			st, hit, err := c.Do("k", compute)
 			if err != nil || hit || st.Cycles != 11 {
@@ -372,6 +382,10 @@ func TestDoTransientErrorsRetry(t *testing.T) {
 			if calls != 2 {
 				t.Errorf("compute ran %d times, want 2 (fail, retry)", calls)
 			}
+			if left := entries(); len(left) != 1 || filepath.Ext(left[0]) != ".json" {
+				t.Errorf("retry persisted %v, want one entry", left)
+			}
+			checkStats(t, c)
 		})
 	}
 }
@@ -489,130 +503,6 @@ func TestLimitWithoutDirRecomputes(t *testing.T) {
 	if calls != 3 {
 		t.Errorf("compute ran %d times, want 3", calls)
 	}
-}
-
-// TestSharedLeaseDedup is the cross-process single-flight contract,
-// exercised by two Cache instances over one directory (the in-process
-// stand-in for two daemons on one store): while one computes a key under
-// its lease, the other waits for the result file instead of simulating.
-func TestSharedLeaseDedup(t *testing.T) {
-	dir := t.TempDir()
-	a, b := New(), New()
-	for _, c := range [...]*Cache{a, b} {
-		if err := c.SetDir(dir); err != nil {
-			t.Fatal(err)
-		}
-		c.SetShared(true)
-	}
-	var calls int32
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := a.Do("k", func() (pipeline.Stats, error) {
-			atomic.AddInt32(&calls, 1)
-			close(entered)
-			<-release
-			return fakeStats(21), nil
-		})
-		done <- err
-	}()
-	<-entered
-	// Give b a couple of poll intervals against the held lease, then let
-	// a finish.
-	go func() {
-		time.Sleep(60 * time.Millisecond)
-		close(release)
-	}()
-	st, hit, err := b.Do("k", func() (pipeline.Stats, error) {
-		atomic.AddInt32(&calls, 1)
-		return fakeStats(99), nil
-	})
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if err != nil || !hit || st.Cycles != 21 {
-		t.Fatalf("waiter result: st=%+v hit=%v err=%v", st, hit, err)
-	}
-	if calls != 1 {
-		t.Fatalf("compute ran %d times across two shared caches, want 1", calls)
-	}
-	cs := b.Stats()
-	if cs.DiskHits != 1 || cs.LeaseWaits != 1 || cs.Misses != 0 {
-		t.Errorf("waiter stats = %+v, want 1 disk hit, 1 lease wait, 0 misses", cs)
-	}
-	checkStats(t, a, b)
-	// No lock files survive.
-	locks, _ := filepath.Glob(filepath.Join(dir, "*.lock"))
-	if len(locks) != 0 {
-		t.Errorf("stale lock files left: %v", locks)
-	}
-}
-
-// TestSharedStaleLockRecovery: a lock file abandoned by a crashed
-// process (old mtime, no holder refreshing it) must be broken and taken
-// over, not waited on forever.
-func TestSharedStaleLockRecovery(t *testing.T) {
-	dir := t.TempDir()
-	c := New()
-	if err := c.SetDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	c.SetShared(true)
-	lock := diskPath(dir, "k") + ".lock"
-	if err := os.WriteFile(lock, []byte("pid 0 crashed\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	old := time.Now().Add(-time.Hour)
-	if err := os.Chtimes(lock, old, old); err != nil {
-		t.Fatal(err)
-	}
-	st, hit, err := c.Do("k", func() (pipeline.Stats, error) { return fakeStats(8), nil })
-	if err != nil || hit || st.Cycles != 8 {
-		t.Fatalf("takeover Do: st=%+v hit=%v err=%v", st, hit, err)
-	}
-	if _, err := os.Stat(lock); !os.IsNotExist(err) {
-		t.Errorf("lock not cleaned up after takeover: %v", err)
-	}
-	checkStats(t, c)
-}
-
-// TestSharedTransientFailureHandsOff: when the lease holder fails
-// transiently (no result file is ever written), a waiting process must
-// eventually acquire the lease itself and compute, not hang.
-func TestSharedTransientFailureHandsOff(t *testing.T) {
-	dir := t.TempDir()
-	a, b := New(), New()
-	for _, c := range [...]*Cache{a, b} {
-		if err := c.SetDir(dir); err != nil {
-			t.Fatal(err)
-		}
-		c.SetShared(true)
-	}
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := a.Do("k", func() (pipeline.Stats, error) {
-			close(entered)
-			<-release
-			return pipeline.Stats{}, Transient(errors.New("disk full"))
-		})
-		done <- err
-	}()
-	<-entered
-	go func() {
-		time.Sleep(60 * time.Millisecond)
-		close(release)
-	}()
-	st, hit, err := b.Do("k", func() (pipeline.Stats, error) { return fakeStats(13), nil })
-	if werr := <-done; !errors.Is(werr, ErrTransient) {
-		t.Fatalf("holder err = %v, want transient", werr)
-	}
-	if err != nil || hit || st.Cycles != 13 {
-		t.Fatalf("waiter after holder's transient failure: st=%+v hit=%v err=%v", st, hit, err)
-	}
-	checkStats(t, a, b)
 }
 
 func TestReset(t *testing.T) {

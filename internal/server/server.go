@@ -16,9 +16,10 @@
 // dumps: both call the same ce.FigureJSON/ce.FrontierJSON over the same
 // deterministic results. Concurrent identical requests are coalesced —
 // POST /run by the engine's content-addressed single-flight cache,
-// figure/frontier sweeps by a server-level single-flight group — and
-// with Engine.SetSharedStore enabled, coalescing extends across daemons
-// sharing one store via the internal/lease lock-file protocol.
+// figure/frontier sweeps by a server-level single-flight group. Daemons
+// sharing one store do not coordinate: each may compute a missing entry,
+// and the content-addressed, renamed-into-place files keep the store
+// correct.
 package server
 
 import (

@@ -81,10 +81,7 @@ type Engine struct {
 	traces   map[string]*traceEntry
 	traceDir string
 	noReplay bool
-	// traceShared enables the cross-process capture lease on traceDir
-	// (SetSharedStore).
-	traceShared bool
-	tstats      TraceStats
+	tstats   TraceStats
 	// traceWarned dedups per-workload diagnostics (warnOnce).
 	traceWarned map[string]bool
 
@@ -126,19 +123,6 @@ func (e *Engine) SetCacheDir(dir string) error { return e.cache.SetDir(dir) }
 // this so its resident set stays bounded however many design points it
 // has served.
 func (e *Engine) SetCacheLimit(n int) { e.cache.SetLimit(n) }
-
-// SetSharedStore toggles the cross-process lease protocol on the
-// engine's cache and trace directories (default off). With sharing on,
-// N processes over one store elect a single computer per missing result
-// or trace via lock-file leases (internal/lease) and the rest wait for
-// the winner's file — cross-process single-flight, with staleness
-// takeover if a holder crashes.
-func (e *Engine) SetSharedStore(on bool) {
-	e.cache.SetShared(on)
-	e.traceMu.Lock()
-	e.traceShared = on
-	e.traceMu.Unlock()
-}
 
 // CacheStats returns a snapshot of the engine's run-cache counters.
 func (e *Engine) CacheStats() CacheStats { return e.cache.Stats() }

@@ -17,8 +17,6 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/isa"
-	"repro/internal/lease"
 	"repro/internal/pipeline"
 	"repro/internal/prog"
 	"repro/internal/trace"
@@ -48,10 +46,6 @@ type TraceStats struct {
 	// counts those streamed from pre-captured traces.
 	StepsExecuted uint64 `json:"steps_executed"`
 	StepsReplayed uint64 `json:"steps_replayed"`
-	// LeaseWaits counts captures avoided by waiting out another
-	// process's capture lease on the shared trace directory
-	// (Engine.SetSharedStore); each is also counted in DiskHits.
-	LeaseWaits int `json:"lease_waits,omitempty"`
 	// SegmentRuns counts replay runs conducted phase-sampled
 	// (segmented.go); SegmentsSimulated totals the representative
 	// segments they timed.
@@ -96,8 +90,6 @@ func (ts TraceStats) Check() error {
 		return fmt.Errorf("trace stats: %d records decoded, fewer than %d replayed", ts.RecordsDecoded, ts.StepsReplayed)
 	case ts.SegmentRuns > ts.ReplayRuns:
 		return fmt.Errorf("trace stats: %d segment runs exceed %d replay runs", ts.SegmentRuns, ts.ReplayRuns)
-	case ts.LeaseWaits > ts.DiskHits:
-		return fmt.Errorf("trace stats: %d lease waits exceed %d disk loads", ts.LeaseWaits, ts.DiskHits)
 	}
 	return nil
 }
@@ -220,9 +212,9 @@ func (e *Engine) traceForOwned(workload string) (tr *trace.Trace, owned bool, er
 		e.traces = make(map[string]*traceEntry)
 	}
 	e.traces[workload] = ent
-	dir, shared := e.traceDir, e.traceShared
+	dir := e.traceDir
 	e.traceMu.Unlock()
-	ent.tr, ent.err = e.captureTrace(workload, dir, shared)
+	ent.tr, ent.err = e.captureTrace(workload, dir)
 	close(ent.done)
 	return ent.tr, true, ent.err
 }
@@ -230,9 +222,10 @@ func (e *Engine) traceForOwned(workload string) (tr *trace.Trace, owned bool, er
 // captureTrace loads workload's trace from the trace directory or
 // captures it by functional execution, charging the cost to the pool's
 // counters rather than to whichever simulation happened to arrive first.
-// With a shared store, capture runs under the trace file's cross-process
-// lease so N processes over one directory execute the workload once.
-func (e *Engine) captureTrace(workload, dir string, shared bool) (*trace.Trace, error) {
+// Processes sharing the directory may each capture the same workload;
+// the capture lands by rename, so the last one replaces the file with
+// identical bytes.
+func (e *Engine) captureTrace(workload, dir string) (*trace.Trace, error) {
 	w, err := prog.ByName(workload)
 	if err != nil {
 		return nil, err
@@ -254,15 +247,6 @@ func (e *Engine) captureTrace(workload, dir string, shared bool) (*trace.Trace, 
 		}
 		// Missing, stale or corrupt — ReadFile already removed a bad
 		// file, so the recapture below rewrites the slot.
-		if shared {
-			held, tr := e.awaitCaptureLease(dir, p)
-			if tr != nil {
-				return tr, nil
-			}
-			if held != nil {
-				defer held.Release()
-			}
-		}
 	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -290,45 +274,6 @@ func (e *Engine) captureTrace(workload, dir string, shared bool) (*trace.Trace, 
 	e.tstats.StepsExecuted += tr.Steps()
 	e.traceMu.Unlock()
 	return tr, nil
-}
-
-// awaitCaptureLease is the cross-process arm of trace capture: it either
-// acquires the trace file's lease (returning held != nil; the caller
-// captures and must release after writing) or waits out another
-// process's capture and returns the trace it wrote. If the directory
-// cannot host lock files it returns (nil, nil): the caller captures
-// leaseless — possibly duplicating a peer's work, never losing its own.
-func (e *Engine) awaitCaptureLease(dir string, p *isa.Program) (*lease.Lease, *trace.Trace) {
-	lockPath := trace.DiskPath(dir, p) + ".lock"
-	waited := false
-	record := func(tr *trace.Trace) *trace.Trace {
-		e.traceMu.Lock()
-		e.tstats.DiskHits++
-		if waited {
-			e.tstats.LeaseWaits++
-		}
-		e.traceMu.Unlock()
-		return tr
-	}
-	for {
-		if l, ok := lease.TryAcquire(lockPath, 0); ok {
-			// The previous holder may have finished between our last probe
-			// and this acquisition; re-check before executing the workload.
-			if tr, err := trace.ReadFile(dir, p); err == nil {
-				l.Release()
-				return nil, record(tr)
-			}
-			return l, nil
-		}
-		if _, err := os.Stat(lockPath); err != nil {
-			return nil, nil
-		}
-		waited = true
-		time.Sleep(20 * time.Millisecond)
-		if tr, err := trace.ReadFile(dir, p); err == nil {
-			return nil, record(tr)
-		}
-	}
 }
 
 // simAttribution carries cost attribution out of the run cache's compute

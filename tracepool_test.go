@@ -1,9 +1,12 @@
 package ce
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/pipeline"
@@ -378,7 +381,7 @@ func TestEngineCorruptTraceCountedOnce(t *testing.T) {
 // TestTraceStatsCheck pins the invariant table itself: a clean snapshot
 // passes and each over-count is named.
 func TestTraceStatsCheck(t *testing.T) {
-	ok := TraceStats{Captures: 1, DiskHits: 6, CorruptDropped: 1, ReplayRuns: 14, SegmentRuns: 2, LeaseWaits: 1,
+	ok := TraceStats{Captures: 1, DiskHits: 6, CorruptDropped: 1, ReplayRuns: 14, SegmentRuns: 2,
 		StepsReplayed: 1000, RecordsDecoded: 1200}
 	if err := ok.Check(); err != nil {
 		t.Fatalf("consistent stats rejected: %v", err)
@@ -391,7 +394,6 @@ func TestTraceStatsCheck(t *testing.T) {
 		{"corrupt", func(ts *TraceStats) { ts.CorruptDropped = 8 }, "corrupt"},
 		{"decoded", func(ts *TraceStats) { ts.RecordsDecoded = 999 }, "decoded"},
 		{"segment", func(ts *TraceStats) { ts.SegmentRuns = 15 }, "segment"},
-		{"lease", func(ts *TraceStats) { ts.LeaseWaits = 7 }, "lease"},
 	} {
 		ts := ok
 		tc.bad(&ts)
@@ -484,5 +486,96 @@ func TestEngineRecordsDecodedExact(t *testing.T) {
 	}
 	if err := ts.Check(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestTwoEnginesShareColdStore pins the shared-store contract: two
+// engines over one cold cache and trace directory, standing in for two
+// processes, may both simulate and capture the same entries, but they
+// agree on every result, a third engine rendering from the warm store
+// serves the same figure bytes without simulating, and no temp or lock
+// file survives. Correctness comes from content addressing and
+// temp-file-plus-rename alone.
+func TestTwoEnginesShareColdStore(t *testing.T) {
+	cacheDir, traceDir := t.TempDir(), t.TempDir()
+	newEngine := func() *Engine {
+		eng := NewEngine()
+		if err := eng.SetCacheDir(cacheDir); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.SetTraceDir(traceDir); err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	engs := [2]*Engine{newEngine(), newEngine()}
+	var (
+		cmps [2]*IPCComparison
+		errs [2]error
+		wg   sync.WaitGroup
+	)
+	for i, eng := range engs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cmps[i], errs[i] = eng.Figure13()
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := cmps[0], cmps[1]
+	if !slices.Equal(a.Workloads, b.Workloads) || len(a.Configs) != len(b.Configs) {
+		t.Fatalf("engines disagree on the figure's shape: %v × %d vs %v × %d",
+			a.Workloads, len(a.Configs), b.Workloads, len(b.Configs))
+	}
+	for ci := range a.Configs {
+		for wi, w := range a.Workloads {
+			if err := pipeline.DiffStats(a.Results[ci][wi], b.Results[ci][wi]); err != nil {
+				t.Errorf("%s/%s: engines sharing a store disagree: %v", a.Configs[ci].Name, w, err)
+			}
+		}
+	}
+
+	var figs [2][]byte
+	for i, eng := range engs {
+		fig, err := eng.FigureJSON(13)
+		if err != nil {
+			t.Fatal(err)
+		}
+		figs[i] = fig
+	}
+	warm := newEngine()
+	fig, err := warm.FigureJSON(13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range figs {
+		if !bytes.Equal(figs[i], fig) {
+			t.Errorf("engine %d's figure differs from the warm store's:\n%s\nvs\n%s", i, figs[i], fig)
+		}
+	}
+	if cs, ts := warm.CacheStats(), warm.TraceStats(); cs.Misses != 0 || ts.Captures != 0 {
+		t.Errorf("warm engine simulated or captured: cache %+v, traces %+v", cs, ts)
+	}
+
+	for _, dir := range []string{cacheDir, traceDir} {
+		for _, pat := range []string{"*.tmp", "*.lock"} {
+			if left, _ := filepath.Glob(filepath.Join(dir, pat)); len(left) != 0 {
+				t.Errorf("%s left behind: %v", pat, left)
+			}
+		}
+	}
+	for i, eng := range engs {
+		t.Logf("engine %d: cache %+v; traces %d captured, %d loaded", i, eng.CacheStats(), eng.TraceStats().Captures, eng.TraceStats().DiskHits)
+		if err := eng.TraceStats().Check(); err != nil {
+			t.Errorf("engine %d: %v", i, err)
+		}
+		if err := eng.CacheStats().Check(); err != nil {
+			t.Errorf("engine %d: %v", i, err)
+		}
 	}
 }
