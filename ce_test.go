@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/stats"
+	"repro/internal/vlsi"
 )
 
 func TestWorkloadsRegistry(t *testing.T) {
@@ -154,20 +156,28 @@ func checkFigure15Band(t *testing.T, cmp *IPCComparison) {
 }
 
 // TestSampledFigureBands gates phase sampling on the paper's own
-// claims: Figures 13 and 15 rendered under SetPhaseSampling(16, 4) must
-// pass the same band checks as exact replay, and every workload's
-// sampled degradation must lie within one percentage point of the exact
-// one.
+// claims: Figures 13, 15 and 17 rendered under SetPhaseSampling(16, 4)
+// must pass the same checks as exact replay, and every degradation and
+// inter-cluster frequency the figures compare must lie within one
+// percentage point of the exact one.
 func TestSampledFigureBands(t *testing.T) {
 	for _, fig := range []struct {
-		name  string
-		run   func(*Engine) (*IPCComparison, error)
-		check func(*testing.T, *IPCComparison)
+		name    string
+		run     func(*Engine) (*IPCComparison, error)
+		check   func(*testing.T, *IPCComparison)
+		compare func(t *testing.T, exact, sampled *IPCComparison)
 	}{
-		{"figure13", (*Engine).Figure13, checkFigure13Band},
-		{"figure15", (*Engine).Figure15, checkFigure15Band},
+		{"figure13", (*Engine).Figure13, checkFigure13Band, compareDegradations},
+		{"figure15", (*Engine).Figure15, func(t *testing.T, cmp *IPCComparison) {
+			checkFigure15Band(t, cmp)
+			checkSampledSpeedup(t, cmp)
+		}, compareDegradations},
+		{"figure17", (*Engine).Figure17, checkFigure17Ordering, compareFigure17Means},
 	} {
 		t.Run(fig.name, func(t *testing.T) {
+			if testing.Short() && fig.name == "figure17" {
+				t.Skip("five-config sweep in -short mode")
+			}
 			exact, err := fig.run(DefaultEngine)
 			if err != nil {
 				t.Fatal(err)
@@ -181,16 +191,101 @@ func TestSampledFigureBands(t *testing.T) {
 				t.Fatal(err)
 			}
 			fig.check(t, sampled)
-			want, got := exact.Degradation(1), sampled.Degradation(1)
-			for wi, w := range exact.Workloads {
-				t.Logf("%s: degradation exact %.2f%%, sampled %.2f%%", w, want[wi]*100, got[wi]*100)
-				if d := math.Abs(got[wi] - want[wi]); d > 0.01 {
-					t.Errorf("%s: sampled degradation %.2f%% is %.2f points from exact %.2f%%, want ≤ 1",
-						w, got[wi]*100, d*100, want[wi]*100)
-				}
-			}
+			fig.compare(t, exact, sampled)
 		})
 	}
+}
+
+// compareDegradations bounds every workload's sampled degradation of
+// configuration 1 against configuration 0 to one point of exact.
+func compareDegradations(t *testing.T, exact, sampled *IPCComparison) {
+	t.Helper()
+	want, got := exact.Degradation(1), sampled.Degradation(1)
+	for wi, w := range exact.Workloads {
+		t.Logf("%s: degradation exact %.2f%%, sampled %.2f%%", w, want[wi]*100, got[wi]*100)
+		if d := math.Abs(got[wi] - want[wi]); d > 0.01 {
+			t.Errorf("%s: sampled degradation %.2f%% is %.2f points from exact %.2f%%, want ≤ 1",
+				w, got[wi]*100, d*100, want[wi]*100)
+		}
+	}
+}
+
+// compareFigure17Means bounds each organization's mean IPC degradation
+// against the ideal machine, and its mean inter-cluster frequency, to
+// one point of exact.
+func compareFigure17Means(t *testing.T, exact, sampled *IPCComparison) {
+	t.Helper()
+	for ci, cfg := range exact.Configs {
+		for _, m := range []struct {
+			what        string
+			exact, samp float64
+		}{
+			{"mean degradation", fig17Degradation(exact, ci), fig17Degradation(sampled, ci)},
+			{"mean inter-cluster frequency", meanOver(exact, ci, Stats.InterClusterFrequency), meanOver(sampled, ci, Stats.InterClusterFrequency)},
+		} {
+			t.Logf("%s: %s exact %.2f%%, sampled %.2f%%", cfg.Name, m.what, m.exact*100, m.samp*100)
+			if d := math.Abs(m.samp - m.exact); d > 0.01 {
+				t.Errorf("%s: sampled %s %.2f%% is %.2f points from exact %.2f%%, want ≤ 1",
+					cfg.Name, m.what, m.samp*100, d*100, m.exact*100)
+			}
+		}
+	}
+}
+
+// checkSampledSpeedup asserts TestSpeedupEstimate's claims on one
+// rendering of Figure 15: IPCDep/IPCWindow × ClockRatio(0.18 µm) is a
+// net win on every workload, and its mean lies in [1.05, 1.25].
+func checkSampledSpeedup(t *testing.T, cmp *IPCComparison) {
+	t.Helper()
+	ratio, err := ClockRatio(vlsi.Tech018)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets := make([]float64, len(cmp.Workloads))
+	for wi := range cmp.Workloads {
+		nets[wi] = cmp.Results[1][wi].IPC() / cmp.Results[0][wi].IPC() * ratio
+	}
+	checkNetSpeedups(t, cmp.Workloads, nets)
+}
+
+// checkNetSpeedups asserts the paper's bottom line on per-workload net
+// speedups: each above 1, the arithmetic mean in [1.05, 1.25].
+func checkNetSpeedups(t *testing.T, workloads []string, nets []float64) {
+	t.Helper()
+	for wi, net := range nets {
+		if net <= 1.0 {
+			t.Errorf("%s: net speedup %.3f, want >1 (clock advantage should win)", workloads[wi], net)
+		}
+	}
+	mean := stats.Mean(nets)
+	t.Logf("net speedups %.3f, mean %.3f", nets, mean)
+	if mean < 1.05 || mean > 1.25 {
+		t.Errorf("mean net speedup %.3f, want in [1.05, 1.25] (paper: 1.16)", mean)
+	}
+}
+
+// Figure 17's configurations, in Figure17's order.
+const (
+	fig17Ideal = iota
+	fig17FIFODispatch
+	fig17WinDispatch
+	fig17ExecSteer
+	fig17Random
+)
+
+// meanOver averages f over configuration ci's workloads.
+func meanOver(cmp *IPCComparison, ci int, f func(Stats) float64) float64 {
+	var s float64
+	for wi := range cmp.Workloads {
+		s += f(cmp.Results[ci][wi])
+	}
+	return s / float64(len(cmp.Workloads))
+}
+
+// fig17Degradation is configuration ci's mean-IPC loss against the ideal
+// single-cluster machine.
+func fig17Degradation(cmp *IPCComparison, ci int) float64 {
+	return 1 - meanOver(cmp, ci, Stats.IPC)/meanOver(cmp, fig17Ideal, Stats.IPC)
 }
 
 // TestFigure17Ordering asserts the design-space ordering of Figure 17:
@@ -205,49 +300,40 @@ func TestFigure17Ordering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const (
-		ideal = iota
-		fifoDispatch
-		winDispatch
-		execSteer
-		random
-	)
-	mean := func(ci int, f func(Stats) float64) float64 {
-		var s float64
-		for wi := range cmp.Workloads {
-			s += f(cmp.Results[ci][wi])
-		}
-		return s / float64(len(cmp.Workloads))
-	}
-	ipc := func(ci int) float64 { return mean(ci, Stats.IPC) }
-	byp := func(ci int) float64 { return mean(ci, Stats.InterClusterFrequency) }
+	checkFigure17Ordering(t, cmp)
+}
 
-	if !(ipc(ideal) >= ipc(execSteer) && ipc(execSteer) >= ipc(fifoDispatch) && ipc(fifoDispatch) > ipc(random)) {
+// checkFigure17Ordering asserts TestFigure17Ordering's claims on one
+// rendering of Figure 17.
+func checkFigure17Ordering(t *testing.T, cmp *IPCComparison) {
+	t.Helper()
+	ipc := func(ci int) float64 { return meanOver(cmp, ci, Stats.IPC) }
+	byp := func(ci int) float64 { return meanOver(cmp, ci, Stats.InterClusterFrequency) }
+
+	if !(ipc(fig17Ideal) >= ipc(fig17ExecSteer) && ipc(fig17ExecSteer) >= ipc(fig17FIFODispatch) && ipc(fig17FIFODispatch) > ipc(fig17Random)) {
 		t.Errorf("IPC ordering violated: ideal %.2f, exec %.2f, fifo %.2f, random %.2f",
-			ipc(ideal), ipc(execSteer), ipc(fifoDispatch), ipc(random))
+			ipc(fig17Ideal), ipc(fig17ExecSteer), ipc(fig17FIFODispatch), ipc(fig17Random))
 	}
-	if ipc(winDispatch) <= ipc(random) {
-		t.Errorf("windows-dispatch (%.2f) not better than random (%.2f)", ipc(winDispatch), ipc(random))
+	if ipc(fig17WinDispatch) <= ipc(fig17Random) {
+		t.Errorf("windows-dispatch (%.2f) not better than random (%.2f)", ipc(fig17WinDispatch), ipc(fig17Random))
 	}
 	// Paper: random steering degrades 17–26%; ours lands in that band or a
 	// little above.
-	degRandom := 1 - ipc(random)/ipc(ideal)
-	if degRandom < 0.12 || degRandom > 0.35 {
-		t.Errorf("random-steering mean degradation %.1f%%, want ≈17–26%%", degRandom*100)
+	if deg := fig17Degradation(cmp, fig17Random); deg < 0.12 || deg > 0.35 {
+		t.Errorf("random-steering mean degradation %.1f%%, want ≈17–26%%", deg*100)
 	}
 	// Paper: execution-driven steering within ≈6% of ideal.
-	degExec := 1 - ipc(execSteer)/ipc(ideal)
-	if degExec > 0.08 {
-		t.Errorf("execution-driven steering degradation %.1f%%, want ≤8%%", degExec*100)
+	if deg := fig17Degradation(cmp, fig17ExecSteer); deg > 0.08 {
+		t.Errorf("execution-driven steering degradation %.1f%%, want ≤8%%", deg*100)
 	}
 	// Inter-cluster bypass frequency: random far above every other
 	// organization, ideal exactly zero.
-	if byp(ideal) != 0 {
-		t.Errorf("ideal machine reported %.2f inter-cluster frequency", byp(ideal))
+	if byp(fig17Ideal) != 0 {
+		t.Errorf("ideal machine reported %.2f inter-cluster frequency", byp(fig17Ideal))
 	}
-	for _, ci := range []int{fifoDispatch, winDispatch, execSteer} {
-		if byp(random) <= byp(ci) {
-			t.Errorf("random bypass frequency %.2f not above config %d's %.2f", byp(random), ci, byp(ci))
+	for _, ci := range []int{fig17FIFODispatch, fig17WinDispatch, fig17ExecSteer} {
+		if byp(fig17Random) <= byp(ci) {
+			t.Errorf("random bypass frequency %.2f not above config %d's %.2f", byp(fig17Random), ci, byp(ci))
 		}
 	}
 }
@@ -263,16 +349,17 @@ func TestSpeedupEstimate(t *testing.T) {
 	if len(sws) != len(Workloads()) {
 		t.Fatalf("%d speedups for %d workloads", len(sws), len(Workloads()))
 	}
-	for _, s := range sws {
-		if s.NetSpeedup <= 1.0 {
-			t.Errorf("%s: net speedup %.3f, want >1 (clock advantage should win)", s.Workload, s.NetSpeedup)
-		}
+	nets := make([]float64, len(sws))
+	workloads := make([]string, len(sws))
+	for i, s := range sws {
+		nets[i], workloads[i] = s.NetSpeedup, s.Workload
 		if s.ClockRatio < 1.20 || s.ClockRatio > 1.30 {
 			t.Errorf("%s: clock ratio %.3f, want ≈1.25", s.Workload, s.ClockRatio)
 		}
 	}
-	if sum.Arith < 1.05 || sum.Arith > 1.25 {
-		t.Errorf("mean net speedup %.3f, want in [1.05, 1.25] (paper: 1.16)", sum.Arith)
+	checkNetSpeedups(t, workloads, nets)
+	if sum.Arith != stats.Mean(nets) {
+		t.Errorf("summary mean %.3f, want the mean of the per-workload speedups %.3f", sum.Arith, stats.Mean(nets))
 	}
 	// The geometric mean of positive ratios is bounded by the arithmetic
 	// mean (AM–GM) and must stay a net win.

@@ -50,7 +50,6 @@ var (
 	cacheDir        = flag.String("cache-dir", "", "persist run results under this directory (shared across daemons)")
 	traceDir        = flag.String("trace-dir", "", "persist execution traces under this directory (shared across daemons)")
 	cacheMax        = flag.Int("cache-max", 4096, "max run results held in memory, LRU over the disk tier (0 = unbounded)")
-	noReplay        = flag.Bool("no-trace-replay", false, "drive every simulation by lockstep execution instead of trace replay")
 	pprofAddr       = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); empty = disabled. Never exposed on the serving port")
 	segments        = flag.Int("segments", 0, "phase sampling: cut each trace into this many segments (0 = monolithic)")
 	segPhases       = flag.Int("phases", 0, "phase sampling: time one representative segment per behavior cluster, at most this many (1..-segments)")
@@ -79,7 +78,6 @@ func run() error {
 		}
 	}
 	eng.SetCacheLimit(*cacheMax)
-	eng.SetTraceReplay(!*noReplay)
 	if err := eng.SetPhaseSampling(*segments, *segPhases); err != nil {
 		return err
 	}

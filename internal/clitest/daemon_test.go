@@ -59,7 +59,7 @@ func startDaemon(t *testing.T, args ...string) *daemon {
 	for sc.Scan() {
 		line := sc.Text()
 		d.mu.Lock()
-		fmt.Fprintln(&d.stderr, line) //ce:lock-ok d.stderr is an in-memory buffer
+		fmt.Fprintln(&d.stderr, line)
 		d.mu.Unlock()
 		if i := strings.Index(line, "listening on "); i >= 0 {
 			d.url = strings.TrimSpace(line[i+len("listening on "):])
@@ -75,7 +75,7 @@ func startDaemon(t *testing.T, args ...string) *daemon {
 		for sc.Scan() {
 			line := sc.Text()
 			d.mu.Lock()
-			fmt.Fprintln(&d.stderr, line) //ce:lock-ok d.stderr is an in-memory buffer
+			fmt.Fprintln(&d.stderr, line)
 			d.mu.Unlock()
 		}
 		err := d.cmd.Wait()

@@ -16,7 +16,7 @@ import (
 // fact types must be pointers to gob-serializable structs with exported
 // fields and must be listed in the owning Analyzer's FactTypes.
 //
-// Facts are namespaced per analyzer: locklint's fact about a function is
+// Facts are namespaced per analyzer: errlint's fact about a function is
 // invisible to detlint, mirroring the x/tools fact model.
 type Fact interface {
 	// AFact is a marker method; it has no behavior.
@@ -151,7 +151,7 @@ func RegisterFactTypes(analyzers []*Analyzer) {
 }
 
 // factTypeName returns the stable name of a fact's concrete type,
-// e.g. "*locklint.BlockFact".
+// e.g. "*detlint.DetFact".
 func factTypeName(f Fact) string {
 	return reflect.TypeOf(f).String()
 }

@@ -1,6 +1,5 @@
 // Package celint is the driver for the simulator's custom static
-// analyzers (dirlint, detlint, locklint, errlint). It
-// runs only as a vet tool: `go vet -vettool=$(which celint) ./...`
+// analyzers (dirlint, detlint, errlint). It runs only as a vet tool: `go vet -vettool=$(which celint) ./...`
 // speaks the cmd/go unitchecker protocol (-V=full, -flags, and one .cfg
 // file per compilation unit), so cmd/go orders the units, caches the
 // results and threads analyzer facts between them in vetx files.
@@ -20,7 +19,6 @@ import (
 	"repro/internal/lint/detlint"
 	"repro/internal/lint/dirlint"
 	"repro/internal/lint/errlint"
-	"repro/internal/lint/locklint"
 )
 
 // Analyzers returns the celint suite in reporting order. dirlint runs
@@ -30,7 +28,6 @@ func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		dirlint.Analyzer,
 		detlint.Analyzer,
-		locklint.Analyzer,
 		errlint.Analyzer,
 	}
 }

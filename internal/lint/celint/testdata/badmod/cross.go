@@ -1,10 +1,6 @@
 package badmod
 
-import (
-	"sync"
-
-	"badmod/dep"
-)
+import "badmod/dep"
 
 // Epoch transitively reads the wall clock inside a //ce:deterministic
 // package.
@@ -12,26 +8,10 @@ func Epoch() int64 {
 	return dep.Stamp()
 }
 
-// Box holds its mutex across cross-package file I/O.
-type Box struct {
-	mu sync.Mutex
-	n  int
-}
-
-// Checkpoint is the seeded lock-across-blocking-call violation.
-func (b *Box) Checkpoint(path string) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.n++
-	return dep.Save(path, nil)
-}
-
-// Sync holds its mutex across file I/O two packages down: Flush belongs
-// to inner, which this package never imports.
-func (b *Box) Sync(path string) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return dep.New(path).Flush()
+// Created reads the wall clock two packages down: Created belongs to
+// inner, which this package never imports.
+func Created(path string) int64 {
+	return dep.New(path).Created()
 }
 
 // ReadState lets dep.Load's raw environment error escape unclassified.

@@ -1,17 +1,17 @@
 // Package inner is imported by dep alone. The badmod root reaches its
-// blocking method through a value dep returns, without importing inner,
-// so the method's fact reaches the root only if dep's vetx file carries
-// the facts of dep's own imports along.
+// clock-reading method through a value dep returns, without importing
+// inner, so the method's fact reaches the root only if dep's vetx file
+// carries the facts of dep's own imports along.
 package inner
 
-import "os"
+import "time"
 
-// File is a file that Flush writes.
+// File is a file whose creation Created stamps.
 type File struct {
 	Path string
 }
 
-// Flush blocks on file I/O: callers must not hold a mutex across it.
-func (f *File) Flush() error {
-	return os.WriteFile(f.Path, nil, 0o644)
+// Created reads the wall clock: deterministic callers must not reach it.
+func (f *File) Created() int64 {
+	return time.Now().UnixNano()
 }

@@ -99,7 +99,7 @@ func vetMode(cfgPath string, stderr io.Writer) int {
 	}
 	if stdlibUnit(cfg) {
 		// Standard-library unit: the analyzers special-case the stdlib
-		// surface they care about (os/io blocking sets, env error sources)
+		// surface they care about (host clock reads, env error sources)
 		// instead of deriving facts from its source, so skip the
 		// typecheck and hand back an empty fact set.
 		if !writeVetx(nil) {

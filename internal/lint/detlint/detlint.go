@@ -30,15 +30,8 @@
 // too would be noise), and marked packages export no nondet facts — their
 // own pass enforces the contract, so callers may trust them.
 //
-// Two hatches, both reason-bearing:
-//
-//   - `//ce:nondet-ok <reason>` suppresses a finding on its line and
-//     excludes the site (or call) from fact propagation.
-//   - `//ce:det-boundary <reason>` on a function declaration marks an
-//     abstraction seam: the function's internals are asserted not to leak
-//     nondeterminism to callers, so no fact is computed for it and calls
-//     to it are never flagged transitively. Direct findings inside marked
-//     packages are unaffected — the seam hatch is for callee packages.
+// The hatch `//ce:nondet-ok <reason>` suppresses a finding on its line
+// and excludes the site (or call) from fact propagation.
 package detlint
 
 import (
@@ -67,9 +60,6 @@ type DetFact struct {
 	// Nondet marks a function that transitively reaches a nondeterminism
 	// source.
 	Nondet bool
-	// Boundary marks a //ce:det-boundary seam: never flagged, never
-	// propagated through.
-	Boundary bool
 	// Why describes the root source ("time.Now reads the host clock").
 	Why string
 	// Trail is the call chain from this function down to the source,
@@ -95,7 +85,6 @@ type dcall struct {
 // fnData is the per-function fact-collection state.
 type fnData struct {
 	obj      *types.Func
-	boundary bool
 	firstWhy string // first unhatched direct nondet source, "" if none
 	calls    []dcall
 	fact     *DetFact
@@ -131,27 +120,25 @@ func run(pass *analysis.Pass) (any, error) {
 			if !ok {
 				continue
 			}
-			d := &fnData{obj: obj, boundary: directive.FuncMarked(fd, directive.DetBoundary)}
-			if !d.boundary {
-				c := &checker{pass: pass, hatch: hatch, factMode: true}
-				c.emit = func(pos token.Pos, category, msg string) {
-					if d.firstWhy == "" {
-						d.firstWhy = msg
-					}
+			d := &fnData{obj: obj}
+			c := &checker{pass: pass, hatch: hatch, factMode: true}
+			c.emit = func(pos token.Pos, category, msg string) {
+				if d.firstWhy == "" {
+					d.firstWhy = msg
 				}
-				c.funcBody(f, fd)
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					if callee := staticCallee(pass.TypesInfo, call); callee != nil {
-						_, hatched := hatch.Covering(call.Pos())
-						d.calls = append(d.calls, dcall{pos: call.Pos(), callee: callee, hatched: hatched})
-					}
-					return true
-				})
 			}
+			c.funcBody(f, fd)
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				if callee := staticCallee(pass.TypesInfo, call); callee != nil {
+					_, hatched := hatch.Covering(call.Pos())
+					d.calls = append(d.calls, dcall{pos: call.Pos(), callee: callee, hatched: hatched})
+				}
+				return true
+			})
 			fns = append(fns, d)
 			byObj[obj] = d
 		}
@@ -159,7 +146,7 @@ func run(pass *analysis.Pass) (any, error) {
 
 	// Propagate to a fixpoint in deterministic (source) order.
 	for _, d := range fns {
-		d.fact = &DetFact{Boundary: d.boundary}
+		d.fact = &DetFact{}
 		if d.firstWhy != "" {
 			d.fact.Nondet = true
 			d.fact.Why = d.firstWhy
@@ -182,7 +169,7 @@ func run(pass *analysis.Pass) (any, error) {
 	for changed := true; changed; {
 		changed = false
 		for _, d := range fns {
-			if d.fact.Nondet || d.boundary {
+			if d.fact.Nondet {
 				continue
 			}
 			for _, cs := range d.calls {
@@ -190,7 +177,7 @@ func run(pass *analysis.Pass) (any, error) {
 					continue
 				}
 				cf := calleeFact(cs.callee)
-				if cf == nil || cf.Boundary || !cf.Nondet {
+				if cf == nil || !cf.Nondet {
 					continue
 				}
 				d.fact.Nondet = true
@@ -217,21 +204,18 @@ func run(pass *analysis.Pass) (any, error) {
 	// directly above.
 	if marked {
 		for _, d := range fns {
-			if d.boundary {
-				continue
-			}
 			for _, cs := range d.calls {
 				if cs.hatched || cs.callee.Pkg() == pass.Pkg {
 					continue
 				}
 				cf := calleeFact(cs.callee)
-				if cf == nil || cf.Boundary || !cf.Nondet {
+				if cf == nil || !cf.Nondet {
 					continue
 				}
 				pass.Report(analysis.Diagnostic{
 					Pos:      cs.pos,
 					Category: "transitive-nondet",
-					Message: fmt.Sprintf("call to %s is transitively nondeterministic (%s) in a //ce:deterministic package; add //ce:nondet-ok <reason> or mark the callee //ce:det-boundary <reason>",
+					Message: fmt.Sprintf("call to %s is transitively nondeterministic (%s) in a //ce:deterministic package; add //ce:nondet-ok <reason>",
 						calleeLabel(pass.Pkg, cs.callee), cf.chain()),
 				})
 			}

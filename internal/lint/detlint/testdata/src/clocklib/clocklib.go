@@ -21,13 +21,5 @@ func Silenced() int64 {
 	return time.Now().UnixNano() //ce:nondet-ok telemetry counter, never compared
 }
 
-// Seam is a //ce:det-boundary abstraction seam: its internals are
-// nondeterministic but asserted not to leak; callers are never flagged.
-//
-//ce:det-boundary wall-time logging that cannot reach simulated state
-func Seam() int64 {
-	return time.Now().UnixNano()
-}
-
 // Pure is deterministic.
 func Pure(x int64) int64 { return x * 2 }

@@ -11,8 +11,7 @@ func use() int64 {
 	a := clocklib.Stamp()   // want "call to clocklib.Stamp is transitively nondeterministic \\(Stamp: time.Now reads the host clock\\)"
 	b := clocklib.Elapsed() // want "call to clocklib.Elapsed is transitively nondeterministic \\(Elapsed → Stamp: time.Now reads the host clock\\)"
 	c := clocklib.Silenced()
-	d := clocklib.Seam()
-	e := clocklib.Pure(4)
-	f := clocklib.Stamp() //ce:nondet-ok boot banner timestamp, not simulated time
-	return a + b + c + d + e + f
+	d := clocklib.Pure(4)
+	e := clocklib.Stamp() //ce:nondet-ok boot banner timestamp, not simulated time
+	return a + b + c + d + e
 }

@@ -2,17 +2,13 @@
 // simulator's statically-enforced contracts:
 //
 //	//ce:deterministic          marks a package bit-deterministic (detlint)
-//	//ce:classify-errors        marks a function whose environmental errors
+//	//ce:classify-errors        marks a package whose environmental errors
 //	                            must be wrapped into a classified sentinel
 //	                            before being returned (errlint)
 //	//ce:classifier             marks a function that performs that
 //	                            classification (errlint)
 //	//ce:nondet-ok <reason>     per-line detlint escape hatch
-//	//ce:lock-ok <reason>       per-line locklint escape hatch
 //	//ce:err-ok <reason>        per-line errlint escape hatch
-//	//ce:det-boundary <reason>  function-level detlint hatch: the function
-//	                            is an abstraction seam whose callers may
-//	                            treat it as deterministic
 //
 // Like //go: directives, a //ce: directive has no space after the
 // slashes. The per-line escape hatches require a reason and apply to
@@ -39,9 +35,7 @@ const (
 	ClassifyErrors = "classify-errors"
 	Classifier     = "classifier"
 	NondetOK       = "nondet-ok"
-	LockOK         = "lock-ok"
 	ErrOK          = "err-ok"
-	DetBoundary    = "det-boundary"
 )
 
 // verbs is the registry of every known directive and whether its
@@ -51,9 +45,7 @@ var verbs = map[string]bool{
 	ClassifyErrors: false,
 	Classifier:     false,
 	NondetOK:       true,
-	LockOK:         true,
 	ErrOK:          true,
-	DetBoundary:    true,
 }
 
 // Known reports whether name is a registered //ce: verb.
@@ -117,12 +109,6 @@ func PackageMarked(files []*ast.File, name string) bool {
 // named directive.
 func FuncMarked(fd *ast.FuncDecl, name string) bool {
 	return InGroup(fd.Doc, name)
-}
-
-// FuncDirective returns the named directive from the function's doc
-// comment, if present.
-func FuncDirective(fd *ast.FuncDecl, name string) (Directive, bool) {
-	return Get(fd.Doc, name)
 }
 
 // Index is a per-file line-indexed view of one directive name, used for
@@ -226,7 +212,7 @@ func Problems(fset *token.FileSet, f *ast.File) []Problem {
 						d.Name, d.Name),
 				})
 			}
-			// `_ = x //ce:lock-ok brief //ce:nondet-ok seeded` parses as ONE
+			// `_ = x //ce:err-ok brief //ce:nondet-ok seeded` parses as ONE
 			// directive whose reason swallows the second marker — the second
 			// hatch is silently dead, which is exactly the failure mode this
 			// check exists to make loud.

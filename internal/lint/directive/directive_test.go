@@ -21,7 +21,7 @@ func parseSrc(t *testing.T, src string) (*token.FileSet, *ast.File) {
 func TestKnownAndReasonRequired(t *testing.T) {
 	for _, name := range []string{
 		Deterministic, ClassifyErrors, Classifier,
-		NondetOK, LockOK, ErrOK, DetBoundary,
+		NondetOK, ErrOK,
 	} {
 		if !Known(name) {
 			t.Errorf("Known(%q) = false", name)
@@ -30,7 +30,7 @@ func TestKnownAndReasonRequired(t *testing.T) {
 	if Known("nondetok") {
 		t.Error("Known accepted a typo verb")
 	}
-	for _, name := range []string{NondetOK, LockOK, ErrOK, DetBoundary} {
+	for _, name := range []string{NondetOK, ErrOK} {
 		if !ReasonRequired(name) {
 			t.Errorf("ReasonRequired(%q) = false, want true", name)
 		}
@@ -94,12 +94,12 @@ func TestProblemsDuplicateOnOneLine(t *testing.T) {
 	f := &ast.File{
 		Name: &ast.Ident{Name: "p", NamePos: file.Pos(0)},
 		Comments: []*ast.CommentGroup{{List: []*ast.Comment{
-			mk(2, "//ce:lock-ok brief"),
-			mk(10, "//ce:lock-ok brief again"), // same line (offsets 2,10 < 20)
+			mk(2, "//ce:err-ok brief"),
+			mk(10, "//ce:err-ok brief again"), // same line (offsets 2,10 < 20)
 		}}},
 	}
 	probs := Problems(fset, f)
-	if len(probs) != 1 || !strings.Contains(probs[0].Message, "duplicate //ce:lock-ok") {
+	if len(probs) != 1 || !strings.Contains(probs[0].Message, "duplicate //ce:err-ok") {
 		t.Fatalf("Problems = %v, want one duplicate error", probs)
 	}
 }
@@ -108,7 +108,7 @@ func TestProblemsEmbeddedSecondDirective(t *testing.T) {
 	fset, f := parseSrc(t, `package p
 
 func f() {
-	_ = 1 //ce:lock-ok brief //ce:nondet-ok seeded
+	_ = 1 //ce:err-ok brief //ce:nondet-ok seeded
 }
 `)
 	probs := Problems(fset, f)
@@ -125,11 +125,8 @@ func TestProblemsCleanFile(t *testing.T) {
 
 //ce:classifier
 func f() {
-	_ = 1 //ce:lock-ok brief critical section
+	_ = 1 //ce:err-ok brief passthrough
 }
-
-//ce:det-boundary wraps a seeded source
-func g() {}
 `)
 	if probs := Problems(fset, f); len(probs) != 0 {
 		t.Fatalf("clean file produced problems: %v", probs)
@@ -140,13 +137,13 @@ func TestIndexCoversOwnAndNextLine(t *testing.T) {
 	fset, f := parseSrc(t, `package p
 
 func f() {
-	//ce:lock-ok short critical section
-	mu := 1
-	_ = mu //ce:lock-ok inline reason
+	//ce:err-ok short passthrough
+	err := 1
+	_ = err //ce:err-ok inline reason
 	_ = 2
 }
 `)
-	idx := NewIndex(fset, f, LockOK)
+	idx := NewIndex(fset, f, ErrOK)
 	find := func(line int) bool {
 		_, ok := idx.byLine[line]
 		return ok
@@ -165,15 +162,18 @@ func f() {
 func TestFuncDirectiveAndGet(t *testing.T) {
 	_, f := parseSrc(t, `package p
 
-//ce:det-boundary wraps the host clock at the telemetry seam
+//ce:classifier wraps disk errors at the cache seam
 func g() {}
 `)
 	fd := f.Decls[0].(*ast.FuncDecl)
-	d, ok := FuncDirective(fd, DetBoundary)
-	if !ok || d.Reason != "wraps the host clock at the telemetry seam" {
-		t.Fatalf("FuncDirective = %+v, %v", d, ok)
+	if !FuncMarked(fd, Classifier) {
+		t.Fatal("FuncMarked missed the function's //ce:classifier")
 	}
-	if _, ok := FuncDirective(fd, Classifier); ok {
-		t.Fatal("FuncDirective found a directive that isn't there")
+	d, ok := Get(fd.Doc, Classifier)
+	if !ok || d.Reason != "wraps disk errors at the cache seam" {
+		t.Fatalf("Get = %+v, %v", d, ok)
+	}
+	if FuncMarked(fd, Deterministic) {
+		t.Fatal("FuncMarked found a directive that isn't there")
 	}
 }

@@ -6,7 +6,7 @@ package dir
 func typoVerb() {}
 
 // A hatch without its mandatory reason.
-/* want "//ce:lock-ok requires a reason" */ //ce:lock-ok
+/* want "//ce:err-ok requires a reason" */ //ce:err-ok
 func bareHatch() {
 	_ = make([]int, 4)
 }
@@ -14,15 +14,12 @@ func bareHatch() {
 // Two directives on one line: the second is dead text inside the first
 // one's reason.
 func stacked() {
-	_ = 1 /* want "embedded in the reason" */ //ce:lock-ok brief //ce:nondet-ok seeded
+	_ = 1 /* want "embedded in the reason" */ //ce:err-ok brief //ce:nondet-ok seeded
 }
 
 // Well-formed directives produce nothing.
 
 //ce:classifier
 func clean() {
-	_ = 1 //ce:lock-ok brief critical section
+	_ = 1 //ce:err-ok brief passthrough
 }
-
-//ce:det-boundary wraps host telemetry
-func seam() {}

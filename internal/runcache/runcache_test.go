@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/canonjson"
 	"repro/internal/canonjson/canonjsontest"
@@ -126,6 +127,48 @@ func TestDoSingleFlight(t *testing.T) {
 		t.Errorf("stats = %+v", cs)
 	}
 	checkStats(t, c)
+}
+
+// TestDoComputeRunsUnlocked pins that Do runs compute outside the cache
+// mutex: while one key's compute is blocked, Stats, Len and a Do on
+// another key each return.
+func TestDoComputeRunsUnlocked(t *testing.T) {
+	c := New()
+	started, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		c.Do("a", func() (pipeline.Stats, error) {
+			close(started)
+			<-release
+			return fakeStats(1), nil
+		})
+	}()
+	<-started
+	defer func() {
+		close(release)
+		<-done
+	}()
+	for _, probe := range []struct {
+		name string
+		call func()
+	}{
+		{"Stats", func() { c.Stats() }},
+		{"Len", func() { c.Len() }},
+		{`Do("b")`, func() {
+			c.Do("b", func() (pipeline.Stats, error) { return fakeStats(2), nil })
+		}},
+	} {
+		returned := make(chan struct{})
+		go func() {
+			probe.call()
+			close(returned)
+		}()
+		select {
+		case <-returned:
+		case <-time.After(10 * time.Second):
+			t.Fatalf(`%s blocked while Do("a")'s compute was running`, probe.name)
+		}
+	}
 }
 
 func TestDoMemoizesErrors(t *testing.T) {

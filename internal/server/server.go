@@ -149,7 +149,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 				s.logMu.Lock()
 				// Serializing whole lines onto logW is this mutex's entire
 				// job; the write is the critical section.
-				fmt.Fprintf(s.logW, "%s\n", line) //ce:lock-ok logMu exists to serialize this write
+				fmt.Fprintf(s.logW, "%s\n", line)
 				s.logMu.Unlock()
 			}
 		}

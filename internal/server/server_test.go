@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 	"testing/iotest"
+	"time"
 
 	"repro"
 	"repro/internal/canonjson/canonjsontest"
@@ -351,6 +352,39 @@ func TestFlightGroupCoalesces(t *testing.T) {
 		if string(r) != "v" {
 			t.Fatalf("result[%d] = %q", i, r)
 		}
+	}
+}
+
+// TestFlightGroupRunsUnlocked pins that do runs fn outside the group's
+// mutex: while flight "a" is blocked, do("b") returns.
+func TestFlightGroupRunsUnlocked(t *testing.T) {
+	var g flightGroup
+	started, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		g.do("a", func() ([]byte, error) {
+			close(started)
+			<-release
+			return []byte("a"), nil
+		})
+	}()
+	<-started
+	defer func() {
+		close(release)
+		<-done
+	}()
+	returned := make(chan []byte, 1)
+	go func() {
+		data, _ := g.do("b", func() ([]byte, error) { return []byte("b"), nil })
+		returned <- data
+	}()
+	select {
+	case data := <-returned:
+		if string(data) != "b" {
+			t.Fatalf(`do("b") = %q, want "b"`, data)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal(`do("b") blocked while flight "a" was running`)
 	}
 }
 
