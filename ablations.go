@@ -356,47 +356,6 @@ func SteeringDepthAblation() (*report.Table, error) {
 	return tbl, nil
 }
 
-// WrongPathAblation compares the trace-driven stall-at-mispredict model
-// (the paper's SimpleScalar methodology) against full wrong-path
-// execution, where mispredicted paths are fetched, renamed and executed
-// before being squashed — consuming physical registers and scheduler slots
-// and polluting the data cache.
-func WrongPathAblation() (*report.Table, error) {
-	ws := Workloads()
-	tbl := &report.Table{
-		Title:   "Misprediction model ablation (baseline 8-way, gshare)",
-		Headers: []string{"model", "mean IPC", "squashed/committed"},
-	}
-	stall := BaselineConfig()
-	stall.Name = "stall fetch at mispredict"
-	wrong := BaselineConfig()
-	wrong.Name = "wrong-path execution"
-	wrong.WrongPathExecution = true
-	res, err := RunMatrix([]Config{stall, wrong}, ws)
-	if err != nil {
-		return nil, err
-	}
-	for ci, cfg := range []Config{stall, wrong} {
-		var ipcs []float64
-		var squashed, committed uint64
-		for wi := range ws {
-			ipcs = append(ipcs, res[ci][wi].IPC())
-			squashed += res[ci][wi].SquashedUops
-			committed += res[ci][wi].Committed
-		}
-		tbl.AddRowf(cfg.Name, stats.Mean(ipcs),
-			fmt.Sprintf("%.1f%%", float64(squashed)/float64(committed)*100))
-	}
-	return tbl, nil
-}
-
-// WithWrongPath returns a copy of cfg with wrong-path execution enabled.
-func WithWrongPath(cfg Config) Config {
-	cfg.WrongPathExecution = true
-	cfg.Name += "+wrongpath"
-	return cfg
-}
-
 // WorkloadProfiles characterizes every workload (including extensions)
 // with the dynamic profiler: instruction mix, branch density, dependence
 // distances and the dataflow-limit ILP — the properties that justify the

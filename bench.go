@@ -167,8 +167,9 @@ func PipelineBenchConfigs() []Config {
 // fresh simulator per run (no run cache), returning per-configuration
 // host-performance results.
 func PipelineBench(workload string) ([]PipelineBenchResult, error) {
-	out := make([]PipelineBenchResult, 0, 7)
-	for _, cfg := range PipelineBenchConfigs() {
+	cfgs := PipelineBenchConfigs()
+	out := make([]PipelineBenchResult, 0, len(cfgs))
+	for _, cfg := range cfgs {
 		st, err := Run(cfg, workload)
 		if err != nil {
 			return nil, fmt.Errorf("bench %s/%s: %w", cfg.Name, workload, err)

@@ -304,22 +304,6 @@ func BenchmarkFrontier(b *testing.B) {
 	}
 }
 
-// BenchmarkWrongPathSimulation measures the speculative-execution
-// simulator against the stall-model baseline (extension).
-func BenchmarkWrongPathSimulation(b *testing.B) {
-	cfg := BaselineConfig()
-	cfg.WrongPathExecution = true
-	var committed uint64
-	for i := 0; i < b.N; i++ {
-		st, err := Run(cfg, "gcc")
-		if err != nil {
-			b.Fatal(err)
-		}
-		committed += st.Committed + st.SquashedUops
-	}
-	b.ReportMetric(float64(committed)/b.Elapsed().Seconds(), "simulated-insts/s")
-}
-
 func TestSweepBenchJSONRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_sweep.json")
 	want := SweepBenchResult{

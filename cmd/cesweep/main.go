@@ -422,7 +422,7 @@ func run() (err error) {
 		for _, fn := range []func() (*report.Table, error){
 			ce.SteeringAblation, ce.FIFOGeometry, ce.LatencySweep, ce.PredictorAblation,
 			ce.AtomicityAblation, ce.FetchRealismAblation, ce.SelectionPolicyAblation,
-			ce.StoreForwardingAblation, ce.SteeringDepthAblation, ce.WrongPathAblation,
+			ce.StoreForwardingAblation, ce.SteeringDepthAblation,
 		} {
 			tbl, err := fn()
 			if err != nil {

@@ -52,13 +52,8 @@ type Uop struct {
 	Issued        bool
 	Completed     bool
 	// Mispredicted marks a conditional branch whose predicted direction
-	// was wrong; fetch stalls (or speculates down the wrong path) until
-	// it resolves.
+	// was wrong; fetch stalls until it resolves.
 	Mispredicted bool
-	// Speculative marks a wrong-path instruction fetched past an
-	// unresolved misprediction; it is squashed at resolution and never
-	// commits.
-	Speculative bool
 	// UsedInterClusterBypass marks that at least one operand arrived over
 	// an inter-cluster bypass path (Figure 17, bottom).
 	UsedInterClusterBypass bool
@@ -94,9 +89,6 @@ type Scheduler interface {
 	// candidate: WakeNow when a candidate is already awake, the earliest
 	// pending wake cycle otherwise, and NeverWake when empty.
 	NextWake() int64
-	// Squash removes every buffered uop with Seq > afterSeq (wrong-path
-	// instructions being flushed at branch resolution).
-	Squash(afterSeq uint64)
 	// Len reports current occupancy.
 	Len() int
 	// Capacity reports total buffering capacity.
@@ -215,17 +207,6 @@ func (w *CentralWindow) NextWake() int64 {
 		return WakeNow
 	}
 	return w.t.nextWake()
-}
-
-// Squash implements Scheduler. A squashed producer's destination stays
-// pending: its register is free, and only a new producer names it again.
-func (w *CentralWindow) Squash(afterSeq uint64) {
-	for _, s := range w.t.ageOrder(w.t.occupied) {
-		if w.t.uop[s].Seq > afterSeq {
-			w.t.remove(int(s))
-			w.occupancy--
-		}
-	}
 }
 
 // SteerPolicy selects how a FIFOBank routes instructions.
@@ -494,26 +475,6 @@ func (b *FIFOBank) unlink(f *fifo, s int32, u *Uop) {
 	b.occupancy--
 	if u.PhysDest >= 0 && b.producer[u.PhysDest] == s {
 		b.producer[u.PhysDest] = -1
-	}
-}
-
-// Squash implements Scheduler: wrong-path uops are the youngest, so they
-// sit at FIFO tails; they are popped, the producer table entries they
-// installed removed, and emptied FIFOs recycled.
-func (b *FIFOBank) Squash(afterSeq uint64) {
-	for i := range b.fifos {
-		f := &b.fifos[i]
-		had := f.n
-		for f.n > 0 && b.t.uop[f.tail].Seq > afterSeq {
-			s := f.tail
-			tail := b.t.uop[s]
-			b.t.remove(int(s))
-			b.unlink(f, s, tail)
-			tail.FIFO = -1
-		}
-		if had > 0 && f.n == 0 && b.policy != SteerRandom {
-			b.freeFIFOs[f.cluster] = append(b.freeFIFOs[f.cluster], i)
-		}
 	}
 }
 

@@ -114,16 +114,6 @@ func (r *refSched) wakeup(p int16, rc int64) {
 	}
 }
 
-func (r *refSched) squash(afterSeq uint64) {
-	kept := r.entries[:0]
-	for _, e := range r.entries {
-		if e.u.Seq <= afterSeq {
-			kept = append(kept, e)
-		}
-	}
-	r.entries = kept
-}
-
 // earliest is the first cycle any buffered uop could be ready.
 func (r *refSched) earliest() int64 {
 	m := NeverWake
@@ -137,7 +127,7 @@ func (r *refSched) earliest() int64 {
 
 // TestSchedulerMatchesReference drives every scheduler kind and the
 // brute-force reference through the same seeded dispatch, wakeup,
-// select and squash sequence. Each cycle both must offer the same
+// and select sequence. Each cycle both must offer the same
 // candidates in the same order, and NextWake must never be later than
 // the reference's earliest wake. Sources include registers read twice,
 // and the exec-steered window's uops leave dispatch with no cluster.
@@ -188,12 +178,6 @@ func TestSchedulerMatchesReference(t *testing.T) {
 func diffRun(t *testing.T, sched Scheduler, ref *refSched, execSteered bool, inFlight int, seed int64) {
 	rng := splitmix(seed)
 	physRegs := len(ref.regWake)
-	// readable marks registers a new uop may name as a source: not the
-	// destination of a squashed producer (rename never maps those).
-	readable := make([]bool, physRegs)
-	for p := range readable {
-		readable[p] = true
-	}
 	var nextSeq uint64
 	for now := int64(0); now < 1500; now++ {
 		want := ref.candidates(now)
@@ -225,36 +209,20 @@ func diffRun(t *testing.T, sched Scheduler, ref *refSched, execSteered bool, inF
 			ref.wakeup(int16(w[0]), w[1])
 		}
 
-		if len(ref.entries) > 0 && rng.Intn(40) == 0 {
-			oldest := ref.entries[0].u.Seq
-			after := oldest + uint64(rng.Intn(int(nextSeq-oldest)))
-			for _, e := range ref.entries {
-				if e.u.Seq > after && e.u.PhysDest >= 0 {
-					readable[e.u.PhysDest] = false
-				}
-			}
-			sched.Squash(after)
-			ref.squash(after)
-			nextSeq = after + 1
-		}
-
 		for n := rng.Intn(5); n > 0; n-- {
 			if len(ref.entries) > 0 && nextSeq-ref.entries[0].u.Seq >= uint64(inFlight) {
 				break // the reorder buffer would be full
 			}
 			u := &Uop{Seq: nextSeq, PhysDest: -1, Cluster: 7, FIFO: -1}
 			for s := rng.Intn(4); s > 0; s-- {
-				p := int16(rng.Intn(physRegs))
-				if readable[p] {
-					u.PhysSrcs = append(u.PhysSrcs, p)
-				}
+				u.PhysSrcs = append(u.PhysSrcs, int16(rng.Intn(physRegs)))
 			}
 			if len(u.PhysSrcs) > 0 && rng.Intn(4) == 0 {
 				u.PhysSrcs = append(u.PhysSrcs, u.PhysSrcs[0]) // e.g. add r1,r2,r2
 			}
 			if rng.Intn(5) > 0 {
 				d := int16(rng.Intn(physRegs))
-				if ref.regWake[d] != regPending || !readable[d] {
+				if ref.regWake[d] != regPending {
 					u.PhysDest = d
 				}
 			}
@@ -263,9 +231,6 @@ func diffRun(t *testing.T, sched Scheduler, ref *refSched, execSteered bool, inF
 			}
 			if execSteered && u.Cluster != -1 {
 				t.Fatalf("exec-steered uop %d assigned cluster %d at dispatch", u.Seq, u.Cluster)
-			}
-			if u.PhysDest >= 0 {
-				readable[u.PhysDest] = true
 			}
 			ref.dispatch(u)
 			nextSeq++

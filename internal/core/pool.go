@@ -1,8 +1,8 @@
 package core
 
 // UopPool is a per-simulator free list of Uops. Fetch takes one Uop per
-// dynamic instruction and commit and squash return it, so the simulator
-// never allocates per instruction. The pool is filled once to the
+// dynamic instruction and commit returns it, so the simulator never
+// allocates per instruction. The pool is filled once to the
 // machine's in-flight bound: Get on an empty pool and Put on a full one
 // are bugs and panic. Not safe for concurrent use — each Simulator owns
 // its own pool.

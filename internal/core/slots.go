@@ -261,7 +261,7 @@ func (t *slots) youngest(mask []uint64) int32 {
 	return -1
 }
 
-// remove drops slot s, on issue or squash.
+// remove drops slot s on issue.
 func (t *slots) remove(s int) {
 	w, bit := s>>6, uint64(1)<<(s&63)
 	t.occupied[w] &^= bit

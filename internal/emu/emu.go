@@ -47,11 +47,6 @@ type Machine struct {
 	// Executed counts retired instructions.
 	Executed uint64
 	halted   bool
-
-	// journal records overwritten memory bytes while checkpoints are
-	// live (see checkpoint.go).
-	journal      []memWrite
-	journalDepth int
 }
 
 // ErrHalted is returned by Step once the program has executed Halt.
@@ -110,11 +105,7 @@ func (m *Machine) LoadByte(addr uint32) byte {
 
 // StoreByte writes one byte of memory.
 func (m *Machine) StoreByte(addr uint32, b byte) {
-	p := m.page(addr)
-	if m.journalDepth > 0 {
-		m.journal = append(m.journal, memWrite{addr, p[addr&(1<<pageBits-1)]})
-	}
-	p[addr&(1<<pageBits-1)] = b
+	m.page(addr)[addr&(1<<pageBits-1)] = b
 }
 
 // LoadWord reads a little-endian 32-bit word.
@@ -175,22 +166,14 @@ func (m *Machine) Step() (Record, error) {
 		m.SetReg(in.Rd, rs*rt)
 	case isa.Div:
 		if rt == 0 {
-			if m.journalDepth == 0 {
-				return Record{}, fmt.Errorf("emu: division by zero at pc %d", m.pc)
-			}
-			m.SetReg(in.Rd, 0) // speculative path: squashed before commit
-		} else {
-			m.SetReg(in.Rd, rs/rt)
+			return Record{}, fmt.Errorf("emu: division by zero at pc %d", m.pc)
 		}
+		m.SetReg(in.Rd, rs/rt)
 	case isa.Rem:
 		if rt == 0 {
-			if m.journalDepth == 0 {
-				return Record{}, fmt.Errorf("emu: remainder by zero at pc %d", m.pc)
-			}
-			m.SetReg(in.Rd, 0)
-		} else {
-			m.SetReg(in.Rd, rs%rt)
+			return Record{}, fmt.Errorf("emu: remainder by zero at pc %d", m.pc)
 		}
+		m.SetReg(in.Rd, rs%rt)
 	case isa.Addi:
 		m.SetReg(in.Rd, rs+in.Imm)
 	case isa.Andi:

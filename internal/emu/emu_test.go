@@ -342,215 +342,3 @@ func TestPropertyAluMatchesGo(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestCheckpointRestore(t *testing.T) {
-	m := run(t, `
-		.data
-v:		.word 100
-		.text
-		lw   $t0, v($zero)
-		out  $t0
-		halt
-	`)
-	_ = m
-
-	p, err := asm.Assemble("cp.s", `
-		.data
-v:		.word 100
-		.text
-		li   $t0, 1
-		sw   $t0, v($zero)
-		li   $t1, 2
-		out  $t1
-		halt
-	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mach := New(p)
-	mach.Step() // li $t0, 1
-	cp := mach.Checkpoint()
-	mach.Step() // sw (journaled)
-	mach.Step() // li $t1
-	mach.Step() // out
-	if mach.LoadWord(isa.DataBase) != 1 || len(mach.Output) != 1 {
-		t.Fatal("speculative execution did not take effect")
-	}
-	if err := mach.Restore(cp); err != nil {
-		t.Fatal(err)
-	}
-	if got := mach.LoadWord(isa.DataBase); got != 100 {
-		t.Errorf("memory after restore = %d, want 100", got)
-	}
-	if len(mach.Output) != 0 {
-		t.Errorf("output not rolled back: %v", mach.Output)
-	}
-	if mach.Reg(isa.T1) != 0 || mach.Reg(isa.T0) != 1 {
-		t.Errorf("registers after restore: t0=%d t1=%d", mach.Reg(isa.T0), mach.Reg(isa.T1))
-	}
-	if mach.PC() != 1 || mach.Executed != 1 {
-		t.Errorf("pc=%d executed=%d after restore, want 1/1", mach.PC(), mach.Executed)
-	}
-	// Re-execution after restore reaches the same architectural result.
-	for !mach.Halted() {
-		if _, err := mach.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if mach.LoadWord(isa.DataBase) != 1 || len(mach.Output) != 1 || mach.Output[0] != 2 {
-		t.Error("re-execution after restore diverged")
-	}
-}
-
-func TestCheckpointCommitTruncatesJournal(t *testing.T) {
-	p, err := asm.Assemble("cp.s", ".text\nli $t0, 5\nsw $t0, 0x40000($zero)\nhalt\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := New(p)
-	cp := m.Checkpoint()
-	m.Step()
-	m.Step()
-	if err := m.Commit(cp); err != nil {
-		t.Fatal(err)
-	}
-	if m.Speculating() {
-		t.Error("still speculating after commit")
-	}
-	if len(m.journal) != 0 {
-		t.Errorf("journal not truncated: %d entries", len(m.journal))
-	}
-	if m.LoadWord(0x40000) != 5 {
-		t.Error("committed write lost")
-	}
-	if err := m.Restore(cp); err == nil {
-		t.Error("Restore after final Commit succeeded")
-	}
-}
-
-// TestNestedCheckpointRestoreOldest is the regression test for restoring
-// an older checkpoint while a newer one is still live: Restore used to
-// decrement journalDepth by exactly one, so after restoring the oldest of
-// two nested checkpoints the machine still claimed to be Speculating()
-// and the journal accounting was off by one. Restore (and Commit) now
-// discard every checkpoint taken after the one being popped.
-func TestNestedCheckpointRestoreOldest(t *testing.T) {
-	p, err := asm.Assemble("cp.s", `
-		.data
-v:		.word 100
-		.text
-		li   $t0, 1
-		sw   $t0, v($zero)
-		li   $t1, 2
-		sw   $t1, v($zero)
-		halt
-	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := New(p)
-	m.Step() // li $t0
-	cp1 := m.Checkpoint()
-	m.Step() // sw 1 (journaled under cp1)
-	cp2 := m.Checkpoint()
-	m.Step() // li $t1
-	m.Step() // sw 2 (journaled under cp2)
-	if got := m.LoadWord(isa.DataBase); got != 2 {
-		t.Fatalf("memory before restore = %d, want 2", got)
-	}
-
-	// Restore the *older* checkpoint directly, skipping cp2. Both writes
-	// must unwind (youngest first) and speculation must fully end.
-	if err := m.Restore(cp1); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.LoadWord(isa.DataBase); got != 100 {
-		t.Errorf("memory after restoring cp1 = %d, want 100", got)
-	}
-	if m.Speculating() {
-		t.Error("still speculating after restoring the oldest checkpoint")
-	}
-	if m.PC() != 1 || m.Executed != 1 {
-		t.Errorf("pc=%d executed=%d after restore, want 1/1", m.PC(), m.Executed)
-	}
-
-	// cp2 describes a rolled-back future; using it must fail, not corrupt.
-	if err := m.Restore(cp2); err == nil {
-		t.Error("Restore of a discarded newer checkpoint succeeded")
-	}
-	if err := m.Commit(cp2); err == nil {
-		t.Error("Commit of a discarded newer checkpoint succeeded")
-	}
-
-	// The machine is architecturally sound: re-execution converges.
-	for !m.Halted() {
-		if _, err := m.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := m.LoadWord(isa.DataBase); got != 2 {
-		t.Errorf("re-execution after nested restore diverged: %d", got)
-	}
-}
-
-// TestNestedCheckpointCommitOldest pins the committing counterpart:
-// committing the oldest checkpoint discards the nested one too and
-// truncates the journal.
-func TestNestedCheckpointCommitOldest(t *testing.T) {
-	p, err := asm.Assemble("cp.s", ".text\nli $t0, 5\nsw $t0, 0x40000($zero)\nhalt\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := New(p)
-	cp1 := m.Checkpoint()
-	m.Step()
-	cp2 := m.Checkpoint()
-	m.Step()
-	if err := m.Commit(cp1); err != nil {
-		t.Fatal(err)
-	}
-	if m.Speculating() {
-		t.Error("still speculating after committing the oldest checkpoint")
-	}
-	if len(m.journal) != 0 {
-		t.Errorf("journal not truncated: %d entries", len(m.journal))
-	}
-	if err := m.Restore(cp2); err == nil {
-		t.Error("Restore of a checkpoint discarded by Commit succeeded")
-	}
-	if m.LoadWord(0x40000) != 5 {
-		t.Error("committed write lost")
-	}
-}
-
-func TestSpeculativeDivisionByZeroSurvives(t *testing.T) {
-	p, err := asm.Assemble("cp.s", ".text\ndiv $t0, $t1, $zero\nhalt\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := New(p)
-	cp := m.Checkpoint()
-	if _, err := m.Step(); err != nil {
-		t.Fatalf("speculative division by zero errored: %v", err)
-	}
-	if err := m.Restore(cp); err != nil {
-		t.Fatal(err)
-	}
-	// Non-speculative division by zero still errors.
-	if _, err := m.Step(); err == nil {
-		t.Error("architectural division by zero succeeded")
-	}
-}
-
-func TestSetPC(t *testing.T) {
-	p, err := asm.Assemble("cp.s", ".text\nli $t0, 1\nout $t0\nhalt\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := New(p)
-	m.SetPC(2)
-	m.Step()
-	if !m.Halted() {
-		t.Error("SetPC(2) did not skip to halt")
-	}
-}

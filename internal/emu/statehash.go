@@ -12,8 +12,7 @@ import (
 // register, an emitted value, or a memory byte changes the digest.
 //
 // Only non-zero bytes contribute (keyed by address), so a page that was
-// allocated and then restored to all zeroes — as happens when a
-// speculative write journal is rolled back — hashes identically to a
+// allocated and then written back to all zeroes hashes identically to a
 // page that was never touched.
 func (m *Machine) StateHash() [32]byte {
 	h := sha256.New()

@@ -24,8 +24,9 @@ func fastPathConfigs() []Config {
 }
 
 // TestCycleSkipIsTimingNeutral runs generated programs — including
-// branch-heavy ones whose squashes land mid-window — with idle-cycle
-// skipping on and off and requires identical timing and statistics.
+// branch-heavy ones whose mispredictions stall fetch mid-window — with
+// idle-cycle skipping on and off and requires identical timing and
+// statistics.
 // (The differential harness in internal/verify asserts the same across
 // its whole panel and corpus; this is the in-package regression test.)
 func TestCycleSkipIsTimingNeutral(t *testing.T) {
@@ -41,22 +42,18 @@ func TestCycleSkipIsTimingNeutral(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, base := range fastPathConfigs() {
-			for _, wrongPath := range []bool{false, true} {
-				skip := base
-				skip.PerfectBPred = false
-				skip.WrongPathExecution = wrongPath
-				noSkip := skip
-				noSkip.NoCycleSkip = true
-				a := runProgram(t, skip, p)
-				b := runProgram(t, noSkip, p)
-				if err := DiffStats(a, b); err != nil {
-					t.Errorf("%s seed %d wrongPath=%v: skip diverges from no-skip: %v",
-						base.Name, rc.Seed, wrongPath, err)
-				}
-				if got, want := a.IssuedPerCycle.Total(), uint64(a.Cycles); got != want {
-					t.Errorf("%s seed %d: skipped cycles missing from issue histogram: %d recorded, %d cycles",
-						base.Name, rc.Seed, got, want)
-				}
+			skip := base
+			skip.PerfectBPred = false
+			noSkip := skip
+			noSkip.NoCycleSkip = true
+			a := runProgram(t, skip, p)
+			b := runProgram(t, noSkip, p)
+			if err := DiffStats(a, b); err != nil {
+				t.Errorf("%s seed %d: skip diverges from no-skip: %v", base.Name, rc.Seed, err)
+			}
+			if got, want := a.IssuedPerCycle.Total(), uint64(a.Cycles); got != want {
+				t.Errorf("%s seed %d: skipped cycles missing from issue histogram: %d recorded, %d cycles",
+					base.Name, rc.Seed, got, want)
 			}
 		}
 	}
@@ -185,24 +182,19 @@ func figureSchedulers() []struct {
 // guardVariants are the feature variants the allocation guard crosses
 // with every workload and figure scheduler: each switches on a path the
 // base configuration never runs (I-cache probing and store forwarding,
-// the extra wakeup stage, ring bypass routing, fetch breaks, and
-// squashes of wrong-path uops).
+// the extra wakeup stage, ring bypass routing and fetch breaks).
 var guardVariants = []struct {
 	name string
 	set  func(*Config)
-	// lockstepOnly marks wrong-path execution, which a trace cannot
-	// drive.
-	lockstepOnly bool
 }{
-	{"base", func(*Config) {}, false},
+	{"base", func(*Config) {}},
 	{"icache+stf", func(c *Config) {
 		c.ICache = &cache.Config{SizeBytes: 1 << 10, Ways: 1, LineBytes: 32, HitCycles: 1, MissCycles: 6}
 		c.StoreForwarding = true
-	}, false},
-	{"pipelined-ws", func(c *Config) { c.PipelinedWakeupSelect = true }, false},
-	{"ring", func(c *Config) { c.RingTopology = true }, false},
-	{"fetch-break", func(c *Config) { c.FetchBreakOnTaken = true }, false},
-	{"wrong-path", func(c *Config) { c.WrongPathExecution = true }, true},
+	}},
+	{"pipelined-ws", func(c *Config) { c.PipelinedWakeupSelect = true }},
+	{"ring", func(c *Config) { c.RingTopology = true }},
+	{"fetch-break", func(c *Config) { c.FetchBreakOnTaken = true }},
 }
 
 // guardCycles is how long the guard steps each combination (or until its
@@ -211,13 +203,11 @@ const guardCycles = 20_000
 
 // emuGrowthSites are the only functions the lockstep leg lets allocate
 // under the cycle loop: the functional emulator growing its own data. It
-// faults in a memory page (page), appends program output (Step's only
-// allocation) and journals overwritten bytes under a wrong-path
-// checkpoint (StoreByte's only allocation besides page).
+// faults in a memory page (page) and appends program output (Step's only
+// allocation).
 var emuGrowthSites = map[string]bool{
-	"repro/internal/emu.(*Machine).page":      true,
-	"repro/internal/emu.(*Machine).Step":      true,
-	"repro/internal/emu.(*Machine).StoreByte": true,
+	"repro/internal/emu.(*Machine).page": true,
+	"repro/internal/emu.(*Machine).Step": true,
 }
 
 // TestCycleLoopAllocationFree is the allocation guard. For every workload,
@@ -269,9 +259,6 @@ func TestCycleLoopAllocationFree(t *testing.T) {
 				}
 				if t.Failed() {
 					t.FailNow() // every later combination would profile the same fault
-				}
-				if v.lockstepOnly {
-					continue
 				}
 				sim, err = NewReplay(c, trace.NewReader(tr))
 				if err != nil {

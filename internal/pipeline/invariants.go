@@ -2,11 +2,10 @@ package pipeline
 
 // Cycle-level invariant checking (Config.CheckInvariants). The checker
 // re-derives, from independent state, the properties every machine
-// organization must uphold regardless of scheduler, clustering or
-// speculation model:
+// organization must uphold regardless of scheduler or clustering:
 //
-//   - commit is in program order, contiguous, never speculative, and at
-//     most RetireWidth instructions per cycle;
+//   - commit is in program order, contiguous, and at most RetireWidth
+//     instructions per cycle;
 //   - issue respects IssueWidth and LSPorts, never precedes operand
 //     readiness in the issuing cluster, and never lets a load pass an
 //     older store whose address is still unknown;
@@ -16,9 +15,7 @@ package pipeline
 //     its capacity or disagrees with the ROB about unissued instructions;
 //   - physical-register allocation balances: in-flight rename allocations
 //     always equal the ROB's destination-carrying instructions, and the
-//     free list is whole once the pipeline drains (no leak);
-//   - a squash leaves no speculative state behind: no wrong-path uop in
-//     any buffer, no live emulator checkpoint.
+//     free list is whole once the pipeline drains (no leak).
 //
 // The checker is a verification instrument for the differential harness
 // in internal/verify and the test suite; it adds per-cycle scans of the
@@ -58,9 +55,6 @@ func (k *checker) onCommit(u *core.Uop) {
 	k.committed++
 	if k.committed > k.s.cfg.RetireWidth {
 		k.failf("committed %d instructions, retire width %d", k.committed, k.s.cfg.RetireWidth)
-	}
-	if u.Speculative {
-		k.failf("speculative uop %d committed", u.Seq)
 	}
 	if u.Seq != k.nextCommitSeq {
 		k.failf("out-of-order commit: uop %d, expected %d", u.Seq, k.nextCommitSeq)
@@ -111,30 +105,6 @@ func (k *checker) onIssue(u *core.Uop, cluster int, isMem bool) {
 	}
 }
 
-// onSquash checks that a completed squash left no speculative residue.
-func (k *checker) onSquash(brSeq uint64) {
-	if k.s.machine.Speculating() {
-		k.failf("emulator checkpoint still live after squash of branch %d", brSeq)
-	}
-	if k.s.resolving != nil {
-		k.failf("resolving branch still set after squash")
-	}
-	for i := 0; i < k.s.rob.Len(); i++ {
-		u := k.s.rob.At(i)
-		if u.Speculative || u.Seq > brSeq {
-			k.failf("wrong-path uop %d survived squash of branch %d in ROB", u.Seq, brSeq)
-		}
-	}
-	for i := 0; i < k.s.fetchQ.Len(); i++ {
-		k.failf("uop %d survived squash of branch %d in fetch queue", k.s.fetchQ.At(i).Seq, brSeq)
-	}
-	for i := 0; i < k.s.unissuedStores.Len(); i++ {
-		if st := k.s.unissuedStores.At(i); st.Seq > brSeq {
-			k.failf("wrong-path store %d survived squash of branch %d", st.Seq, brSeq)
-		}
-	}
-}
-
 // onCycleEnd checks whole-machine structural invariants and resets the
 // per-cycle counters.
 func (k *checker) onCycleEnd() {
@@ -180,9 +150,6 @@ func (k *checker) onDone() {
 	}
 	if got := s.rt.InFlight(); got != 0 {
 		k.failf("run finished with %d physical registers leaked", got)
-	}
-	if s.machine != nil && s.machine.Speculating() {
-		k.failf("run finished with a live emulator checkpoint")
 	}
 	if !s.sourceHalted() {
 		k.failf("run finished with the execution source not exhausted")

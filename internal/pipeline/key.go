@@ -110,7 +110,6 @@ func (c *Config) Key() (key string, ok bool) {
 	b = appendBool(b, "|ring=", c.RingTopology)
 	b = appendBool(b, "|stf=", c.StoreForwarding)
 	b = appendBool(b, "|fbt=", c.FetchBreakOnTaken)
-	b = appendBool(b, "|wpe=", c.WrongPathExecution)
 	// NoCycleSkip is timing-neutral by construction (the differential
 	// harness asserts it), but it stays in the key so a skip-path
 	// regression could never be masked by a cache hit from the other path.

@@ -119,13 +119,6 @@ type Config struct {
 	// is also disabled automatically by CheckInvariants or RecordTimeline,
 	// which observe individual idle cycles.
 	NoCycleSkip bool
-	// WrongPathExecution upgrades the misprediction model: instead of
-	// stalling fetch until the branch resolves (the trace-driven
-	// SimpleScalar approximation), fetch follows the predicted path,
-	// executing wrong-path instructions speculatively — they occupy
-	// physical registers and scheduler slots and pollute the data cache —
-	// and squashes them when the branch resolves.
-	WrongPathExecution bool
 
 	// Scheduler describes the dispatch/issue structure declaratively.
 	// Spec-built configurations can be fingerprinted (Key) and therefore
@@ -175,8 +168,8 @@ type Stats struct {
 	Committed uint64
 
 	// EmuSteps counts dynamic instructions drawn from the execution
-	// source: functional-emulator steps in lockstep mode (including any
-	// wrong-path steps), trace records in replay mode. Identical between
+	// source: functional-emulator steps in lockstep mode, trace records
+	// in replay mode. Identical between
 	// the two modes for the same configuration.
 	EmuSteps uint64
 
@@ -191,8 +184,9 @@ type Stats struct {
 	// (only with Config.StoreForwarding).
 	ForwardedLoads uint64
 
-	// SquashedUops counts wrong-path instructions flushed at branch
-	// resolution (only with Config.WrongPathExecution).
+	// SquashedUops is always 0: a misprediction stalls fetch, so nothing
+	// is ever flushed. It stays because cebench/reference.go reads it by
+	// name; the next benchmark change removes it.
 	SquashedUops uint64
 
 	// Structural stall accounting (dispatch attempts that failed).
@@ -315,7 +309,7 @@ type Simulator struct {
 	// functional emulator in lockstep mode (New), reader the trace cursor
 	// in replay mode (NewReplay). Fetch calls the set one directly, as
 	// hundreds of millions of per-instruction calls make interface
-	// dispatch measurable. Wrong-path execution requires machine.
+	// dispatch measurable.
 	machine *emu.Machine
 	reader  *trace.Reader
 	sched   core.Scheduler
@@ -329,7 +323,7 @@ type Simulator struct {
 	fetchQ ring.Buffer[*core.Uop]
 	rob    ring.Buffer[*core.Uop]
 
-	// pool recycles Uops at commit and squash so the steady state
+	// pool recycles Uops at commit so the steady state
 	// allocates nothing per fetched instruction.
 	pool core.UopPool
 
@@ -366,21 +360,9 @@ type Simulator struct {
 	issuedCount  int
 	storeHorizon uint64
 
-	// squashScratch collects ROB-tail pops during squash so they can be
-	// recycled after the scheduler and store queue drop their references.
-	squashScratch []*core.Uop
-
 	// redirect, when non-nil, is the mispredicted branch fetch is
 	// stalled on; fetch resumes at its completion cycle.
 	redirect *core.Uop
-
-	// Wrong-path execution state: resolving is the mispredicted branch
-	// being speculated past, checkpoint restores the machine when it
-	// resolves, and wrongPathDone notes that speculative fetch hit a dead
-	// end (off the text segment, or a speculative halt).
-	resolving     *core.Uop
-	checkpoint    emu.Checkpoint
-	wrongPathDone bool
 
 	// icache state (only with Config.ICache).
 	icache            *cache.Cache
@@ -442,14 +424,8 @@ func New(cfg Config, prog *isa.Program) (*Simulator, error) {
 // NewReplay builds a simulator driven by replay of a captured trace
 // instead of lockstep execution: r streams the same records the
 // machine would produce, without re-executing, so a sweep runs each
-// program once and times it under every configuration. Wrong-path
-// execution is refused: it must execute down mispredicted paths, which
-// only a live machine can do — a trace has exactly the architectural
-// path.
+// program once and times it under every configuration.
 func NewReplay(cfg Config, r *trace.Reader) (*Simulator, error) {
-	if cfg.WrongPathExecution {
-		return nil, fmt.Errorf("pipeline: %s: wrong-path execution cannot run from a replay source (it executes mispredicted paths; use New)", cfg.Name)
-	}
 	return newSimulator(cfg, r.Program(), nil, r)
 }
 
@@ -517,12 +493,11 @@ func newSimulator(cfg Config, prog *isa.Program, machine *emu.Machine, reader *t
 	// never allocates. A uop lives in the fetch queue (at most
 	// FetchQueueSize) or the ROB (at most MaxInFlight), plus the one
 	// mispredicted branch fetch may still hold after it commits (see
-	// commit). Unissued stores and squashed uops are ROB entries.
+	// commit). Unissued stores are ROB entries.
 	s.pool = core.NewUopPool(cfg.MaxInFlight + cfg.FetchQueueSize + 1)
 	s.fetchQ = ring.New[*core.Uop](cfg.FetchQueueSize)
 	s.rob = ring.New[*core.Uop](cfg.MaxInFlight)
 	s.unissuedStores = ring.New[*core.Uop](cfg.MaxInFlight)
-	s.squashScratch = make([]*core.Uop, 0, cfg.MaxInFlight)
 	s.tryIssueFn = s.tryIssue
 	s.fast = !cfg.CheckInvariants && !cfg.RecordTimeline && !cfg.NoCycleSkip
 	if cfg.CheckInvariants {
@@ -577,7 +552,7 @@ func (s *Simulator) run(maxCycles int64) error {
 func (s *Simulator) Timeline() []TimelineEntry { return s.timeline }
 
 func (s *Simulator) done() bool {
-	return s.traceDone && s.resolving == nil && s.fetchQ.Len() == 0 && s.rob.Len() == 0
+	return s.traceDone && s.fetchQ.Len() == 0 && s.rob.Len() == 0
 }
 
 // step advances one clock cycle. Stage order within the cycle — commit,
@@ -586,11 +561,6 @@ func (s *Simulator) done() bool {
 func (s *Simulator) step() error {
 	if s.fast {
 		s.skipAhead()
-	}
-	if s.resolving != nil && s.resolving.Issued && s.cycle >= s.resolving.CompleteCycle {
-		if err := s.squash(); err != nil {
-			return err
-		}
 	}
 	s.commit()
 	s.issue()
@@ -625,23 +595,10 @@ func (s *Simulator) skipAhead() {
 		}
 	}
 
-	// Squash / wrong-path resolution.
-	if s.resolving != nil {
-		if !s.resolving.Issued {
-			// Resolution cycle unknown; the branch is still in the
-			// scheduler and NextWake bounds its issue below.
-		} else if s.resolving.CompleteCycle <= s.cycle {
-			return // squash acts this cycle
-		} else {
-			consider(s.resolving.CompleteCycle)
-		}
-	}
-
-	// Commit: blocked until the ROB head completes. A speculative head
-	// never commits; the resolving branch event above bounds its flush.
+	// Commit: blocked until the ROB head completes.
 	if s.rob.Len() > 0 {
 		u := s.rob.Front()
-		if u.Issued && !u.Speculative {
+		if u.Issued {
 			if u.CompleteCycle <= s.cycle {
 				return // commit acts this cycle
 			}
@@ -683,7 +640,7 @@ func (s *Simulator) skipAhead() {
 			consider(s.redirect.CompleteCycle)
 		}
 		// Unissued redirect: bounded by the scheduler's NextWake.
-	} else if !s.traceDone && !s.wrongPathDone && s.fetchQ.Len() < s.cfg.FetchQueueSize {
+	} else if !s.traceDone && s.fetchQ.Len() < s.cfg.FetchQueueSize {
 		if s.fetchBlockedUntil <= s.cycle {
 			return // fetch acts this cycle
 		}
@@ -706,11 +663,6 @@ func (s *Simulator) commit() {
 	for n < s.cfg.RetireWidth && s.rob.Len() > 0 {
 		u := s.rob.Front()
 		if !u.Issued || s.cycle < u.CompleteCycle {
-			break
-		}
-		if u.Speculative {
-			// Wrong-path instructions are squashed at resolution, which
-			// always runs before commit in the same cycle.
 			break
 		}
 		if u.Class == isa.ClassStore {
@@ -756,70 +708,6 @@ func (s *Simulator) commit() {
 			s.pool.Put(u)
 		}
 	}
-}
-
-// squash flushes everything younger than the resolving mispredicted
-// branch: wrong-path uops leave the fetch queue, scheduler and ROB, their
-// renames are unwound youngest-first, and the functional machine is
-// restored to the branch's architectural state.
-func (s *Simulator) squash() error {
-	br := s.resolving
-	// Fetch queue: everything is younger than the branch (which was
-	// dispatched before speculation began or is in the ROB).
-	for i := 0; i < s.fetchQ.Len(); i++ {
-		if s.fetchQ.At(i).Seq <= br.Seq {
-			return fmt.Errorf("pipeline: %s: non-speculative uop %d in fetch queue at squash", s.cfg.Name, s.fetchQ.At(i).Seq)
-		}
-	}
-	s.stats.SquashedUops += uint64(s.fetchQ.Len())
-	for s.fetchQ.Len() > 0 {
-		s.pool.Put(s.fetchQ.PopBack())
-	}
-	// ROB tail, youngest first, so rename unwinding restores the map.
-	// Recycling waits until the scheduler and store queue drop their
-	// references below.
-	for s.rob.Len() > 0 {
-		u := s.rob.Back()
-		if u.Seq <= br.Seq {
-			break
-		}
-		if dest, ok := u.Rec.Inst.Dest(); ok {
-			s.rt.Undo(dest, u.PhysDest, u.OldDest)
-		}
-		s.rob.PopBack()
-		s.squashScratch = append(s.squashScratch, u)
-		s.stats.SquashedUops++
-	}
-	s.sched.Squash(br.Seq)
-	// Wrong-path stores are the youngest: pop them off the tail.
-	for s.unissuedStores.Len() > 0 && s.unissuedStores.Back().Seq > br.Seq {
-		s.unissuedStores.PopBack()
-	}
-	for i, u := range s.squashScratch {
-		s.pool.Put(u)
-		s.squashScratch[i] = nil
-	}
-	s.squashScratch = s.squashScratch[:0]
-	// Roll the functional machine back to just after the branch and
-	// resume on the architectural path.
-	if err := s.machine.Restore(s.checkpoint); err != nil {
-		return fmt.Errorf("pipeline: %s: %w", s.cfg.Name, err)
-	}
-	s.seq = br.Seq + 1
-	s.resolving = nil
-	s.wrongPathDone = false
-	s.traceDone = false
-	// Wrong-path fetch may have left an instruction-cache stall pending
-	// (or a stale last-line note); the redirect cancels both — the
-	// architectural path must not inherit a wrong-path fetch stall, and
-	// its first fetch re-probes the cache. The miss that caused the stall
-	// has already installed its line, so cache pollution is preserved.
-	s.fetchBlockedUntil = 0
-	s.icacheHasLine = false
-	if s.check != nil {
-		s.check.onSquash(br.Seq)
-	}
-	return nil
 }
 
 // bypassExtra returns the additional cycles before a value produced in
@@ -1079,7 +967,7 @@ func (s *Simulator) fetch() error {
 		return nil
 	}
 	for n := 0; n < s.cfg.FetchWidth; n++ {
-		if s.traceDone || s.wrongPathDone || s.fetchQ.Len() >= s.cfg.FetchQueueSize {
+		if s.traceDone || s.fetchQ.Len() >= s.cfg.FetchQueueSize {
 			return nil
 		}
 		if s.icache != nil {
@@ -1109,12 +997,6 @@ func (s *Simulator) fetch() error {
 		}
 		if err != nil {
 			s.pool.Put(u)
-			if s.resolving != nil {
-				// The wrong path ran off the rails (out-of-range PC);
-				// fetch idles until the branch resolves.
-				s.wrongPathDone = true
-				return nil
-			}
 			return fmt.Errorf("pipeline: %s/%s: functional emulation: %w", s.cfg.Name, s.stats.Workload, err)
 		}
 		s.stats.EmuSteps++
@@ -1124,20 +1006,12 @@ func (s *Simulator) fetch() error {
 		u.FetchCycle = s.cycle
 		u.Cluster = -1
 		u.FIFO = -1
-		u.Speculative = s.resolving != nil
 		s.seq++
 		s.fetchQ.PushBack(u)
 		if s.sourceHalted() {
-			if s.resolving != nil {
-				s.wrongPathDone = true
-			} else {
-				s.traceDone = true
-			}
+			s.traceDone = true
 		}
-		if u.Class == isa.ClassBranch && !u.Speculative {
-			// Wrong-path branches follow the speculative machine's
-			// concrete execution; only architectural branches train and
-			// consult the predictor.
+		if u.Class == isa.ClassBranch {
 			s.stats.CondBranches++
 			if !s.cfg.PerfectBPred {
 				predTaken := s.pred.Predict(rec.PC)
@@ -1145,30 +1019,12 @@ func (s *Simulator) fetch() error {
 				if predTaken != rec.Taken {
 					s.stats.Mispredicts++
 					u.Mispredicted = true
-					if !s.cfg.WrongPathExecution {
-						s.redirect = u
-						return nil
-					}
-					// Speculate: checkpoint the architectural state
-					// (PC already at the correct target) and force the
-					// machine down the predicted path.
-					s.resolving = u
-					s.checkpoint = s.machine.Checkpoint()
-					target := rec.PC + 1 // predicted not-taken
-					if predTaken {
-						target = uint32(rec.Inst.Imm)
-					}
-					s.machine.SetPC(target)
+					s.redirect = u
+					return nil
 				}
 			}
 		}
-		// Fetch-break follows the direction fetch actually went: the
-		// predicted one for a mispredicted branch being speculated past.
-		effectiveTaken := rec.Taken
-		if u.Mispredicted && s.cfg.WrongPathExecution {
-			effectiveTaken = !rec.Taken
-		}
-		if s.cfg.FetchBreakOnTaken && effectiveTaken {
+		if s.cfg.FetchBreakOnTaken && rec.Taken {
 			return nil
 		}
 	}

@@ -63,28 +63,6 @@ func TestReplayMatchesLockstep(t *testing.T) {
 	}
 }
 
-// TestNewReplayRejectsWrongPath pins the refusal: wrong-path execution
-// needs a concrete machine to run down mispredicted paths.
-func TestNewReplayRejectsWrongPath(t *testing.T) {
-	w, err := prog.ByName("micro.chain")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := w.Program()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := trace.Capture(p, 50_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := cfg("wrong-path", 1, 0, window64)
-	c.WrongPathExecution = true
-	if _, err := NewReplay(c, trace.NewReader(tr)); err == nil {
-		t.Fatal("NewReplay accepted a wrong-path configuration")
-	}
-}
-
 // TestReplayRunAllocationFree bounds a whole replay-driven simulation:
 // construction allocates a bounded number of objects, and Run itself,
 // as its Stats.HostAllocs measures, none.

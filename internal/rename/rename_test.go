@@ -139,7 +139,7 @@ func TestInFlightTracksAllocations(t *testing.T) {
 	if rt.InFlight() != 0 {
 		t.Errorf("after releases InFlight = %d, want 0 (leak)", rt.InFlight())
 	}
-	// Squash path: Undo restores balance too.
+	// Dispatch-retry path: Undo restores balance too.
 	_, d, old, _ = rt.Rename(nil, nil, isa.T2, true)
 	rt.Undo(isa.T2, d, old)
 	if rt.InFlight() != 0 {

@@ -159,13 +159,9 @@ func entryPC(p *isa.Program) uint32 {
 }
 
 // Recorder incrementally captures the execution of a machine it does not
-// own. It refuses — loudly, not by silent corruption — to record while
-// the machine is speculating (a live emu.Checkpoint means subsequent
-// steps may be rolled back, which would leave rolled-back records in the
-// trace), and refuses permanently if the machine was stepped or restored
-// behind its back (the recorded stream no longer matches the machine).
-// Capture may resume after a checkpoint is restored or committed back to
-// the exact instruction count the recorder last saw.
+// own. It refuses permanently — loudly, not by silent corruption — if the
+// machine was stepped behind its back (the recorded stream no longer
+// matches the machine).
 //
 // Packed bytes accumulate in one chunk buffer; every chunkRecords
 // records the chunk is sealed (checksummed) and appended to the spill
@@ -197,18 +193,11 @@ type Recorder struct {
 	err    error
 }
 
-// ErrSpeculating is returned by Recorder.Step while the machine has a
-// live checkpoint: speculative execution must not enter the trace.
-var ErrSpeculating = errors.New("trace: cannot capture while the machine is speculating (live checkpoint)")
-
 // NewRecorder starts capturing m, which must be freshly created from p
-// (nothing executed yet) and not speculating.
+// (nothing executed yet).
 func NewRecorder(m *emu.Machine, p *isa.Program) (*Recorder, error) {
 	if m.Executed != 0 {
 		return nil, fmt.Errorf("trace: machine has already executed %d instructions; capture must start fresh", m.Executed)
-	}
-	if m.Speculating() {
-		return nil, ErrSpeculating
 	}
 	return &Recorder{m: m, prog: p, nextPC: entryPC(p)}, nil
 }
@@ -278,11 +267,8 @@ func (r *Recorder) Step() (emu.Record, error) {
 	if r.err != nil {
 		return emu.Record{}, r.err
 	}
-	if r.m.Speculating() {
-		return emu.Record{}, ErrSpeculating
-	}
 	if r.m.Executed != r.expect {
-		r.err = fmt.Errorf("trace: machine executed %d instructions but the recorder captured %d; the machine was stepped or rolled back outside the recorder", r.m.Executed, r.expect)
+		r.err = fmt.Errorf("trace: machine executed %d instructions but the recorder captured %d; the machine was stepped outside the recorder", r.m.Executed, r.expect)
 		return emu.Record{}, r.err
 	}
 	rec, err := r.m.Step()

@@ -185,102 +185,8 @@ func TestFileReaderStepAllocFree(t *testing.T) {
 	}
 }
 
-// TestRecorderRefusesSpeculation pins the checkpoint-interaction choice
-// for ISSUE 5: capture refuses loudly while a checkpoint is live, and
-// resumes consistently once the machine is restored (or committed) back
-// to exactly the state the recorder last saw.
-func TestRecorderRefusesSpeculation(t *testing.T) {
-	p := mustProgram(t, "micro.branchy")
-	m := emu.New(p)
-	r, err := NewRecorder(m, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if _, err := r.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// A live checkpoint must stop capture without poisoning the recorder.
-	cp := m.Checkpoint()
-	if _, err := r.Step(); !errors.Is(err, ErrSpeculating) {
-		t.Fatalf("Step during speculation: err %v, want ErrSpeculating", err)
-	}
-
-	// Speculate down the wrong path behind the recorder's back, then roll
-	// back: Restore returns the machine to the recorded point, so capture
-	// resumes and the finished trace must still match lockstep execution.
-	if _, err := m.Step(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Step(); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Restore(cp); err != nil {
-		t.Fatal(err)
-	}
-	for !m.Halted() {
-		if _, err := r.Step(); err != nil {
-			t.Fatalf("resumed capture: %v", err)
-		}
-	}
-	tr, err := r.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := emu.New(p)
-	rd := NewReader(tr)
-	for {
-		want, werr := ref.Step()
-		got, gerr := rd.Step()
-		if werr != nil || gerr != nil {
-			if !errors.Is(gerr, werr) {
-				t.Fatalf("err mismatch: %v vs %v", werr, gerr)
-			}
-			break
-		}
-		if got != want {
-			t.Fatalf("post-restore trace diverges: %+v vs %+v", got, want)
-		}
-	}
-
-	// Commit back at the same instruction count also resumes cleanly.
-	m2 := emu.New(p)
-	r2, err := NewRecorder(m2, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r2.Step(); err != nil {
-		t.Fatal(err)
-	}
-	cp2 := m2.Checkpoint()
-	if err := m2.Commit(cp2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r2.Step(); err != nil {
-		t.Fatalf("Step after commit at the recorded point: %v", err)
-	}
-
-	// But a machine that advanced and committed — its history can no
-	// longer be recorded — must fail permanently, not silently skip.
-	m3 := emu.New(p)
-	r3, err := NewRecorder(m3, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m3.Step(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r3.Step(); err == nil {
-		t.Fatal("Step on an externally advanced machine succeeded, want error")
-	}
-	if _, err := r3.Step(); err == nil {
-		t.Fatal("recorder error must be sticky")
-	}
-}
-
-// TestNewRecorderRejectsUsedMachine covers the constructor guards.
+// TestNewRecorderRejectsUsedMachine covers the recorder's guards against
+// a machine stepped outside it, at construction and during capture.
 func TestNewRecorderRejectsUsedMachine(t *testing.T) {
 	p := mustProgram(t, "micro.chain")
 	m := emu.New(p)
@@ -290,10 +196,22 @@ func TestNewRecorderRejectsUsedMachine(t *testing.T) {
 	if _, err := NewRecorder(m, p); err == nil {
 		t.Fatal("NewRecorder accepted a machine with executed instructions")
 	}
+
+	// A machine advanced behind the recorder's back can no longer be
+	// recorded: Step must fail permanently, not silently skip.
 	m2 := emu.New(p)
-	m2.Checkpoint()
-	if _, err := NewRecorder(m2, p); !errors.Is(err, ErrSpeculating) {
-		t.Fatalf("NewRecorder on speculating machine: err %v, want ErrSpeculating", err)
+	r2, err := NewRecorder(m2, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m2.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r2.Step(); err == nil {
+		t.Fatal("Step on an externally advanced machine succeeded, want error")
+	}
+	if _, err := r2.Step(); err == nil {
+		t.Fatal("recorder error must be sticky")
 	}
 }
 

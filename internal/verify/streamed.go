@@ -2,7 +2,7 @@ package verify
 
 // Differential verification of the two capture paths: a workload
 // captured into a trace directory must agree with its anonymous
-// capture, and every replay-capable panel configuration must produce
+// capture, and every panel configuration must produce
 // identical statistics from both. Generated panel programs are tiny, so
 // this check runs on named workloads.
 
@@ -16,9 +16,8 @@ import (
 
 // CheckStreamed captures the named workload twice, once into an
 // anonymous temp file and once into dir, and requires the two traces to
-// agree on every execution property; then every replay-capable panel
-// configuration must produce identical monolithic statistics from both
-// traces. Wrong-path configurations are skipped: they cannot replay.
+// agree on every execution property; then every panel configuration
+// must produce identical monolithic statistics from both traces.
 func CheckStreamed(workload, dir string) error {
 	w, err := prog.ByName(workload)
 	if err != nil {
@@ -45,9 +44,6 @@ func CheckStreamed(workload, dir string) error {
 		return fmt.Errorf("verify: %s: streamed capture's final state diverges from the anonymous capture's", workload)
 	}
 	for _, cfg := range Panel() {
-		if cfg.WrongPathExecution {
-			continue
-		}
 		bare := cfg
 		bare.CheckInvariants = false
 		bare.RecordTimeline = false

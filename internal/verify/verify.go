@@ -1,7 +1,7 @@
 // Package verify cross-checks the timing simulator against the
 // functional emulator: whatever the machine organization — central
-// window or FIFO bank, clustered or not, speculating down wrong paths or
-// stalling — the committed instruction stream and the final
+// window or FIFO bank, clustered or not — the committed instruction
+// stream and the final
 // architectural state must be exactly those of pure emulation. Timing
 // models change *when* things happen, never *what* happens.
 //
@@ -77,19 +77,15 @@ func Panel() []pipeline.Config {
 	pws.PipelinedWakeupSelect = true
 	pws.LocalBypassExtra = 1
 
-	wrongPath := table3("wrong-path", 1, 0, core.WindowSpec(64))
-	wrongPath.WrongPathExecution = true
-
-	kitchenSink := table3("wrong-path-fifos-icache", 1, 0, core.FIFOBankSpec(core.FIFOBankConfig{
+	kitchenSink := table3("fifos-icache", 1, 0, core.FIFOBankSpec(core.FIFOBankConfig{
 		Name: "fifos-8x8", Clusters: 1, FIFOsPerCluster: 8, Depth: 8,
 	}))
-	kitchenSink.WrongPathExecution = true
 	kitchenSink.StoreForwarding = true
 	kitchenSink.FetchBreakOnTaken = true
 	ic := cache.Config{SizeBytes: 1 << 10, Ways: 1, LineBytes: 32, HitCycles: 1, MissCycles: 10}
 	kitchenSink.ICache = &ic
 
-	return []pipeline.Config{window, fifos, clustered, execSteered, pws, wrongPath, kitchenSink}
+	return []pipeline.Config{window, fifos, clustered, execSteered, pws, kitchenSink}
 }
 
 // reference is the ground truth for one program: the committed-PC stream
@@ -217,18 +213,10 @@ func checkFastPath(p *isa.Program, cfg pipeline.Config, inst pipeline.Stats, ref
 // count, per-category counters, cache stats, issue histogram — is
 // identical, plus the final architectural results. This is the guarantee
 // that lets the sweep engine substitute replay for execution: the two
-// source modes are indistinguishable to the timing model. Wrong-path
-// configurations instead assert the refusal is loud (replay has only the
-// architectural path to offer).
+// source modes are indistinguishable to the timing model.
 func checkReplay(p *isa.Program, bare pipeline.Config, exec pipeline.Stats, ref *reference, tr *trace.Trace) error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("verify: %s on %s (replay): %s", p.Name, bare.Name, fmt.Sprintf(format, args...))
-	}
-	if bare.WrongPathExecution {
-		if _, err := pipeline.NewReplay(bare, trace.NewReader(tr)); err == nil {
-			return fail("NewReplay accepted a wrong-path configuration")
-		}
-		return nil
 	}
 	sim, err := pipeline.NewReplay(bare, trace.NewReader(tr))
 	if err != nil {

@@ -24,16 +24,15 @@ func TestPanelIsDiverse(t *testing.T) {
 			t.Errorf("panel configuration %q runs without the invariant checker", c.Name)
 		}
 	}
-	var wrongPath, clustered, fifo, icache bool
+	var clustered, fifo, icache bool
 	for _, c := range panel {
-		wrongPath = wrongPath || c.WrongPathExecution
 		clustered = clustered || c.Clusters > 1
 		fifo = fifo || (c.Scheduler != nil && c.Scheduler.FIFO.FIFOsPerCluster > 0)
 		icache = icache || c.ICache != nil
 	}
-	if !wrongPath || !clustered || !fifo || !icache {
-		t.Errorf("panel misses a mechanism: wrongPath=%v clustered=%v fifo=%v icache=%v",
-			wrongPath, clustered, fifo, icache)
+	if !clustered || !fifo || !icache {
+		t.Errorf("panel misses a mechanism: clustered=%v fifo=%v icache=%v",
+			clustered, fifo, icache)
 	}
 }
 
@@ -49,7 +48,7 @@ func TestDifferentialSeededCorpus(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		// Deep loops over a tiny footprint: store/load collisions.
 		corpus = append(corpus, prog.RandomConfig{Seed: 100 + seed, LoopDepth: 4, MemWords: 8, Size: 60})
-		// Branch-heavy: mispredictions and squashes dominate.
+		// Branch-heavy: mispredictions dominate.
 		corpus = append(corpus, prog.RandomConfig{Seed: 200 + seed, Branch: 6, ALU: 4, Load: 2, Store: 2})
 		// Memory-heavy straight-line code over a large footprint.
 		corpus = append(corpus, prog.RandomConfig{Seed: 300 + seed, LoopDepth: 1, Load: 6, Store: 4, ALU: 4, Branch: 1, MemWords: 512, Size: 200})

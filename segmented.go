@@ -75,15 +75,13 @@ func (e *Engine) segmentPlan() segPlan {
 // segKeySuffix returns the run-cache key suffix for the engine's
 // current plan under cfg: "" for monolithic runs, and a suffix naming
 // the plan and warmup for phase-sampled ones, so an estimate can never
-// be recalled as (or instead of) a whole-run result. Wrong-path
-// configurations cannot replay and therefore always run monolithic,
-// whatever the plan says.
-func (e *Engine) segKeySuffix(cfg Config) string {
+// be recalled as (or instead of) a whole-run result.
+func (e *Engine) segKeySuffix() string {
 	p := e.segmentPlan()
 	e.traceMu.Lock()
 	noReplay := e.noReplay
 	e.traceMu.Unlock()
-	if p.k == 0 || noReplay || cfg.WrongPathExecution {
+	if p.k == 0 || noReplay {
 		return ""
 	}
 	return fmt.Sprintf("\x00sampled segments=%d phases=%d warmup=%d", p.k, p.phases, segWarmup)

@@ -149,8 +149,7 @@ func TestSegKeySuffixCoversPlan(t *testing.T) {
 		}
 		return e
 	}
-	cfg := BaselineConfig()
-	baseSuffix := base().segKeySuffix(cfg)
+	baseSuffix := base().segKeySuffix()
 	if baseSuffix == "" {
 		t.Fatal("phase plan shares the monolithic key")
 	}
@@ -166,7 +165,7 @@ func TestSegKeySuffixCoversPlan(t *testing.T) {
 		if err := set(e); err != nil {
 			t.Fatal(err)
 		}
-		if e.segKeySuffix(cfg) == baseSuffix {
+		if e.segKeySuffix() == baseSuffix {
 			t.Errorf("segPlan.%s: changing it did not change segKeySuffix", name)
 		}
 	}

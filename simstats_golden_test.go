@@ -17,8 +17,7 @@ import (
 // simStatsCells lists the golden's design points: every Figure 13/15/17
 // configuration on every workload; the window trade-off sizes (128 needs
 // two 64-bit scheduler mask words) and the random-select ablation on two
-// workloads; and both scheduler families under wrong-path execution,
-// which exercises squash.
+// workloads.
 func simStatsCells() []struct {
 	cfg      Config
 	workload string
@@ -46,12 +45,6 @@ func simStatsCells() []struct {
 			cells = append(cells, cell{c, w})
 		}
 		cells = append(cells, cell{table3("random-select", 1, 0, core.RandomSelectSpec(64)), w})
-	}
-	for _, c := range []Config{BaselineConfig(), DependenceConfig()} {
-		c.Name += "+wrong-path"
-		c.PerfectBPred = false
-		c.WrongPathExecution = true
-		cells = append(cells, cell{c, "micro.branchy"})
 	}
 	return cells
 }
@@ -89,7 +82,7 @@ func TestGoldenSimStats(t *testing.T) {
 	cells := simStatsCells()
 	traces := map[string]*trace.Trace{}
 	for _, c := range cells {
-		if _, ok := traces[c.workload]; ok || c.cfg.WrongPathExecution {
+		if _, ok := traces[c.workload]; ok {
 			continue
 		}
 		w, err := prog.ByName(c.workload)
@@ -116,7 +109,7 @@ func TestGoldenSimStats(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				lines[i], errs[i] = simulateCell(cells[i].cfg, cells[i].workload, traces[cells[i].workload])
+				lines[i], errs[i] = simulateCell(cells[i].cfg, traces[cells[i].workload])
 			}
 		}()
 	}
@@ -158,26 +151,11 @@ func TestGoldenSimStats(t *testing.T) {
 	}
 }
 
-// simulateCell times one design point, replaying tr when the
-// configuration allows it and executing lockstep otherwise.
-func simulateCell(cfg Config, workload string, tr *trace.Trace) (string, error) {
-	var sim *pipeline.Simulator
-	var err error
-	if tr != nil {
-		r := trace.NewReader(tr)
-		defer r.Release()
-		sim, err = pipeline.NewReplay(cfg, r)
-	} else {
-		var w *prog.Workload
-		if w, err = prog.ByName(workload); err != nil {
-			return "", err
-		}
-		p, perr := w.Program()
-		if perr != nil {
-			return "", perr
-		}
-		sim, err = pipeline.New(cfg, p)
-	}
+// simulateCell times one design point by replaying tr.
+func simulateCell(cfg Config, tr *trace.Trace) (string, error) {
+	r := trace.NewReader(tr)
+	defer r.Release()
+	sim, err := pipeline.NewReplay(cfg, r)
 	if err != nil {
 		return "", err
 	}

@@ -146,7 +146,7 @@ func (e *Engine) runOne(cfg Config, workload string) (Stats, RunMetrics, error) 
 	if key, ok := cfg.Key(); ok {
 		// Phase-sampled plans suffix the key so an estimate can never be
 		// recalled as (or instead of) a whole-run result.
-		key += e.segKeySuffix(cfg)
+		key += e.segKeySuffix()
 		st, cached, err = e.cache.Do(key+"\x00"+workload, func() (Stats, error) {
 			return e.runSim(cfg, workload, &attr)
 		})

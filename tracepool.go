@@ -4,11 +4,9 @@ package ce
 // every configuration. The functional behaviour of a workload is
 // configuration-independent, so the Engine captures one execution trace
 // per workload (single-flight, like the run cache) and drives every
-// replay-capable simulation from a shared read-only trace.Reader instead
-// of a private lockstep emulator. Wrong-path configurations, which must
-// execute down mispredicted paths, keep the lockstep machine; the
-// differential harness in internal/verify pins that both paths produce
-// identical statistics.
+// simulation from a shared read-only trace.Reader instead of a private
+// lockstep emulator; the differential harness in internal/verify pins
+// that both drive modes produce identical statistics.
 
 import (
 	"errors"
@@ -293,15 +291,15 @@ type simAttribution struct {
 }
 
 // runSim performs one fresh simulation for the engine, replay-driven
-// when possible. Configurations that cannot replay (wrong-path
-// execution) and capture failures fall back to lockstep execution;
-// either way the statistics are identical, only the host cost differs.
+// unless replay is switched off. A capture failure falls back to
+// lockstep execution; either way the statistics are identical, only the
+// host cost differs.
 // The fallback is counted (TraceStats.CaptureFailures) and its first
 // cause per workload logged, so a sweep silently losing its replay
 // speedup is visible in -v output and the metrics dumps.
 func (e *Engine) runSim(cfg Config, workload string, attr *simAttribution) (Stats, error) {
 	e.traceMu.Lock()
-	replay := !e.noReplay && !cfg.WrongPathExecution
+	replay := !e.noReplay
 	e.traceMu.Unlock()
 	if replay {
 		st, ok, err := e.runReplay(cfg, workload, attr)

@@ -17,14 +17,11 @@ import (
 // TestEngineTracePoolEquivalence pins the engine-level replay contract:
 // a matrix run with the trace pool (default) and one with lockstep
 // drive produce identical simulation results, each workload is captured
-// exactly once however many configurations consume it, wrong-path
-// configurations fall back to lockstep, and the capture cost is
-// attributed to the pool rather than to any run.
+// exactly once however many configurations consume it, no simulation
+// falls back to lockstep, and the capture cost is attributed to the pool
+// rather than to any run.
 func TestEngineTracePoolEquivalence(t *testing.T) {
-	wp := BaselineConfig()
-	wp.WrongPathExecution = true
-	wp.Name += "+wrong-path"
-	cfgs := []Config{BaselineConfig(), DependenceConfig(), wp}
+	cfgs := []Config{BaselineConfig(), DependenceConfig(), ClusteredDependenceConfig()}
 	workloads := []string{"compress", "micro.branchy"}
 
 	replayEng := NewEngine()
@@ -54,8 +51,8 @@ func TestEngineTracePoolEquivalence(t *testing.T) {
 		t.Errorf("replay engine captured %d workloads (%d disk hits), want %d captures",
 			ts.Captures, ts.DiskHits, len(workloads))
 	}
-	if ts.ReplayRuns != 4 || ts.LockstepRuns != 2 {
-		t.Errorf("replay engine ran %d replay / %d lockstep sims, want 4 / 2 (wrong-path falls back)",
+	if ts.ReplayRuns != 6 || ts.LockstepRuns != 0 {
+		t.Errorf("replay engine ran %d replay / %d lockstep sims, want 6 / 0 (the engine never falls back)",
 			ts.ReplayRuns, ts.LockstepRuns)
 	}
 	if ts.StepsReplayed == 0 || ts.StepsExecuted == 0 {
@@ -71,9 +68,8 @@ func TestEngineTracePoolEquivalence(t *testing.T) {
 		if m.Cached {
 			continue
 		}
-		wantReplay := m.Config != wp.Name
-		if m.Replayed != wantReplay {
-			t.Errorf("%s/%s: Replayed = %v, want %v", m.Config, m.Workload, m.Replayed, wantReplay)
+		if !m.Replayed {
+			t.Errorf("%s/%s: fresh run was not replayed", m.Config, m.Workload)
 		}
 		if m.WallSeconds < 0 || m.CaptureSeconds < 0 {
 			t.Errorf("%s/%s: negative attribution: wall %g capture %g",
