@@ -1,5 +1,5 @@
-// Command celint runs the simulator's custom static analyzers (dirlint,
-// detlint, errlint) as a go vet tool:
+// Command celint runs the simulator's custom static analyzers (dirlint
+// and errlint) as a go vet tool:
 //
 //	go build -o /tmp/celint ./cmd/celint
 //	go vet -vettool=/tmp/celint ./...

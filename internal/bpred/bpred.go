@@ -2,8 +2,6 @@
 // timing simulator. The paper's baseline (Table 3) is McFarling's gshare
 // with 4K 2-bit counters and 12 bits of global history; bimodal and
 // static always-taken predictors are provided for ablation studies.
-//
-//ce:deterministic
 package bpred
 
 import "fmt"

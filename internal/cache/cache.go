@@ -2,8 +2,6 @@
 // timing simulator. The paper's baseline (Table 3) is a 32 KB, 2-way
 // set-associative, write-back write-allocate cache with 32-byte lines,
 // 1-cycle hits and 6-cycle misses.
-//
-//ce:deterministic
 package cache
 
 import "fmt"

@@ -12,8 +12,6 @@
 //
 // Everything here is bit-for-bit deterministic: the "random" steering and
 // selection policies draw from fixed-seed LCG streams, never the host.
-//
-//ce:deterministic
 package core
 
 import (

@@ -7,8 +7,6 @@
 // branch outcomes and memory addresses — that drives the trace-driven
 // timing simulator in package pipeline, exactly as the paper's
 // SimpleScalar-based methodology did.
-//
-//ce:deterministic
 package emu
 
 import (

@@ -1,7 +1,7 @@
 // Package analysis is a self-contained re-implementation of the core of
 // golang.org/x/tools/go/analysis, providing just the surface the celint
 // analyzers need: an Analyzer descriptor, a per-package Pass, and
-// Diagnostics with optional suggested fixes.
+// Diagnostics.
 //
 // The module is intentionally dependency-free (the build environment has
 // no module proxy), so it cannot import x/tools. The types here mirror
@@ -18,7 +18,7 @@ import (
 
 // Analyzer describes one static check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics ("detlint").
+	// Name identifies the analyzer in diagnostics ("errlint").
 	Name string
 	// Doc is the one-paragraph help text; its first line is the summary.
 	Doc string
@@ -54,35 +54,13 @@ type Pass struct {
 	ExportObjectFact func(obj types.Object, fact Fact)
 }
 
-// Reportf reports a formatted diagnostic at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
 // Diagnostic is one finding.
 type Diagnostic struct {
 	Pos token.Pos
-	// End optionally marks the end of the offending range.
-	End token.Pos
 	// Category is an optional short rule identifier within the analyzer
-	// ("map-order", "hot-make"), used by tests and tooling.
+	// ("err-raw", "unknown-verb"), used by tests and tooling.
 	Category string
 	Message  string
-	// SuggestedFixes optionally carry machine-applicable edits.
-	SuggestedFixes []SuggestedFix
-}
-
-// SuggestedFix is one candidate resolution of a Diagnostic.
-type SuggestedFix struct {
-	Message   string
-	TextEdits []TextEdit
-}
-
-// TextEdit replaces [Pos, End) with NewText.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText []byte
 }
 
 // Validate checks analyzer metadata (mirrors x/tools analysis.Validate in

@@ -16,8 +16,9 @@ import (
 // fact types must be pointers to gob-serializable structs with exported
 // fields and must be listed in the owning Analyzer's FactTypes.
 //
-// Facts are namespaced per analyzer: errlint's fact about a function is
-// invisible to detlint, mirroring the x/tools fact model.
+// Facts are namespaced per analyzer: one analyzer's fact about a
+// function is invisible to every other analyzer, mirroring the x/tools
+// fact model.
 type Fact interface {
 	// AFact is a marker method; it has no behavior.
 	AFact()
@@ -151,7 +152,7 @@ func RegisterFactTypes(analyzers []*Analyzer) {
 }
 
 // factTypeName returns the stable name of a fact's concrete type,
-// e.g. "*detlint.DetFact".
+// e.g. "*errlint.ErrFact".
 func factTypeName(f Fact) string {
 	return reflect.TypeOf(f).String()
 }

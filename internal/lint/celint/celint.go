@@ -1,5 +1,5 @@
 // Package celint is the driver for the simulator's custom static
-// analyzers (dirlint, detlint, errlint). It runs only as a vet tool: `go vet -vettool=$(which celint) ./...`
+// analyzers (dirlint, errlint). It runs only as a vet tool: `go vet -vettool=$(which celint) ./...`
 // speaks the cmd/go unitchecker protocol (-V=full, -flags, and one .cfg
 // file per compilation unit), so cmd/go orders the units, caches the
 // results and threads analyzer facts between them in vetx files.
@@ -16,7 +16,6 @@ import (
 	"sort"
 
 	"repro/internal/lint/analysis"
-	"repro/internal/lint/detlint"
 	"repro/internal/lint/dirlint"
 	"repro/internal/lint/errlint"
 )
@@ -27,7 +26,6 @@ import (
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		dirlint.Analyzer,
-		detlint.Analyzer,
 		errlint.Analyzer,
 	}
 }

@@ -1,15 +1,19 @@
-// Package badmod seeds one violation of each celint contract — the
-// intra-package classic here, the cross-package ones in cross.go (see
-// the dep and inner packages) — and the celint tests assert that
-// go vet -vettool exits nonzero naming every analyzer.
+// Package badmod seeds cross-package violations of errlint's contract
+// (see the dep and inner packages), and the celint tests assert that
+// go vet -vettool exits nonzero naming each of them.
 //
-//ce:deterministic
 //ce:classify-errors
 package badmod
 
-// Heads leaks map iteration order into its caller.
-func Heads(m map[string]int, visit func(string)) {
-	for k := range m {
-		visit(k)
-	}
+import "badmod/dep"
+
+// ReadState lets dep.Load's raw environment error escape unclassified.
+func ReadState(path string) ([]byte, error) {
+	return dep.Load(path)
+}
+
+// ReadFile lets an environment error from two packages down escape:
+// Read belongs to inner, which this package never imports.
+func ReadFile(path string) ([]byte, error) {
+	return dep.New(path).Read()
 }

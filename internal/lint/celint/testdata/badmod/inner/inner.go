@@ -1,17 +1,17 @@
 // Package inner is imported by dep alone. The badmod root reaches its
-// clock-reading method through a value dep returns, without importing
-// inner, so the method's fact reaches the root only if dep's vetx file
-// carries the facts of dep's own imports along.
+// Read method through a value dep returns, without importing inner, so
+// the method's fact reaches the root only if dep's vetx file carries the
+// facts of dep's own imports along.
 package inner
 
-import "time"
+import "os"
 
-// File is a file whose creation Created stamps.
+// File is a file on disk.
 type File struct {
 	Path string
 }
 
-// Created reads the wall clock: deterministic callers must not reach it.
-func (f *File) Created() int64 {
-	return time.Now().UnixNano()
+// Read returns the file's contents and a raw environment error.
+func (f *File) Read() ([]byte, error) {
+	return os.ReadFile(f.Path)
 }

@@ -1,13 +1,11 @@
 // Package directive parses the `//ce:` comment directives that carry the
 // simulator's statically-enforced contracts:
 //
-//	//ce:deterministic          marks a package bit-deterministic (detlint)
 //	//ce:classify-errors        marks a package whose environmental errors
 //	                            must be wrapped into a classified sentinel
 //	                            before being returned (errlint)
 //	//ce:classifier             marks a function that performs that
 //	                            classification (errlint)
-//	//ce:nondet-ok <reason>     per-line detlint escape hatch
 //	//ce:err-ok <reason>        per-line errlint escape hatch
 //
 // Like //go: directives, a //ce: directive has no space after the
@@ -31,20 +29,16 @@ import (
 
 // Directive names.
 const (
-	Deterministic  = "deterministic"
 	ClassifyErrors = "classify-errors"
 	Classifier     = "classifier"
-	NondetOK       = "nondet-ok"
 	ErrOK          = "err-ok"
 )
 
 // verbs is the registry of every known directive and whether its
 // trailing text (the reason) is mandatory.
 var verbs = map[string]bool{
-	Deterministic:  false,
 	ClassifyErrors: false,
 	Classifier:     false,
-	NondetOK:       true,
 	ErrOK:          true,
 }
 
@@ -57,7 +51,7 @@ func ReasonRequired(name string) bool { return verbs[name] }
 // A Directive is one parsed //ce: comment.
 type Directive struct {
 	Pos    token.Pos
-	Name   string // "deterministic", "nondet-ok", ...
+	Name   string // "classifier", "err-ok", ...
 	Reason string // text after the name, trimmed
 }
 
@@ -115,21 +109,18 @@ func FuncMarked(fd *ast.FuncDecl, name string) bool {
 // the per-line escape hatches.
 type Index struct {
 	fset *token.FileSet
-	name string
 	// byLine maps a line number to the directive covering it. A directive
 	// covers its own line; a directive on a line by itself (no code before
 	// it) also covers the next line.
 	byLine map[int]Directive
-	// malformed holds directives of this name with an empty reason.
-	malformed []Directive
 }
 
 // NewIndex builds the per-line index of the named escape-hatch directive
-// for one file. lineHasCode reports, per line, whether any non-comment
-// token starts there; standalone directives extend their cover one line
-// down.
+// for one file. A directive covers its own line, and the next one too
+// when no code starts on its line. A directive missing its required
+// reason covers nothing (dirlint reports it through Problems).
 func NewIndex(fset *token.FileSet, f *ast.File, name string) *Index {
-	idx := &Index{fset: fset, name: name, byLine: make(map[int]Directive)}
+	idx := &Index{fset: fset, byLine: make(map[int]Directive)}
 	codeLines := make(map[int]bool)
 	ast.Inspect(f, func(n ast.Node) bool {
 		if n == nil {
@@ -151,7 +142,6 @@ func NewIndex(fset *token.FileSet, f *ast.File, name string) *Index {
 				continue
 			}
 			if d.Reason == "" && ReasonRequired(name) {
-				idx.malformed = append(idx.malformed, d)
 				continue
 			}
 			line := fset.Position(d.Pos).Line
@@ -170,10 +160,6 @@ func (idx *Index) Covering(pos token.Pos) (Directive, bool) {
 	return d, ok
 }
 
-// Malformed returns the directives of the indexed name that are missing
-// their required reason.
-func (idx *Index) Malformed() []Directive { return idx.malformed }
-
 // A Problem is one malformed //ce: directive.
 type Problem struct {
 	Pos      token.Pos
@@ -182,7 +168,7 @@ type Problem struct {
 }
 
 // Problems scans every comment of the file for malformed directives:
-// unknown verbs (a typo like //ce:nondetok would otherwise silently
+// unknown verbs (a typo like //ce:errok would otherwise silently
 // disable nothing and suppress nothing), known verbs missing their
 // mandatory reason, and the same verb appearing twice on one line (the
 // second is dead and almost certainly a copy-paste error).
@@ -212,7 +198,7 @@ func Problems(fset *token.FileSet, f *ast.File) []Problem {
 						d.Name, d.Name),
 				})
 			}
-			// `_ = x //ce:err-ok brief //ce:nondet-ok seeded` parses as ONE
+			// `_ = x //ce:err-ok brief //ce:classifier` parses as ONE
 			// directive whose reason swallows the second marker — the second
 			// hatch is silently dead, which is exactly the failure mode this
 			// check exists to make loud.

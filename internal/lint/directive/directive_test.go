@@ -19,23 +19,18 @@ func parseSrc(t *testing.T, src string) (*token.FileSet, *ast.File) {
 }
 
 func TestKnownAndReasonRequired(t *testing.T) {
-	for _, name := range []string{
-		Deterministic, ClassifyErrors, Classifier,
-		NondetOK, ErrOK,
-	} {
+	for _, name := range []string{ClassifyErrors, Classifier, ErrOK} {
 		if !Known(name) {
 			t.Errorf("Known(%q) = false", name)
 		}
 	}
-	if Known("nondetok") {
+	if Known("errok") {
 		t.Error("Known accepted a typo verb")
 	}
-	for _, name := range []string{NondetOK, ErrOK} {
-		if !ReasonRequired(name) {
-			t.Errorf("ReasonRequired(%q) = false, want true", name)
-		}
+	if !ReasonRequired(ErrOK) {
+		t.Errorf("ReasonRequired(%q) = false, want true", ErrOK)
 	}
-	for _, name := range []string{Deterministic, ClassifyErrors, Classifier} {
+	for _, name := range []string{ClassifyErrors, Classifier} {
 		if ReasonRequired(name) {
 			t.Errorf("ReasonRequired(%q) = true, want false", name)
 		}
@@ -46,35 +41,36 @@ func TestProblemsMissingReason(t *testing.T) {
 	fset, f := parseSrc(t, `package p
 
 func f() {
-	_ = 1 //ce:nondet-ok
+	_ = 1 //ce:err-ok
 }
 `)
 	probs := Problems(fset, f)
 	if len(probs) != 1 || !strings.Contains(probs[0].Message, "requires a reason") {
 		t.Fatalf("Problems = %v, want one missing-reason error", probs)
 	}
-	// And the reasonless hatch must not cover anything.
-	idx := NewIndex(fset, f, NondetOK)
-	if len(idx.Malformed()) != 1 {
-		t.Fatalf("Malformed = %v, want 1", idx.Malformed())
-	}
-	if got := len(idx.byLine); got != 0 {
-		t.Fatalf("reasonless hatch covers %d lines, want 0", got)
+	// And the reasonless hatch must not cover anything: neither its own
+	// line nor the one below.
+	idx := NewIndex(fset, f, ErrOK)
+	tf := fset.File(f.Pos())
+	for _, line := range []int{4, 5} {
+		if d, ok := idx.Covering(tf.LineStart(line)); ok {
+			t.Errorf("reasonless hatch covers line %d: %+v", line, d)
+		}
 	}
 }
 
 func TestProblemsUnknownVerb(t *testing.T) {
 	fset, f := parseSrc(t, `package p
 
-//ce:nondetok suppressed by typo
+//ce:errok suppressed by typo
 func f() {}
 `)
 	probs := Problems(fset, f)
-	if len(probs) != 1 || !strings.Contains(probs[0].Message, `unknown //ce: directive "nondetok"`) {
+	if len(probs) != 1 || !strings.Contains(probs[0].Message, `unknown //ce: directive "errok"`) {
 		t.Fatalf("Problems = %v, want one unknown-verb error", probs)
 	}
 	// The message names the real verbs so the fix is obvious.
-	if !strings.Contains(probs[0].Message, "nondet-ok") {
+	if !strings.Contains(probs[0].Message, "err-ok") {
 		t.Fatalf("unknown-verb message should list known verbs: %q", probs[0].Message)
 	}
 }
@@ -108,7 +104,7 @@ func TestProblemsEmbeddedSecondDirective(t *testing.T) {
 	fset, f := parseSrc(t, `package p
 
 func f() {
-	_ = 1 //ce:err-ok brief //ce:nondet-ok seeded
+	_ = 1 //ce:err-ok brief //ce:classifier
 }
 `)
 	probs := Problems(fset, f)
@@ -120,7 +116,7 @@ func f() {
 func TestProblemsCleanFile(t *testing.T) {
 	fset, f := parseSrc(t, `package p
 
-// Package-level prose that merely mentions //ce:deterministic inside a
+// Package-level prose that merely mentions //ce:classify-errors inside a
 // sentence is fine as long as the comment doesn't start with the marker.
 
 //ce:classifier
@@ -173,7 +169,7 @@ func g() {}
 	if !ok || d.Reason != "wraps disk errors at the cache seam" {
 		t.Fatalf("Get = %+v, %v", d, ok)
 	}
-	if FuncMarked(fd, Deterministic) {
+	if FuncMarked(fd, ClassifyErrors) {
 		t.Fatal("FuncMarked found a directive that isn't there")
 	}
 }

@@ -1,6 +1,6 @@
 // Package dirlint makes malformed //ce: directives loud. The directive
 // system is the enforcement surface for every other contract in this
-// repo; a typo'd verb (//ce:nondetok), a hatch missing its mandatory
+// repo; a typo'd verb (//ce:errok), a hatch missing its mandatory
 // reason, or a second directive swallowed into the first one's reason
 // text would otherwise silently suppress nothing — or worse, convince a
 // reader that something is suppressed when it isn't. dirlint turns each

@@ -14,7 +14,7 @@ func bareHatch() {
 // Two directives on one line: the second is dead text inside the first
 // one's reason.
 func stacked() {
-	_ = 1 /* want "embedded in the reason" */ //ce:err-ok brief //ce:nondet-ok seeded
+	_ = 1 /* want "embedded in the reason" */ //ce:err-ok brief //ce:classifier
 }
 
 // Well-formed directives produce nothing.

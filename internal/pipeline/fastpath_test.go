@@ -309,7 +309,7 @@ func (g *allocGuard) step(t *testing.T, sim *Simulator) []allocSite {
 	prev := g.prof
 	g.prof = memProfile()
 	var sites []allocSite
-	for stk, n := range g.prof { //ce:nondet-ok only the order of failure messages depends on it
+	for stk, n := range g.prof { // only the order of failure messages depends on map order
 		if d := n - prev[stk]; d > 0 {
 			if s, ok := stepSite(stk); ok {
 				s.n = d

@@ -13,9 +13,8 @@
 //
 // The package is bit-deterministic: identical configurations produce
 // identical Stats on every run, which the run cache and the differential
-// fuzzing harness both rely on. Enforced by detlint (cmd/celint).
-//
-//ce:deterministic
+// fuzzing harness both rely on. TestResultsDeterministic in the root
+// package checks it by rendering every figure twice.
 package pipeline
 
 import (
@@ -512,9 +511,9 @@ func (s *Simulator) Run(maxCycles int64) (Stats, error) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	startAllocs := ms.Mallocs
-	startWall := time.Now() //ce:nondet-ok host-performance telemetry (HostWallSeconds), not simulated time
+	startWall := time.Now() // host-performance telemetry, not simulated time
 	err := s.run(maxCycles)
-	s.stats.HostWallSeconds = time.Since(startWall).Seconds() //ce:nondet-ok host-performance telemetry, not simulated time
+	s.stats.HostWallSeconds = time.Since(startWall).Seconds()
 	runtime.ReadMemStats(&ms)
 	s.stats.HostAllocs = ms.Mallocs - startAllocs
 	if err != nil {

@@ -349,6 +349,8 @@ func TestCommittedMatchesFunctionalExecution(t *testing.T) {
 	}
 }
 
+// TestDeterminism runs one workload twice on one configuration and
+// requires every statistic DiffStats compares to match.
 func TestDeterminism(t *testing.T) {
 	p, err := prog.ByName("li")
 	if err != nil {
@@ -369,9 +371,9 @@ func TestDeterminism(t *testing.T) {
 		}
 		return st
 	}
-	a, b := run(), run()
-	if a.Cycles != b.Cycles || a.Committed != b.Committed || a.Mispredicts != b.Mispredicts {
-		t.Errorf("non-deterministic: %+v vs %+v", a, b)
+	first := run()
+	if err := DiffStats(run(), first); err != nil {
+		t.Errorf("second run differs from the first: %v", err)
 	}
 }
 

@@ -74,7 +74,7 @@ func RunSegment(cfg Config, tr *trace.Trace, seg trace.Segment, warmup uint64, m
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	startAllocs := ms.Mallocs
-	startWall := time.Now() //ce:nondet-ok host-performance telemetry (HostWallSeconds), not simulated time
+	startWall := time.Now() // host-performance telemetry, not simulated time
 
 	warm, err := sim.RunUntilCommitted(seg.Start.Step-start.Step, maxCycles)
 	if err != nil {
@@ -88,7 +88,7 @@ func RunSegment(cfg Config, tr *trace.Trace, seg trace.Segment, warmup uint64, m
 	if err != nil {
 		return delta, rd.Decoded(), fmt.Errorf("pipeline: %s/%s segment %d: %w", cfg.Name, tr.Program().Name, seg.Index, err)
 	}
-	delta.HostWallSeconds = time.Since(startWall).Seconds() //ce:nondet-ok host-performance telemetry, not simulated time
+	delta.HostWallSeconds = time.Since(startWall).Seconds()
 	runtime.ReadMemStats(&ms)
 	delta.HostAllocs = ms.Mallocs - startAllocs
 	return delta, rd.Decoded(), nil

@@ -2,8 +2,6 @@
 // logical→physical map table (the RAM scheme of Section 4.1) and the
 // physical register free list. The paper's baseline machine (Table 3) has
 // 120 physical integer registers.
-//
-//ce:deterministic
 package rename
 
 import (

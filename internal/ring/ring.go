@@ -5,8 +5,6 @@
 // dead elements reachable through the backing array. Each queue has an
 // architectural bound, so the buffer is sized once at construction and
 // never grows.
-//
-//ce:deterministic
 package ring
 
 // Buffer is a fixed-capacity ring buffer. Capacity is a power of two, so

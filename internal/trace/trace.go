@@ -32,7 +32,6 @@
 // load and verify one chunk at a time for the same bound on the replay
 // side.
 //
-//ce:deterministic
 //ce:classify-errors
 package trace
 

@@ -12,8 +12,6 @@
 // (pipeline.Config.CheckInvariants), so a run that commits the right
 // results the wrong way still fails. Panel selection is seeded, so the
 // whole cross-check is reproducible run to run.
-//
-//ce:deterministic
 package verify
 
 import (

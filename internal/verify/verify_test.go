@@ -40,7 +40,7 @@ func TestPanelIsDiverse(t *testing.T) {
 // harness: 50 generated programs, spanning loop depths, footprints and
 // instruction mixes, each run through the full panel.
 func TestDifferentialSeededCorpus(t *testing.T) {
-	start := time.Now() //ce:nondet-ok wall-clock budget for -short trimming, not simulated time
+	start := time.Now()
 	corpus := make([]prog.RandomConfig, 0, 50)
 	for seed := int64(0); seed < 35; seed++ {
 		corpus = append(corpus, prog.RandomConfig{Seed: seed})
@@ -62,7 +62,7 @@ func TestDifferentialSeededCorpus(t *testing.T) {
 			t.Errorf("%+v:\n%v", rc, err)
 		}
 	}
-	if d := time.Since(start); d > 60*time.Second { //ce:nondet-ok wall-clock budget check, not simulated time
+	if d := time.Since(start); d > 60*time.Second {
 		t.Errorf("corpus took %v, budget 60s", d)
 	}
 }

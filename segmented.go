@@ -90,8 +90,9 @@ func (e *Engine) segKeySuffix() string {
 // runSegments fans the given segment indices out across CPUs, running
 // pipeline.RunSegment for each after segWarmup, and returns the
 // per-segment Stats in index order and the records their readers
-// decoded. The fan-out lives here — not in internal/pipeline, which is
-// //ce:deterministic and goroutine-free — so each worker runs a fully
+// decoded. The fan-out lives here — not in internal/pipeline, which
+// stays goroutine-free by convention (TestResultsDeterministic fails if
+// scheduling reaches a result) — so each worker runs a fully
 // independent Simulator over the shared read-only trace, holding one
 // chunk buffer each for disk-backed traces (K workers keep O(K) chunks
 // resident, whatever the trace size).
