@@ -38,10 +38,8 @@ type SweepBenchResult struct {
 	WallSeconds float64 `json:"wall_seconds"`
 	Sims        int     `json:"sims"`
 	SimsPerSec  float64 `json:"sims_per_sec"`
-	// Replay reports whether trace replay was enabled for the sweep.
-	Replay bool `json:"replay"`
 	// Trace is the trace pool's activity: workloads captured versus
-	// loaded from disk, runs by drive mode, one-time capture cost, and
+	// loaded from disk, replay runs, one-time capture cost, and
 	// dynamic instructions functionally executed versus replayed.
 	Trace TraceStats `json:"trace"`
 	// Segment, when present, benchmarks phase-sampled simulation
@@ -65,7 +63,6 @@ func SweepBench(eng *Engine, runs []RunMetrics, wallSeconds float64) SweepBenchR
 	r := SweepBenchResult{
 		WallSeconds: wallSeconds,
 		Sims:        sims,
-		Replay:      eng.TraceReplay(),
 		Trace:       eng.TraceStats(),
 	}
 	if wallSeconds > 0 {

@@ -310,7 +310,6 @@ func TestSweepBenchJSONRoundTrip(t *testing.T) {
 		WallSeconds: 1.5,
 		Sims:        42,
 		SimsPerSec:  28,
-		Replay:      true,
 		Segment: &StreamBenchResult{
 			Config: "baseline-8way-64win", Workload: "compress.big",
 			Segments: 16, Phases: 4, Speedup: 3.5,

@@ -22,15 +22,14 @@
 //	-metrics-json FILE  dump per-run metrics and cache counters as JSON
 //	-metrics-det FILE   dump only the deterministic metrics (stable order,
 //	                    host timings scrubbed) — byte-identical across
-//	                    runs, machines and drive modes
+//	                    runs and machines
 //	-cache-dir DIR      persist run results on disk across invocations
 //
 // Each workload is executed once per process and every simulation is
 // driven from the shared captured trace (replay); results are identical
-// to lockstep execution, which remains available:
+// to lockstep execution (cesim, ce.Run):
 //
 //	-trace-dir DIR      persist captured traces on disk across invocations
-//	-no-trace-replay    drive every simulation by lockstep execution
 //
 // Phase sampling estimates each replay-driven run from a few timed
 // segments instead of the whole trace (SimPoint):
@@ -46,9 +45,10 @@
 // Host-performance flags for working on the simulator itself:
 //
 //	-bench-json FILE    benchmark the simulator on every verification-panel
-//	                    configuration and write BENCH_pipeline.json; if a
-//	                    sweep ran too, write its wall time, sims/sec and
-//	                    executed-versus-replayed balance to BENCH_sweep.json
+//	                    configuration over compress and write
+//	                    BENCH_pipeline.json; if a sweep ran too, write its
+//	                    wall time, sims/sec and executed-versus-replayed
+//	                    balance to BENCH_sweep.json
 //	-stream-bench W     benchmark streamed capture + sampled simulation on
 //	                    huge workload W (e.g. compress.huge): capture the
 //	                    trace straight to -trace-dir, time it exactly once
@@ -97,17 +97,17 @@ var (
 	metricsDet = flag.String("metrics-det", "", "write deterministic per-run metrics (stable order, host timings scrubbed) to this file as JSON")
 	cacheDir   = flag.String("cache-dir", "", "persist simulation results as JSON under this directory")
 	traceDir   = flag.String("trace-dir", "", "persist captured execution traces under this directory")
-	noReplay   = flag.Bool("no-trace-replay", false, "drive every simulation by lockstep execution instead of shared trace replay")
 	segments   = flag.Int("segments", 0, "phase sampling: cut each trace into this many segments (0 = monolithic)")
 	segPhases  = flag.Int("phases", 0, "phase sampling: time one representative segment per behavior cluster, at most this many, weighted by cluster mass (1..-segments)")
 	benchJSON  = flag.String("bench-json", "", "benchmark the simulator per panel config and write results to this file")
-	benchWork  = flag.String("bench-workload", "compress", "workload for -bench-json")
 	benchCmp   = flag.String("bench-compare", "", "compare this invocation's BENCH_sweep.json against the baseline at this path and print per-entry deltas")
 	benchTol   = flag.Float64("bench-tolerance", 25, "percent a gated benchmark ratio may fall below the -bench-compare baseline before exiting nonzero; negative = warn only")
 	streamWork = flag.String("stream-bench", "", "benchmark streamed capture + sampled simulation on this (huge) workload and record it in BENCH_sweep.json")
 	cpuprof    = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memprof    = flag.String("memprofile", "", "write a heap profile taken after the sweep to this file")
 )
+
+const benchWorkload = "compress" // the workload -bench-json times the panel on
 
 func main() {
 	flag.Parse()
@@ -199,7 +199,6 @@ func setupObservability() (func() error, error) {
 			return nil, err
 		}
 	}
-	eng.SetTraceReplay(!*noReplay)
 	if err := eng.SetPhaseSampling(*segments, *segPhases); err != nil {
 		return nil, err
 	}
@@ -235,11 +234,11 @@ func setupObservability() (func() error, error) {
 				cs.Lookups(), cs.Hits, cs.Coalesced, cs.DiskHits, cs.Misses, cs.Uncacheable, cs.Saved())
 			ts := eng.TraceStats()
 			fmt.Fprintf(os.Stderr,
-				"cesweep: traces: %d captured, %d loaded from disk; %d replay runs, %d lockstep runs; %d steps executed, %d replayed\n",
-				ts.Captures, ts.DiskHits, ts.ReplayRuns, ts.LockstepRuns, ts.StepsExecuted, ts.StepsReplayed)
+				"cesweep: traces: %d captured, %d loaded from disk; %d replay runs; %d steps executed, %d replayed\n",
+				ts.Captures, ts.DiskHits, ts.ReplayRuns, ts.StepsExecuted, ts.StepsReplayed)
 			fmt.Fprintf(os.Stderr,
-				"cesweep: trace bytes: %d on disk; %d records decoded; %d capture failures, %d corrupt traces dropped\n",
-				ts.TraceDiskBytes, ts.RecordsDecoded, ts.CaptureFailures, ts.CorruptDropped)
+				"cesweep: trace bytes: %d on disk; %d records decoded; %d corrupt traces dropped\n",
+				ts.TraceDiskBytes, ts.RecordsDecoded, ts.CorruptDropped)
 		}
 		if *metrics != "" {
 			dump := struct {
@@ -468,11 +467,11 @@ func run() (err error) {
 	sweepRan, sweepWall := ran, time.Since(sweepStart).Seconds()
 	if *benchJSON != "" {
 		ran = true
-		res, err := ce.WriteBenchJSON(*benchJSON, *benchWork)
+		res, err := ce.WriteBenchJSON(*benchJSON, benchWorkload)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("Simulator performance on %s (written to %s):\n", *benchWork, *benchJSON)
+		fmt.Printf("Simulator performance on %s (written to %s):\n", benchWorkload, *benchJSON)
 		for _, r := range res {
 			fmt.Printf("  %-28s %9d cycles  %6.0f ms  %6.2f Mcycles/s  %.3f allocs/cycle\n",
 				r.Config, r.Cycles, r.WallSeconds*1000, r.MCyclesPerSec, r.AllocsPerCycle)

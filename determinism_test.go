@@ -2,6 +2,7 @@ package ce
 
 import (
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/pipeline"
@@ -22,6 +23,10 @@ const determinismRuns = 1
 // must equal the first rendering's through pipeline.DiffStats: labels,
 // cycles, every counter and every issue-histogram bucket. A result that
 // depends on map order, the host clock or goroutine scheduling fails it.
+// The first rendering of each exact figure must in turn equal lockstep
+// execution (Run) cell for cell, so trace replay, the engine's only
+// drive mode, can change how fast a result is computed but never the
+// result.
 func TestResultsDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("renders every figure on fresh engines")
@@ -71,4 +76,29 @@ func TestResultsDeterministic(t *testing.T) {
 			}
 		}
 	}
+	// One goroutine per figure row: the lockstep runs are independent.
+	var wg sync.WaitGroup
+	for i, fig := range figs {
+		if fig.sampled {
+			continue
+		}
+		res := first[i]
+		for ci, cfg := range res.Configs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for wi, w := range res.Workloads {
+					want, err := Run(cfg, w)
+					if err != nil {
+						t.Errorf("%s: lockstep %s on %s: %v", fig.name, cfg.Name, w, err)
+						continue
+					}
+					if err := pipeline.DiffStats(res.Results[ci][wi], want); err != nil {
+						t.Errorf("%s: %s on %s: replay differs from lockstep: %v", fig.name, cfg.Name, w, err)
+					}
+				}
+			}()
+		}
+	}
+	wg.Wait()
 }

@@ -78,10 +78,7 @@ func (e *Engine) segmentPlan() segPlan {
 // be recalled as (or instead of) a whole-run result.
 func (e *Engine) segKeySuffix() string {
 	p := e.segmentPlan()
-	e.traceMu.Lock()
-	noReplay := e.noReplay
-	e.traceMu.Unlock()
-	if p.k == 0 || noReplay {
+	if p.k == 0 {
 		return ""
 	}
 	return fmt.Sprintf("\x00sampled segments=%d phases=%d warmup=%d", p.k, p.phases, segWarmup)

@@ -39,10 +39,6 @@ type RunMetrics struct {
 	// computation, not this recall.
 	HostAllocs      uint64  `json:"host_allocs"`
 	HostWallSeconds float64 `json:"host_wall_seconds"`
-	// Replayed reports whether the simulation was driven by a shared
-	// pre-captured trace from the engine's trace pool instead of lockstep
-	// functional execution (false for cached results).
-	Replayed bool `json:"replayed,omitempty"`
 	// CaptureSeconds is the time this run spent performing its workload's
 	// one-time trace capture — reported only by the run that owned the
 	// capture, so summing it across a sweep counts each capture once.
@@ -76,11 +72,10 @@ type Engine struct {
 	observer func(RunMetrics)
 
 	// Trace pool (tracepool.go): one shared execution trace per workload,
-	// captured single-flight, driving replay-capable simulations.
+	// captured single-flight, driving every fresh simulation.
 	traceMu  sync.Mutex
 	traces   map[string]*traceEntry
 	traceDir string
-	noReplay bool
 	tstats   TraceStats
 	// traceWarned dedups per-workload diagnostics (warnOnce).
 	traceWarned map[string]bool
@@ -177,7 +172,6 @@ func (e *Engine) runOne(cfg Config, workload string) (Stats, RunMetrics, error) 
 		HostAllocs:      st.HostAllocs,
 		HostWallSeconds: st.HostWallSeconds,
 
-		Replayed:           attr.replayed,
 		CaptureSeconds:     attr.captureSeconds,
 		CaptureWaitSeconds: attr.captureWait,
 		Segments:           attr.segments,

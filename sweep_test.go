@@ -154,7 +154,7 @@ func TestRunMatrixErrorPropagation(t *testing.T) {
 	eng := NewEngine()
 	bad := BaselineConfig()
 	bad.Name = "malformed"
-	bad.MaxInFlight = 0 // rejected by Config.Validate at pipeline.New
+	bad.MaxInFlight = 0 // rejected by Config.Validate when the simulator is built
 	if _, err := eng.RunMatrix([]Config{BaselineConfig(), bad}, []string{"micro.chain"}); err == nil {
 		t.Error("matrix with malformed config succeeded")
 	}
@@ -176,7 +176,7 @@ func TestRunMatrixFirstErrorDeterministic(t *testing.T) {
 	// so each carries its own error message.
 	first := BaselineConfig()
 	first.Name = "bad-first"
-	first.MaxInFlight = 0 // rejected by Config.Validate at pipeline.New
+	first.MaxInFlight = 0 // rejected by Config.Validate when the simulator is built
 	second := BaselineConfig()
 	second.Name = "bad-second"
 	second.FetchQueueSize = 0 // also rejected, with a different message

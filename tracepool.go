@@ -5,8 +5,9 @@ package ce
 // configuration-independent, so the Engine captures one execution trace
 // per workload (single-flight, like the run cache) and drives every
 // simulation from a shared read-only trace.Reader instead of a private
-// lockstep emulator; the differential harness in internal/verify pins
-// that both drive modes produce identical statistics.
+// lockstep emulator. Replay is the engine's only drive mode; the
+// differential harness in internal/verify and TestResultsDeterministic
+// pin it against lockstep execution (pipeline.New, ce.Run).
 
 import (
 	"errors"
@@ -31,17 +32,16 @@ type TraceStats struct {
 	// directory instead.
 	Captures int `json:"captures"`
 	DiskHits int `json:"disk_hits"`
-	// ReplayRuns and LockstepRuns split fresh simulations by drive mode.
-	ReplayRuns   int `json:"replay_runs"`
-	LockstepRuns int `json:"lockstep_runs"`
+	// ReplayRuns counts fresh simulations, every one replay-driven.
+	ReplayRuns int `json:"replay_runs"`
 	// CaptureSeconds and CaptureAllocs are the wall time and heap
 	// allocations spent capturing traces — the one-time cost excluded
 	// from every run's WallSeconds and Stats.HostAllocs.
 	CaptureSeconds float64 `json:"capture_seconds"`
 	CaptureAllocs  uint64  `json:"capture_allocs"`
 	// StepsExecuted counts dynamic instructions resolved by functional
-	// execution (captures plus lockstep simulations); StepsReplayed
-	// counts those streamed from pre-captured traces.
+	// execution (trace captures); StepsReplayed counts those streamed
+	// from pre-captured traces.
 	StepsExecuted uint64 `json:"steps_executed"`
 	StepsReplayed uint64 `json:"steps_replayed"`
 	// SegmentRuns counts replay runs conducted phase-sampled
@@ -49,13 +49,6 @@ type TraceStats struct {
 	// segments they timed.
 	SegmentRuns       int `json:"segment_runs,omitempty"`
 	SegmentsSimulated int `json:"segments_simulated,omitempty"`
-	// CaptureFailures counts replay-capable simulations that fell back to
-	// lockstep because their workload's trace could not be captured or a
-	// replay simulator could not be built. The fallback is benign — the
-	// statistics are identical — but it silently forfeits the sweep's
-	// replay speedup, so each workload's first failure is logged with its
-	// cause and every occurrence is counted here.
-	CaptureFailures int `json:"capture_failures,omitempty"`
 	// CorruptDropped counts pooled traces dropped mid-replay after a
 	// chunk failed its checksum; each was invalidated on disk and
 	// recaptured once before the run retried.
@@ -124,23 +117,6 @@ func (e *Engine) SetTraceDir(dir string) error {
 	return nil
 }
 
-// SetTraceReplay toggles trace-replay drive for this engine's
-// simulations (default on). With replay off every simulation executes
-// its workload in lockstep, as pipeline.New does; the results are
-// identical either way.
-func (e *Engine) SetTraceReplay(on bool) {
-	e.traceMu.Lock()
-	e.noReplay = !on
-	e.traceMu.Unlock()
-}
-
-// TraceReplay reports whether trace-replay drive is enabled.
-func (e *Engine) TraceReplay() bool {
-	e.traceMu.Lock()
-	defer e.traceMu.Unlock()
-	return !e.noReplay
-}
-
 // TraceStats returns a snapshot of the engine's trace-pool counters,
 // including the pooled traces' current file sizes.
 func (e *Engine) TraceStats() TraceStats {
@@ -160,8 +136,8 @@ func (e *Engine) TraceStats() TraceStats {
 }
 
 // warnOnce writes one diagnostic line to stderr per key for the
-// engine's lifetime, so a sweep that falls back ten thousand times
-// complains exactly once per workload and cause.
+// engine's lifetime, so a sweep that meets the same trace fault ten
+// thousand times complains exactly once per workload and cause.
 func (e *Engine) warnOnce(key, format string, args ...any) {
 	e.traceMu.Lock()
 	if e.traceWarned[key] {
@@ -177,7 +153,9 @@ func (e *Engine) warnOnce(key, format string, args ...any) {
 }
 
 // traceFor returns workload's shared trace, capturing it exactly once
-// per process however many configurations and goroutines ask.
+// per process however many configurations and goroutines ask. A failed
+// capture reaches its waiters and is then forgotten, so the next call
+// captures again, as the run cache does with transient errors.
 func (e *Engine) traceFor(workload string) (*trace.Trace, error) {
 	tr, _, err := e.traceForOwned(workload)
 	return tr, err
@@ -213,6 +191,11 @@ func (e *Engine) traceForOwned(workload string) (tr *trace.Trace, owned bool, er
 	dir := e.traceDir
 	e.traceMu.Unlock()
 	ent.tr, ent.err = e.captureTrace(workload, dir)
+	if ent.err != nil {
+		e.traceMu.Lock()
+		delete(e.traces, workload)
+		e.traceMu.Unlock()
+	}
 	close(ent.done)
 	return ent.tr, true, ent.err
 }
@@ -277,7 +260,7 @@ func (e *Engine) captureTrace(workload, dir string) (*trace.Trace, error) {
 // simAttribution carries cost attribution out of the run cache's compute
 // closure: how much of the observed wall time was the workload's
 // one-time trace capture (shared, reported separately) rather than this
-// simulation's own cost, and which drive mode ran.
+// simulation's own cost.
 type simAttribution struct {
 	captureSeconds float64
 	// captureWait is time spent blocked on a capture some *other* run
@@ -285,48 +268,19 @@ type simAttribution struct {
 	// wall time like captureSeconds, but kept apart so summing
 	// CaptureSeconds across a sweep's runs counts each capture once.
 	captureWait float64
-	replayed    bool
 	// segments is non-nil when the run was conducted phase-sampled.
 	segments *SegmentMetrics
 }
 
-// runSim performs one fresh simulation for the engine, replay-driven
-// unless replay is switched off. A capture failure falls back to
-// lockstep execution; either way the statistics are identical, only the
-// host cost differs.
-// The fallback is counted (TraceStats.CaptureFailures) and its first
-// cause per workload logged, so a sweep silently losing its replay
-// speedup is visible in -v output and the metrics dumps.
+// runSim performs one fresh simulation for the engine, driven from the
+// workload's pooled trace. A failure to obtain the trace or to build the
+// replay simulator is the run's error; the run cache memoizes it only if
+// it is deterministic (internal/errclass). A trace whose chunk fails its
+// checksum mid-replay — a torn write or storage fault in the trace
+// directory — is dropped from the pool, invalidated on disk, and
+// recaptured once before the run retries; a second corruption surfaces
+// as an error.
 func (e *Engine) runSim(cfg Config, workload string, attr *simAttribution) (Stats, error) {
-	e.traceMu.Lock()
-	replay := !e.noReplay
-	e.traceMu.Unlock()
-	if replay {
-		st, ok, err := e.runReplay(cfg, workload, attr)
-		if ok || err != nil {
-			return st, err
-		}
-		// Capture failed: fall through to lockstep, which reproduces (and
-		// properly attributes) whatever went wrong with the workload.
-	}
-	st, err := Run(cfg, workload)
-	if err != nil {
-		return st, err
-	}
-	e.traceMu.Lock()
-	e.tstats.LockstepRuns++
-	e.tstats.StepsExecuted += st.EmuSteps
-	e.traceMu.Unlock()
-	return st, nil
-}
-
-// runReplay attempts one replay-driven simulation. ok=false (with a nil
-// error) means the trace could not be obtained and the caller should
-// fall back to lockstep. A trace whose chunk fails its checksum
-// mid-replay — a torn write or storage fault in the trace directory —
-// is dropped from the pool, invalidated on disk, and recaptured once
-// before the run retries; a second corruption surfaces as an error.
-func (e *Engine) runReplay(cfg Config, workload string, attr *simAttribution) (Stats, bool, error) {
 	for attempt := 0; ; attempt++ {
 		waitStart := time.Now()
 		tr, owned, err := e.traceForOwned(workload)
@@ -336,62 +290,41 @@ func (e *Engine) runReplay(cfg Config, workload string, attr *simAttribution) (S
 			attr.captureWait += time.Since(waitStart).Seconds()
 		}
 		if err != nil {
-			e.noteCaptureFailure(workload, err)
-			return Stats{}, false, nil
+			return Stats{}, err
 		}
-		retry := func(err error) bool {
-			if attempt > 0 || !errors.Is(err, trace.ErrCorruptChunk) {
-				return false
-			}
-			e.dropCorrupt(workload, tr)
-			return true
-		}
+		var st Stats
 		if plan := e.segmentPlan(); plan.k > 0 {
-			// Phase-sampled drive. Errors other than chunk corruption
-			// surface rather than fall back: a failing segment run means a
-			// real defect, not a workload property.
-			st, err := e.runSegmented(cfg, tr, plan, attr)
-			if err != nil {
-				if retry(err) {
-					continue
-				}
-				return st, false, err
-			}
-			attr.replayed = true
-			return st, true, nil
+			st, err = e.runSegmented(cfg, tr, plan, attr)
+		} else {
+			st, err = e.runMonolithic(cfg, tr)
 		}
-		// Monolithic replay from a private streaming Reader.
-		rd := trace.NewReader(tr)
-		sim, err := pipeline.NewReplay(cfg, rd)
-		if err != nil {
-			e.noteCaptureFailure(workload, err)
-			return Stats{}, false, nil
+		if err != nil && attempt == 0 && errors.Is(err, trace.ErrCorruptChunk) {
+			e.dropCorrupt(workload, tr)
+			continue
 		}
-		st, err := sim.Run(maxCycles)
-		rd.Release()
-		if err != nil {
-			if retry(err) {
-				continue
-			}
-			return st, false, err
-		}
-		attr.replayed = true
-		e.traceMu.Lock()
-		e.tstats.ReplayRuns++
-		e.tstats.StepsReplayed += st.EmuSteps
-		e.tstats.RecordsDecoded += rd.Decoded()
-		e.traceMu.Unlock()
-		return st, true, nil
+		return st, err
 	}
 }
 
-// noteCaptureFailure counts a lockstep fallback and logs the workload's
-// first failure with its cause.
-func (e *Engine) noteCaptureFailure(workload string, err error) {
+// runMonolithic replays the whole of tr through one simulator on a
+// private streaming Reader.
+func (e *Engine) runMonolithic(cfg Config, tr *trace.Trace) (Stats, error) {
+	rd := trace.NewReader(tr)
+	defer rd.Release()
+	sim, err := pipeline.NewReplay(cfg, rd)
+	if err != nil {
+		return Stats{}, err
+	}
+	st, err := sim.Run(maxCycles)
+	if err != nil {
+		return st, err
+	}
 	e.traceMu.Lock()
-	e.tstats.CaptureFailures++
+	e.tstats.ReplayRuns++
+	e.tstats.StepsReplayed += st.EmuSteps
+	e.tstats.RecordsDecoded += rd.Decoded()
 	e.traceMu.Unlock()
-	e.warnOnce("capture:"+workload, "trace %s: capture failed (%v); falling back to lockstep execution", workload, err)
+	return st, nil
 }
 
 // dropCorrupt evicts workload's pooled trace after a chunk checksum

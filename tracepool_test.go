@@ -9,76 +9,57 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/errclass"
 	"repro/internal/pipeline"
 	"repro/internal/prog"
 	"repro/internal/trace"
 )
 
 // TestEngineTracePoolEquivalence pins the engine-level replay contract:
-// a matrix run with the trace pool (default) and one with lockstep
-// drive produce identical simulation results, each workload is captured
-// exactly once however many configurations consume it, no simulation
-// falls back to lockstep, and the capture cost is attributed to the pool
-// rather than to any run.
+// a replay-driven matrix run produces the statistics of lockstep
+// execution (Run) cell for cell, each workload is captured exactly once
+// however many configurations consume it, and the capture cost is
+// attributed to the pool rather than to any run.
 func TestEngineTracePoolEquivalence(t *testing.T) {
 	cfgs := []Config{BaselineConfig(), DependenceConfig(), ClusteredDependenceConfig()}
 	workloads := []string{"compress", "micro.branchy"}
 
-	replayEng := NewEngine()
-	lockEng := NewEngine()
-	lockEng.SetTraceReplay(false)
-	replayRuns, lockRuns := recordRuns(replayEng), recordRuns(lockEng)
-
-	got, err := replayEng.RunMatrix(cfgs, workloads)
+	eng := NewEngine()
+	runs := recordRuns(eng)
+	got, err := eng.RunMatrix(cfgs, workloads)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := lockEng.RunMatrix(cfgs, workloads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cfgs {
-		for j := range workloads {
-			if err := pipeline.DiffStats(got[i][j], want[i][j]); err != nil {
-				t.Errorf("%s/%s: replay-driven stats diverge from lockstep: %v",
-					cfgs[i].Name, workloads[j], err)
+	for i, cfg := range cfgs {
+		for j, w := range workloads {
+			want, err := Run(cfg, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := pipeline.DiffStats(got[i][j], want); err != nil {
+				t.Errorf("%s/%s: replay-driven stats diverge from lockstep: %v", cfg.Name, w, err)
 			}
 		}
 	}
 
-	ts := replayEng.TraceStats()
+	ts := eng.TraceStats()
 	if ts.Captures != len(workloads) || ts.DiskHits != 0 {
-		t.Errorf("replay engine captured %d workloads (%d disk hits), want %d captures",
+		t.Errorf("engine captured %d workloads (%d disk hits), want %d captures",
 			ts.Captures, ts.DiskHits, len(workloads))
 	}
-	if ts.ReplayRuns != 6 || ts.LockstepRuns != 0 {
-		t.Errorf("replay engine ran %d replay / %d lockstep sims, want 6 / 0 (the engine never falls back)",
-			ts.ReplayRuns, ts.LockstepRuns)
+	if ts.ReplayRuns != 6 {
+		t.Errorf("engine ran %d replay sims, want 6", ts.ReplayRuns)
 	}
 	if ts.StepsReplayed == 0 || ts.StepsExecuted == 0 {
 		t.Errorf("degenerate step balance: %+v", ts)
 	}
-	if ls := lockEng.TraceStats(); ls.Captures != 0 || ls.ReplayRuns != 0 || ls.LockstepRuns != 6 {
-		t.Errorf("lockstep engine touched the trace pool: %+v", ls)
-	}
 
-	// Per-run metrics: fresh runs are marked by drive mode, and capture
-	// time is reported separately from (not inside) the run's wall time.
-	for _, m := range replayRuns() {
-		if m.Cached {
-			continue
-		}
-		if !m.Replayed {
-			t.Errorf("%s/%s: fresh run was not replayed", m.Config, m.Workload)
-		}
+	// Capture time is reported separately from (not inside) the run's
+	// wall time.
+	for _, m := range runs() {
 		if m.WallSeconds < 0 || m.CaptureSeconds < 0 {
 			t.Errorf("%s/%s: negative attribution: wall %g capture %g",
 				m.Config, m.Workload, m.WallSeconds, m.CaptureSeconds)
-		}
-	}
-	for _, m := range lockRuns() {
-		if !m.Cached && (m.Replayed || m.CaptureSeconds != 0) {
-			t.Errorf("%s/%s: lockstep run carries replay attribution: %+v", m.Config, m.Workload, m)
 		}
 	}
 }
@@ -147,46 +128,48 @@ func TestEngineStreamingCapture(t *testing.T) {
 	}
 }
 
-// TestEngineCaptureFailureCounted pins the lockstep-fallback
-// accounting: when the trace cannot be captured, the run still succeeds
-// by lockstep execution, and the fallback is counted rather than
-// silent.
-func TestEngineCaptureFailureCounted(t *testing.T) {
+// TestEngineCaptureFailureRetried pins the capture-failure contract: a
+// trace that cannot be captured fails the run with a transient error,
+// and neither the trace pool nor the run cache remembers the failure,
+// so once the fault clears the same engine captures and replays.
+func TestEngineCaptureFailureRetried(t *testing.T) {
 	eng := NewEngine()
-	runs := recordRuns(eng)
 	dir := filepath.Join(t.TempDir(), "traces")
 	if err := eng.SetTraceDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	// Replace the trace directory with a regular file: ReadFile and the
-	// streaming capture both fail with ENOTDIR, forcing the fallback.
+	// streaming capture both fail with ENOTDIR.
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	lock := NewEngine()
-	lock.SetTraceReplay(false)
-	want, err := lock.RunMatrix([]Config{BaselineConfig()}, []string{"micro.branchy"})
+	cfgs, workloads := []Config{BaselineConfig()}, []string{"micro.branchy"}
+	if _, err := eng.RunMatrix(cfgs, workloads); !errclass.IsTransient(err) {
+		t.Fatalf("capture into a non-directory: got error %v, want a transient one", err)
+	}
+
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	got, err := eng.RunMatrix(cfgs, workloads)
+	if err != nil {
+		t.Fatalf("run after the trace directory was restored: %v", err)
+	}
+	want, err := Run(cfgs[0], workloads[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := eng.RunMatrix([]Config{BaselineConfig()}, []string{"micro.branchy"})
-	if err != nil {
-		t.Fatal(err)
+	if err := pipeline.DiffStats(got[0][0], want); err != nil {
+		t.Errorf("retried run diverges from lockstep: %v", err)
 	}
-	if got[0][0].Cycles != want[0][0].Cycles {
-		t.Errorf("fallback run diverges: %d cycles vs %d", got[0][0].Cycles, want[0][0].Cycles)
-	}
-	ts := eng.TraceStats()
-	if ts.CaptureFailures != 1 || ts.LockstepRuns != 1 || ts.ReplayRuns != 0 {
-		t.Errorf("fallback not accounted: %+v", ts)
-	}
-	for _, m := range runs() {
-		if m.Replayed {
-			t.Errorf("%s/%s marked replayed despite capture failure", m.Config, m.Workload)
-		}
+	if ts := eng.TraceStats(); ts.Captures != 1 || ts.ReplayRuns != 1 {
+		t.Errorf("trace stats after the retry: %+v, want 1 capture and 1 replay run", ts)
 	}
 }
 
@@ -286,9 +269,6 @@ func testCorruptTraceRecaptured(t *testing.T, newEngine func() *Engine, reload b
 	}
 	if ts.Captures != wantCaptures || ts.DiskHits != wantDiskHits {
 		t.Errorf("Captures/DiskHits = %d/%d, want %d/%d", ts.Captures, ts.DiskHits, wantCaptures, wantDiskHits)
-	}
-	if ts.CaptureFailures != 0 {
-		t.Errorf("corruption miscounted as capture failure: %+v", ts)
 	}
 	if err := ts.Check(); err != nil {
 		t.Error(err)
